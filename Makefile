@@ -5,8 +5,9 @@
 
 MCC = dune exec bin/mcc.exe --
 
-.PHONY: all build test verify bench bench-json bench-validate estimate \
-  triage profile alias-report sched-report tvalid-report serve-bench clean
+.PHONY: all build test verify bench bench-json bench-validate bench-e2e \
+  estimate triage profile alias-report sched-report tvalid-report \
+  serve-bench clean
 
 all: build
 
@@ -29,6 +30,18 @@ bench: build
 # refuses to write a document that fails its independent re-parse).
 bench-json: build
 	MAC_QUICK=1 dune exec bench/main.exe
+
+# The repo's end-to-end benchmark: exactly the BENCHMARK.json command
+# for one workload and seed (see bench/e2e/README.md), e.g.
+# `make bench-e2e W=paper-sweep SEED=1`. RUN_SECONDS defaults to the
+# manifest's run_seconds.
+W ?= paper-sweep
+SEED ?= 1
+RUN_SECONDS ?= 20
+
+bench-e2e: build
+	dune exec -- bench/e2e/bench.exe --workload $(W) --seed $(SEED) \
+	  --seconds $(RUN_SECONDS)
 
 # One gate for all three bench artifacts: re-validate whichever of
 # BENCH_sim.json / BENCH_est.json / BENCH_serve.json exist with the

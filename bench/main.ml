@@ -12,7 +12,7 @@
    changes with MAC_JOBS. Alongside the human-readable sections the
    harness writes BENCH_sim.json, a machine-readable record of every
    TAB2/TAB3/TAB4/SCHED/FULL cell plus the sweep's wall-clock and the
-   measured serial-reference vs parallel-fast speedup.
+   measured serial-reference vs parallel-jit speedup.
 
    Environment:
      MAC_SIZE   image edge length (default 500, the paper's size)
@@ -23,7 +23,7 @@
 open Mac_rtl
 module W = Mac_workloads.Workloads
 module Tables = Mac_workloads.Tables
-module Pool = Mac_workloads.Pool
+module Pool = Mac_parallel.Pool
 module Sweep = Mac_workloads.Sweep
 module Machine = Mac_machine.Machine
 module Pipeline = Mac_vpo.Pipeline
@@ -126,50 +126,49 @@ let sched_gate ~sched_rows ~tab3_rows =
 
 (* ------------------------------------------------------------------ *)
 (* SPEEDUP: the Table II sweep under each engine, serially, vs the
-   domain-parallel pre-decoded run. All engines produce the same rows
-   (the equivalence tests pin them to each other); only the clock
-   differs. The fast-vs-jit ratio at jobs=1 is the superblock closure
-   compilation payoff. *)
+   domain-parallel run on the default (jit) engine. Both engines produce
+   the same rows (the equivalence tests pin them to each other); only
+   the clock differs. The reference-vs-jit ratio at jobs=1 is what
+   pre-decoding plus superblock closure compilation buys. *)
 
-let speedup_tab2 parallel_fast_seconds =
+let speedup_tab2 parallel_jit_seconds =
   section "SPEEDUP"
-    "Table II sweep: serial reference vs serial fast vs serial jit vs \
-     parallel fast";
+    "Table II sweep: serial reference vs serial jit vs parallel jit";
   let serial engine =
     let t0 = now () in
     ignore (Tables.table ~size ~jobs:1 ~engine ~machine:Machine.alpha ());
     now () -. t0
   in
   let serial_reference = serial `Reference in
-  let serial_fast = serial `Fast in
   let serial_jit = serial `Jit in
   let ratio =
-    if parallel_fast_seconds > 0.0 then
-      serial_reference /. parallel_fast_seconds
+    if parallel_jit_seconds > 0.0 then serial_reference /. parallel_jit_seconds
     else 0.0
   in
-  let jit_ratio = if serial_jit > 0.0 then serial_fast /. serial_jit else 0.0 in
+  let jit_ratio =
+    if serial_jit > 0.0 then serial_reference /. serial_jit else 0.0
+  in
   Fmt.pr
-    "28 cells at size %d, jobs=1: reference %.2fs, fast %.2fs, jit %.2fs \
-     (fast/jit = %.2fx)@."
-    size serial_reference serial_fast serial_jit jit_ratio;
-  Fmt.pr "parallel fast (%d job(s)): %.2fs -> %.1fx over serial reference@."
-    jobs parallel_fast_seconds ratio;
+    "28 cells at size %d, jobs=1: reference %.2fs, jit %.2fs \
+     (reference/jit = %.2fx)@."
+    size serial_reference serial_jit jit_ratio;
+  Fmt.pr "parallel jit (%d job(s)): %.2fs -> %.1fx over serial reference@."
+    jobs parallel_jit_seconds ratio;
   {
     Sweep.serial_reference_seconds = serial_reference;
-    serial_fast_seconds = serial_fast;
     serial_jit_seconds = serial_jit;
-    parallel_fast_seconds;
+    parallel_jit_seconds;
     ratio;
     jit_ratio;
   }
 
 (* ------------------------------------------------------------------ *)
 (* ENGINES: the cross-engine equivalence gate the JSON record rides on.
-   One Table II cell runs under all three engines and every metric must
-   agree bit for bit; then a deliberately trapping program must produce
-   the identical trap string on all three. A mismatch aborts the harness
-   (and therefore CI) before an invalid BENCH_sim.json can be written. *)
+   One Table II cell runs under the jit and the reference oracle and
+   every metric must agree bit for bit; then a deliberately trapping
+   program must produce the identical trap string on both. A mismatch
+   aborts the harness (and therefore CI) before an invalid
+   BENCH_sim.json can be written. *)
 
 let engines_check () =
   section "ENGINES" "cross-engine equivalence on one Table II cell";
@@ -179,11 +178,9 @@ let engines_check () =
       (fun engine ->
         W.run ~size:64 ~engine ~machine:Machine.alpha ~level:Pipeline.O4
           bench)
-      [ `Reference; `Fast; `Jit ]
+      [ `Reference; `Jit ]
   in
-  let r, f, j =
-    match outcomes with [ r; f; j ] -> (r, f, j) | _ -> assert false
-  in
+  let r, j = match outcomes with [ r; j ] -> (r, j) | _ -> assert false in
   let check name (o : W.outcome) =
     if not (Int64.equal o.W.value r.W.value) then
       failwith
@@ -200,7 +197,6 @@ let engines_check () =
       o.W.metrics.stores o.W.metrics.dcache_hits o.W.metrics.dcache_misses
   in
   check "reference" r;
-  check "fast" f;
   check "jit" j;
   (* trap fidelity: out-of-fuel fires mid-run with the same message *)
   let trap_of engine =
@@ -217,15 +213,11 @@ let engines_check () =
     | exception Mac_sim.Interp.Trap msg -> msg
   in
   let tr = trap_of `Reference in
-  List.iter
-    (fun (name, engine) ->
-      let t = trap_of engine in
-      if not (String.equal t tr) then
-        failwith
-          (Printf.sprintf "ENGINES: %s trap %S differs from reference %S"
-             name t tr))
-    [ ("fast", `Fast); ("jit", `Jit) ];
-  Fmt.pr "trap fidelity: all engines trap with %S@." tr
+  let tj = trap_of `Jit in
+  if not (String.equal tj tr) then
+    failwith
+      (Printf.sprintf "ENGINES: jit trap %S differs from reference %S" tj tr);
+  Fmt.pr "trap fidelity: both engines trap with %S@." tr
 
 (* ------------------------------------------------------------------ *)
 (* FIG5: the run-time alignment and alias dispatch. *)
@@ -603,7 +595,8 @@ let bechamel_benches () =
            ignore (Pipeline.compile_source cfg source)))
   in
   (* engine microbenchmark: the same simulation on both engines — the
-     per-instruction win of pre-decoding, isolated from parallelism *)
+     per-instruction win of pre-decoding plus closure compilation,
+     isolated from parallelism *)
   let engine_test name engine =
     Test.make ~name
       (Staged.stage (fun () ->
@@ -629,7 +622,6 @@ let bechamel_benches () =
           ];
         Test.make_grouped ~name:"engine"
           [
-            engine_test "image_add/fast" `Fast;
             engine_test "image_add/reference" `Reference;
             engine_test "image_add/jit" `Jit;
           ];
@@ -722,7 +714,8 @@ let () =
   let json =
     Sweep.to_json ~size ~jobs_requested:jobs
       ~jobs_effective:(Pool.effective_jobs ~jobs 28)
-      ~engine:"fast" ~wall_seconds:wall ~speedup cells
+      ~engine:(Mac_sim.Interp.engine_name Mac_sim.Interp.default_engine)
+      ~wall_seconds:wall ~speedup cells
   in
   (match Sweep.validate json with
   | Ok n ->

@@ -96,7 +96,7 @@ let validate_file path =
       | Error e -> Error (path ^ ": " ^ e)
     in
     match s with
-    | "mac-bench-sim/6" -> described ~gate:true Mac_workloads.Sweep.validate
+    | "mac-bench-sim/7" -> described ~gate:true Mac_workloads.Sweep.validate
     | "mac-bench-est/1" -> described Mac_workloads.Estcells.validate
     | "mac-bench-serve/1" -> described Mac_serve.Report.validate
     | other -> Error (Printf.sprintf "%s: unknown schema %S" path other))

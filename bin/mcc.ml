@@ -123,26 +123,17 @@ let remainder_arg =
 let engine_conv =
   let parse s =
     match String.lowercase_ascii s with
-    | "fast" -> Ok `Fast
-    | "reference" | "ref" -> Ok `Reference
     | "jit" -> Ok `Jit
-    | _ ->
-      Error
-        (`Msg (Printf.sprintf "unknown engine %S (fast|reference|jit)" s))
+    | "reference" | "ref" -> Ok `Reference
+    | _ -> Error (`Msg (Printf.sprintf "unknown engine %S (jit|reference)" s))
   in
   Arg.conv
-    ( parse,
-      fun ppf e ->
-        Fmt.string ppf
-          (match e with
-          | `Fast -> "fast"
-          | `Reference -> "reference"
-          | `Jit -> "jit") )
+    (parse, fun ppf e -> Fmt.string ppf (Mac_sim.Interp.engine_name e))
 
 let engine_arg =
-  Arg.(value & opt engine_conv `Fast
+  Arg.(value & opt engine_conv Mac_sim.Interp.default_engine
        & info [ "engine" ] ~docv:"ENGINE"
-           ~doc:"Simulator engine: $(b,fast) (pre-decoded, the default),                  $(b,reference) (the original tree-walking evaluator the                  other engines are pinned against) or $(b,jit)                  (superblock closure compilation: fused superinstructions,                  inlined cache fast path, per-leader block cache).")
+           ~doc:"Simulator engine: $(b,jit) (the default: pre-decoded,                  then superblock closure compilation with fused                  superinstructions, an inlined cache fast path and a                  per-leader block cache) or $(b,reference) (alias                  $(b,ref): the original tree-walking evaluator the jit is                  pinned against).")
 
 let jobs_arg =
   Arg.(value & opt (some int) None
@@ -162,7 +153,7 @@ let profile_arg =
 let profile_sim_arg =
   Arg.(value & flag
        & info [ "profile-sim" ]
-           ~doc:"Print where simulation time went: wall-clock per                  simulator phase (decode, closure compile, execute) for                  --run and --run-bench; with --table, aggregated over                  every cell of the sweep.")
+           ~doc:"Print where simulation time went: monotonic wall-clock                  per simulator phase (decode, closure compile, execute)                  for --run and --run-bench; with --table, aggregated over                  every cell of the sweep. Decode and compile are 0 under                  --engine reference.")
 
 let estimate_arg =
   Arg.(value & flag

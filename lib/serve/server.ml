@@ -4,7 +4,7 @@
    the domain pool. Cache hits are answered before the pool dispatch
    so a hot request never waits behind a batch-mate's cold compile. *)
 
-module Pool = Mac_workloads.Pool
+module Pool = Mac_parallel.Pool
 
 type stats = {
   batches : int;

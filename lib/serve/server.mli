@@ -6,7 +6,7 @@
     resolved to its {!Digest_key}; cache hits are answered
     immediately; the remaining {e distinct} keys — identical in-flight
     requests collapse to one compile here, the single-flight
-    guarantee — are compiled in one {!Mac_workloads.Pool.map}
+    guarantee — are compiled in one {!Mac_parallel.Pool.map}
     dispatch over the worker domains; then the misses (and their
     deduplicated followers) get their replies and every connection is
     closed. A request that fails — malformed frame, bad JSON, unknown
@@ -39,7 +39,7 @@ val serve :
     [SIGPIPE], and serve until [max_requests] requests have been
     answered ([None]: forever — the daemon then only returns on a
     fatal listener error). [jobs] bounds the compile pool (default
-    {!Mac_workloads.Pool.jobs}); [max_batch] bounds one drain
+    {!Mac_parallel.Pool.jobs}); [max_batch] bounds one drain
     (default 64). [log] receives one line per batch.
 
     Every request's canonical-source digest is computed once, at

@@ -64,7 +64,7 @@ type t = {
   program : (string, Func.t) Hashtbl.t;
   cache : (string, fn) Hashtbl.t;
   mutable inext : int64;  (* next synthetic code base to hand out *)
-  mutable seconds : float;  (* wall-clock spent decoding, for --profile-sim *)
+  mutable decode_ns : int;  (* monotonic ns spent decoding, for --profile-sim *)
 }
 
 let create ~machine (program : Func.t list) =
@@ -76,7 +76,7 @@ let create ~machine (program : Func.t list) =
     program = tbl;
     cache = Hashtbl.create 8;
     inext = 0L;
-    seconds = 0.;
+    decode_ns = 0;
   }
 
 let opnd = function
@@ -221,13 +221,14 @@ let find t name =
     match Hashtbl.find_opt t.program name with
     | None -> None
     | Some f ->
-      let t0 = Unix.gettimeofday () in
+      let t0 = Monotonic_clock.now () in
       let fn = decode_fn t f in
-      t.seconds <- t.seconds +. (Unix.gettimeofday () -. t0);
+      t.decode_ns <-
+        t.decode_ns + Int64.to_int (Int64.sub (Monotonic_clock.now ()) t0);
       Hashtbl.replace t.cache name fn;
       Some fn)
 
-let seconds t = t.seconds
+let seconds t = float_of_int t.decode_ns *. 1e-9
 
 (* Total executed-label counts across every function decoded (and hence
    possibly executed) in this run, merged by label name exactly as the

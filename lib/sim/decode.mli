@@ -1,5 +1,6 @@
-(** Pre-decoded execution engine: compile a {!Mac_rtl.Func.t} once per
-    [(function, machine)] into a flat array of pre-resolved instructions.
+(** Pre-decoding, the jit's first stage: compile a {!Mac_rtl.Func.t} once
+    per [(function, machine)] into a flat array of pre-resolved
+    instructions.
 
     The naive interpreter re-derives per-instruction facts on every
     execution: label lookups per jump, cost/latency closure calls per
@@ -21,10 +22,10 @@
     - labels get dense visit-counter slots, replacing the per-executed
       label hashtable.
 
-    A decode cache ([t]) lives inside the interpreter state, so recursive
-    and repeated calls to the same function reuse the decoded form. All
-    types are transparent: the executor in {!Interp} is the intended
-    consumer. *)
+    A decode cache ([t]) lives for one simulation run, so recursive and
+    repeated calls to the same function reuse the decoded form. All
+    types are transparent: the closure compiler in {!Jit} is the
+    intended consumer. *)
 
 open Mac_rtl
 module Machine = Mac_machine.Machine
@@ -99,5 +100,5 @@ val label_totals : t -> (Rtl.label, int) Hashtbl.t
     label hashtable). *)
 
 val seconds : t -> float
-(** Wall-clock seconds spent decoding so far — the "decode" phase of the
-    simulator profile ([mcc --profile-sim]). *)
+(** Seconds spent decoding so far, on the monotonic clock — the "decode"
+    phase of the simulator profile ([mcc --profile-sim]). *)

@@ -8,7 +8,12 @@ exception Trap = Jit.Trap
 
 type program = Func.t list
 
-type engine = [ `Fast | `Reference | `Jit ]
+type engine = [ `Reference | `Jit ]
+
+let default_engine : engine = `Jit
+let engine_name : engine -> string = function
+  | `Reference -> "reference"
+  | `Jit -> "jit"
 
 type metrics = {
   insts : int;
@@ -53,8 +58,8 @@ let icache_for (machine : Machine.t) =
 (* Reference engine: the original tree-walking evaluator. It re-decodes
    each function on every call (label table, frame sizing) and prices
    each executed instruction through the machine's cost closures. Kept
-   as the semantic baseline the fast engine is pinned to,
-   instruction for instruction, by test/test_engine.ml. *)
+   as the semantic baseline the jit is pinned to, instruction for
+   instruction, by test/test_engine.ml. *)
 
 type state = {
   machine : Machine.t;
@@ -75,7 +80,7 @@ type state = {
 
 (* One function activation: registers and their ready-cycles. The
    register file is the shared unboxed {!Regfile} (Bytes-backed), the
-   same representation all three engines use. *)
+   same representation both engines use. *)
 type frame = { regs : Regfile.t; ready : int array }
 
 let frame_of (f : Func.t) =
@@ -323,230 +328,6 @@ let run_reference ~machine ~memory (program : program) ~entry ~args ~fuel
     0. )
 
 (* ================================================================== *)
-(* Fast engine: executes the pre-decoded form (see Decode). Per executed
-   instruction it allocates nothing, resolves no labels, and calls no
-   cost closures — all of that was paid once at decode time. The decode
-   cache lives in this state, so recursive and repeated calls to the
-   same function reuse the decoded body. *)
-
-type fstate = {
-  fmachine : Machine.t;
-  fmemory : Memory.t;
-  fdcache : Cache.t;
-  decode : Decode.t;
-  mutable finsts : int;
-  mutable fcycles : int;
-  mutable floads : int;
-  mutable fstores : int;
-  mutable ffuel : int;
-  mutable fsp : int64;
-  ficache : Cache.t option;
-}
-
-let fresolve st (acc : Decode.access) addr ~is_load =
-  if not acc.alegal then
-    trap "illegal %s of width %a on %s"
-      (if is_load then "load" else "store")
-      Width.pp acc.awidth st.fmachine.name;
-  if acc.aaligned then
-    if Int64.equal (Int64.rem addr acc.wbytes) 0L then (addr, 0)
-    else if acc.atolerate then (addr, 2)
-    else trap "misaligned %a access at 0x%Lx" Width.pp acc.awidth addr
-  else (Int64.mul (Int64.div addr acc.wbytes) acc.wbytes, 0)
-
-let rec fcall st fname args =
-  match Decode.find st.decode fname with
-  | None -> trap "undefined function %s" fname
-  | Some fn -> fexec st fn args
-
-and fexec st (fn : Decode.fn) args =
-  let regs = Regfile.create fn.nregs in
-  let ready = Array.make fn.nregs 0 in
-  let nparams = Array.length fn.params in
-  let rec bind i args =
-    if i < nparams then
-      match args with
-      | [] -> trap "missing argument %d of %s" i fn.fname
-      | v :: rest ->
-        Regfile.set regs fn.params.(i) v;
-        bind (i + 1) rest
-  in
-  bind 0 args;
-  let saved_sp = st.fsp in
-  if fn.frame_bytes > 0 then begin
-    st.fsp <-
-      Int64.sub st.fsp (Int64.of_int ((fn.frame_bytes + 15) / 16 * 16));
-    if fn.fp >= 0 then begin
-      Regfile.set regs fn.fp st.fsp;
-      ready.(fn.fp) <- 0
-    end
-  end;
-  let code = fn.code in
-  let len = Array.length code in
-  let m = st.fmachine in
-  let ov = function
-    | Decode.Oreg r -> Regfile.get regs r
-    | Decode.Oimm v -> v
-  in
-  (* The dispatch loop is a tail-recursive function over the program
-     counter: no allocation per executed instruction. [eval_binop] is the
-     only operation that can raise [Division_by_zero], handled once per
-     activation rather than per instruction. *)
-  let rec step pc =
-    if pc >= len then trap "fell off the end of %s" fn.fname;
-    let s = code.(pc) in
-    st.finsts <- st.finsts + 1;
-    st.ffuel <- st.ffuel - 1;
-    if st.ffuel <= 0 then trap "out of fuel in %s" fn.fname;
-    (match st.ficache with
-    | None -> ()
-    | Some ic ->
-      if Int64.compare s.fetch 0L >= 0 then begin
-        match Cache.access ic s.fetch with
-        | `Hit -> ()
-        | `Miss -> st.fcycles <- st.fcycles + m.icache_miss_penalty
-      end);
-    let reads = s.reads in
-    for i = 0 to Array.length reads - 1 do
-      let t = ready.(reads.(i)) in
-      if t > st.fcycles then st.fcycles <- t
-    done;
-    match s.op with
-    | Decode.Olabel slot ->
-      fn.counters.(slot) <- fn.counters.(slot) + 1;
-      step (pc + 1)
-    | Decode.Onop -> step (pc + 1)
-    | Decode.Omove (d, src) ->
-      Regfile.set regs d (ov src);
-      ready.(d) <- st.fcycles + s.latency;
-      st.fcycles <- st.fcycles + s.issue;
-      step (pc + 1)
-    | Decode.Obinop (op, d, a, b) ->
-      Regfile.set regs d (Rtl.eval_binop op (ov a) (ov b));
-      ready.(d) <- st.fcycles + s.latency;
-      st.fcycles <- st.fcycles + s.issue;
-      step (pc + 1)
-    | Decode.Ounop (op, d, a) ->
-      Regfile.set regs d (Rtl.eval_unop op (ov a));
-      ready.(d) <- st.fcycles + s.latency;
-      st.fcycles <- st.fcycles + s.issue;
-      step (pc + 1)
-    | Decode.Oload { dst; acc; sign } ->
-      let addr, penalty =
-        fresolve st acc (Int64.add (Regfile.get regs acc.abase) acc.adisp)
-          ~is_load:true
-      in
-      let miss =
-        match Cache.access st.fdcache addr with
-        | `Hit -> 0
-        | `Miss -> m.dcache.miss_penalty
-      in
-      st.floads <- st.floads + 1;
-      let v = Memory.load st.fmemory ~addr ~width:acc.awidth ~sign in
-      Regfile.set regs dst v;
-      ready.(dst) <- st.fcycles + s.latency + miss + penalty;
-      st.fcycles <- st.fcycles + s.issue;
-      step (pc + 1)
-    | Decode.Ostore { src; acc } ->
-      let addr, penalty =
-        fresolve st acc (Int64.add (Regfile.get regs acc.abase) acc.adisp)
-          ~is_load:false
-      in
-      let miss =
-        match Cache.access st.fdcache addr with
-        | `Hit -> 0
-        | `Miss -> m.dcache.miss_penalty
-      in
-      st.fstores <- st.fstores + 1;
-      Memory.store st.fmemory ~addr ~width:acc.awidth (ov src);
-      st.fcycles <- st.fcycles + miss + penalty + s.issue;
-      step (pc + 1)
-    | Decode.Oextract { dst; src; pos; width; sign } ->
-      let v =
-        Rtl.extract_bytes (Regfile.get regs src)
-          ~pos:(Int64.to_int (Int64.logand (ov pos) 7L))
-          ~width ~sign
-      in
-      Regfile.set regs dst v;
-      ready.(dst) <- st.fcycles + s.latency;
-      st.fcycles <- st.fcycles + s.issue;
-      step (pc + 1)
-    | Decode.Oinsert { dst; src; pos; width } ->
-      let v =
-        Rtl.insert_bytes (Regfile.get regs dst) ~src:(ov src)
-          ~pos:(Int64.to_int (Int64.logand (ov pos) 7L))
-          ~width
-      in
-      Regfile.set regs dst v;
-      ready.(dst) <- st.fcycles + s.latency;
-      st.fcycles <- st.fcycles + s.issue;
-      step (pc + 1)
-    | Decode.Ojump t ->
-      if t < 0 then raise Not_found;
-      st.fcycles <- st.fcycles + s.issue;
-      step t
-    | Decode.Obranch { cmp; l; r; target } ->
-      st.fcycles <- st.fcycles + s.issue;
-      if Rtl.eval_cmp cmp (ov l) (ov r) then begin
-        if target < 0 then raise Not_found;
-        step target
-      end
-      else step (pc + 1)
-    | Decode.Ocall { dst; func; args } ->
-      let vargs = Array.fold_right (fun a acc -> ov a :: acc) args [] in
-      st.fcycles <- st.fcycles + s.issue;
-      let v = fcall st func vargs in
-      if dst >= 0 then begin
-        Regfile.set regs dst v;
-        ready.(dst) <- st.fcycles
-      end;
-      step (pc + 1)
-    | Decode.Oret v ->
-      st.fcycles <- st.fcycles + s.issue;
-      (match v with Some op -> ov op | None -> 0L)
-  in
-  let v =
-    try step 0
-    with Rtl.Division_by_zero -> trap "division by zero in %s" fn.fname
-  in
-  st.fsp <- saved_sp;
-  v
-
-let run_fast ~machine ~memory (program : program) ~entry ~args ~fuel
-    ~model_icache =
-  let st =
-    {
-      fmachine = machine;
-      fmemory = memory;
-      fdcache = Cache.create machine.dcache;
-      decode = Decode.create ~machine program;
-      finsts = 0;
-      fcycles = 0;
-      floads = 0;
-      fstores = 0;
-      ffuel = fuel;
-      fsp = Int64.of_int (Memory.size memory);
-      ficache = (if model_icache then Some (icache_for machine) else None);
-    }
-  in
-  let value = fcall st entry args in
-  ( value,
-    {
-      insts = st.finsts;
-      cycles = st.fcycles;
-      loads = st.floads;
-      stores = st.fstores;
-      dcache_hits = Cache.hits st.fdcache;
-      dcache_misses = Cache.misses st.fdcache;
-      icache_misses =
-        (match st.ficache with Some ic -> Cache.misses ic | None -> 0);
-      label_counts =
-        assemble_label_counts program (Decode.label_totals st.decode);
-    },
-    Decode.seconds st.decode,
-    0. )
-
-(* ================================================================== *)
 (* Jit engine: superblock closure compilation (see Jit). The metric
    oracles — the caches and the decode table's label counters — are
    owned here and read back after the run, so the jit's inlined fast
@@ -576,18 +357,17 @@ let run_jit ~machine ~memory (program : program) ~entry ~args ~fuel
     Jit.compile_seconds jst )
 
 let run ~machine ~memory (program : program) ~entry ~args
-    ?(fuel = 2_000_000_000) ?(model_icache = false) ?(engine = `Fast) () =
-  let t0 = Unix.gettimeofday () in
+    ?(fuel = 2_000_000_000) ?(model_icache = false) ?(engine = default_engine)
+    () =
+  let t0 = Monotonic_clock.now () in
   let value, metrics, decode_s, compile_s =
     match engine with
-    | `Fast ->
-      run_fast ~machine ~memory program ~entry ~args ~fuel ~model_icache
     | `Reference ->
       run_reference ~machine ~memory program ~entry ~args ~fuel ~model_icache
     | `Jit ->
       run_jit ~machine ~memory program ~entry ~args ~fuel ~model_icache
   in
-  let total = Unix.gettimeofday () -. t0 in
+  let total = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-9 in
   let execute_s = Stdlib.max 0. (total -. decode_s -. compile_s) in
   {
     value;

@@ -21,18 +21,24 @@ exception Trap of string
 
 type program = Func.t list
 
-type engine = [ `Fast | `Reference | `Jit ]
-(** [`Fast] (the default) executes the pre-decoded form built by
-    {!Decode}: one decode per (function, machine) with branch targets,
-    costs, latencies, stall sets, access legality and fetch addresses all
-    resolved up front. [`Reference] is the original tree-walking
-    evaluator kept as the semantic baseline. [`Jit] additionally compiles
-    each decoded function into a chain of OCaml closures with fused
-    superinstructions, an inlined data-cache fast path and a per-leader
-    block cache (see {!Jit}). All three are bit-identical — same return
-    value, same heap contents, same metrics (including [label_counts] and
-    [icache_misses]) and same trap strings on every program; the
-    [test_engine] qcheck suite pins them to each other. *)
+type engine = [ `Reference | `Jit ]
+(** [`Jit] (the default, and the one production engine) decodes each
+    called function once per run with {!Decode} — branch targets, costs,
+    latencies, stall sets, access legality and fetch addresses all
+    resolved up front — then compiles it into a chain of OCaml closures
+    with fused superinstructions, an inlined data-cache fast path and a
+    per-leader block cache (see {!Jit}). [`Reference] is the original
+    tree-walking evaluator, kept only as the oracle. The two are
+    bit-identical — same return value, same heap contents, same metrics
+    (including [label_counts] and [icache_misses]) and same trap strings
+    on every program; [test_engine] pins the jit to the reference. *)
+
+val default_engine : engine
+(** [`Jit]: what {!run} uses when [?engine] is omitted. *)
+
+val engine_name : engine -> string
+(** ["reference"] or ["jit"], the spelling [mcc --engine] accepts and
+    [BENCH_sim.json] records. *)
 
 type metrics = {
   insts : int;
@@ -51,10 +57,10 @@ type result = {
   metrics : metrics;
   phases : (string * float) list;
       (** wall-clock seconds per simulator phase, in order:
-          [("decode", _); ("compile", _); ("execute", _)]. The reference
-          engine reports 0 for decode and compile; the fast engine for
-          compile. Timing-only — excluded from metric comparisons and
-          from deterministic JSON output. *)
+          [("decode", _); ("compile", _); ("execute", _)], read off
+          the monotonic clock. The reference engine reports 0 for
+          decode and compile. Timing-only — excluded from metric
+          comparisons and from deterministic JSON output. *)
 }
 
 val run :

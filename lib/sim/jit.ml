@@ -84,7 +84,7 @@ type state = {
   mutable stores : int;
   mutable fuel : int;
   mutable sp : int64;
-  mutable compile_seconds : float;
+  mutable compile_ns : int;
 }
 
 and cfn = { jfn : Decode.fn; jentry : code }
@@ -170,9 +170,10 @@ and find_cfn st name =
     match Decode.find st.decode name with
     | None -> None
     | Some fn ->
-      let t0 = Unix.gettimeofday () in
+      let t0 = Monotonic_clock.now () in
       let entry = compile_fn st fn in
-      st.compile_seconds <- st.compile_seconds +. (Unix.gettimeofday () -. t0);
+      st.compile_ns <-
+        st.compile_ns + Int64.to_int (Int64.sub (Monotonic_clock.now ()) t0);
       let c = { jfn = fn; jentry = entry } in
       Hashtbl.replace st.compiled name c;
       Some c)
@@ -1183,7 +1184,7 @@ let run ~machine ~memory ~decode ~dcache ~icache ~fuel ~entry ~args =
       stores = 0;
       fuel;
       sp = Int64.of_int (Memory.size memory);
-      compile_seconds = 0.;
+      compile_ns = 0;
     }
   in
   let value = jcall st entry args in
@@ -1193,4 +1194,4 @@ let insts st = st.fuel0 - st.fuel
 let cycles st = st.cycles
 let loads st = st.loads
 let stores st = st.stores
-let compile_seconds st = st.compile_seconds
+let compile_seconds st = float_of_int st.compile_ns *. 1e-9

@@ -3,7 +3,7 @@
     Compiles each decoded function ({!Decode.fn}) once per run into a
     chain of OCaml closures — threaded code — and executes by indirect
     tail calls with no per-instruction dispatch. Three specializations
-    beyond the pre-decoded engine:
+    beyond the pre-decoded form:
 
     - {b superinstruction fusion}: adjacent pairs inside a basic block
       whose second instruction consumes exactly the first's result are
@@ -54,5 +54,5 @@ val loads : state -> int
 val stores : state -> int
 
 val compile_seconds : state -> float
-(** Wall-clock seconds spent compiling closures — the "compile" phase of
-    the simulator profile ([mcc --profile-sim]). *)
+(** Seconds spent compiling closures, on the monotonic clock — the
+    "compile" phase of the simulator profile ([mcc --profile-sim]). *)

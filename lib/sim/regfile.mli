@@ -1,6 +1,6 @@
 (** Unboxed register file: one activation's register values, stored flat
     in a [Bytes] buffer (8 bytes per register, indexed by {!Mac_rtl.Reg}
-    id). All three interpreter engines go through this accessor layer, so
+    id). Both interpreter engines go through this accessor layer, so
     a register write costs an unboxed 64-bit store — no box allocation,
     no [caml_modify] — where an [int64 array] would pay both.
 

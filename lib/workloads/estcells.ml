@@ -103,7 +103,7 @@ let predictions ~size () =
 let run ?jobs ?engine ~size () =
   let preds = predictions ~size () in
   let sims =
-    Pool.map ?jobs
+    Mac_parallel.Pool.map ?jobs
       (fun ((_, machine, b, level), c) ->
         simulate ~machine ~size ?engine b level c)
       (List.combine grid preds)
@@ -210,7 +210,7 @@ let run_triage ?jobs ?engine ~size () =
       interesting
   in
   let outs =
-    Pool.map ?jobs
+    Mac_parallel.Pool.map ?jobs
       (fun (_, (b : Workloads.t), machine, level, _) ->
         Workloads.run ~size ~coalesce ~assume_layout:true ?engine ~machine
           ~level b)

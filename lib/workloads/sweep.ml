@@ -26,9 +26,8 @@ type cell = {
 
 type speedup = {
   serial_reference_seconds : float;
-  serial_fast_seconds : float;
   serial_jit_seconds : float;
-  parallel_fast_seconds : float;
+  parallel_jit_seconds : float;
   ratio : float;
   jit_ratio : float;
 }
@@ -127,7 +126,7 @@ let full_outcomes ?jobs ?engine ~size () =
       Workloads.all
   in
   let outs =
-    Pool.map ?jobs
+    Mac_parallel.Pool.map ?jobs
       (fun ((b : Workloads.t), level) ->
         Workloads.run ~size ~coalesce:Mac_core.Coalesce.default
           ~strength_reduce:true ~schedule:true ~regalloc:32
@@ -186,7 +185,7 @@ let run ?jobs ?engine ~size ?(full_size = 64) () =
 (* --- JSON ----------------------------------------------------------- *)
 
 (* Escaping, number formats and the re-parse all come from the shared
-   kernel; this writer only owns the mac-bench-sim/6 document shape. *)
+   kernel; this writer only owns the mac-bench-sim/7 document shape. *)
 let json_escape = Jsonio.escape
 
 (* Timing fields are measurements: they differ run to run, so the
@@ -249,11 +248,10 @@ let to_json ~size ~jobs_requested ~jobs_effective ~engine ~wall_seconds
     | Some s ->
       Printf.sprintf
         "  \"tab2_speedup\": {\"serial_reference_seconds\": %.3f, \
-         \"serial_fast_seconds\": %.3f, \"serial_jit_seconds\": %.3f, \
-         \"parallel_fast_seconds\": %.3f, \"ratio\": %.2f, \
-         \"jit_ratio\": %.2f},\n"
-        s.serial_reference_seconds s.serial_fast_seconds
-        s.serial_jit_seconds s.parallel_fast_seconds s.ratio s.jit_ratio
+         \"serial_jit_seconds\": %.3f, \"parallel_jit_seconds\": %.3f, \
+         \"ratio\": %.2f, \"jit_ratio\": %.2f},\n"
+        s.serial_reference_seconds s.serial_jit_seconds
+        s.parallel_jit_seconds s.ratio s.jit_ratio
   in
   let compile_seconds =
     List.fold_left (fun acc c -> acc +. c.compile_seconds) 0.0 cells
@@ -269,7 +267,7 @@ let to_json ~size ~jobs_requested ~jobs_effective ~engine ~wall_seconds
     seconds_obj (aggregate_seconds (fun c -> c.sim_phases) cells)
   in
   Printf.sprintf
-    "{\n  \"schema\": \"mac-bench-sim/6\",\n  \
+    "{\n  \"schema\": \"mac-bench-sim/7\",\n  \
      \"compiler_fingerprint\": \"%s\",\n  \"size\": %d,\n  \
      \"jobs_requested\": %d,\n  \"jobs_effective\": %d,\n  \
      \"engine\": \"%s\",\n  \"wall_seconds\": %.3f,\n  \
@@ -350,7 +348,7 @@ let validate text =
   | Error msg -> Error ("BENCH_sim.json does not parse: " ^ msg)
   | Ok doc -> (
     match Json.member "schema" doc with
-    | Some (Json.Str "mac-bench-sim/6") -> (
+    | Some (Json.Str "mac-bench-sim/7") -> (
       let positive_num key =
         match Json.member key doc with
         | Some (Json.Num s) when s > 0.0 -> Ok ()
@@ -375,6 +373,16 @@ let validate text =
               "BENCH_sim.json sim_phase_seconds lacks numeric \
                decode/compile/execute"
         | _ -> Error "BENCH_sim.json has no \"sim_phase_seconds\" object"
+      in
+      let engine () =
+        match Json.member "engine" doc with
+        | Some (Json.Str e)
+          when List.exists
+                 (fun k -> String.equal e (Mac_sim.Interp.engine_name k))
+                 [ `Reference; `Jit ] ->
+          Ok ()
+        | _ ->
+          Error "BENCH_sim.json \"engine\" is not \"jit\" or \"reference\""
       in
       let fingerprint () =
         match Json.member "compiler_fingerprint" doc with
@@ -404,6 +412,7 @@ let validate text =
         match r with Ok () -> f () | Error msg -> Error msg
       in
       let* () = fingerprint () in
+      let* () = engine () in
       let* () = positive_num "compile_seconds" in
       let* () = positive_num "sim_seconds" in
       let* () = positive_num "jobs_requested" in
@@ -414,5 +423,5 @@ let validate text =
     | Some (Json.Str other) ->
       Error
         (Printf.sprintf
-           "BENCH_sim.json schema is %S, expected \"mac-bench-sim/6\"" other)
+           "BENCH_sim.json schema is %S, expected \"mac-bench-sim/7\"" other)
     | _ -> Error "BENCH_sim.json has no \"schema\" string")

@@ -5,9 +5,10 @@
     coalescing, as printed by the bench harness), SCHED (the same forced
     configuration with the [-Osched] software pipeliner on and the
     [Pipelined] profitability oracle, on the two CISC-ish machines) and
-    FULL (the complete vpo-style pipeline on the Alpha). Cells are computed with {!Pool} —
-    the computation fans over domains but the cell list, and therefore
-    the emitted JSON, is identical for any worker count.
+    FULL (the complete vpo-style pipeline on the Alpha). Cells are
+    computed with {!Mac_parallel.Pool} — the computation fans over
+    domains but the cell list, and therefore the emitted JSON, is
+    identical for any worker count.
 
     The toolchain has no JSON library, so the emitter is hand-rolled and
     {!validate} re-reads the result with an independent minimal parser
@@ -68,11 +69,10 @@ type cell = {
 
 type speedup = {
   serial_reference_seconds : float;
-  serial_fast_seconds : float;
   serial_jit_seconds : float;
-  parallel_fast_seconds : float;
-  ratio : float;  (** serial reference / parallel fast, as before *)
-  jit_ratio : float;  (** serial fast / serial jit, both at jobs=1 *)
+  parallel_jit_seconds : float;
+  ratio : float;  (** serial reference / parallel jit *)
+  jit_ratio : float;  (** serial reference / serial jit, both at jobs=1 *)
 }
 
 val tab_cells :
@@ -151,17 +151,18 @@ val to_json :
   ?speedup:speedup ->
   cell list ->
   string
-(** The full [BENCH_sim.json] document (schema [mac-bench-sim/6]):
+(** The full [BENCH_sim.json] document (schema [mac-bench-sim/7]):
     headed by the build's {!Mac_vpo.Version.compiler_fingerprint},
     document-level [compile_seconds] and [sim_seconds] (totals over
     cells) with [pass_seconds], [tvalid_seconds] and
     [sim_phase_seconds] breakdowns aggregated across the sweep, plus
     per-cell [compile_seconds]/[tvalid_seconds]/[sim_seconds].
-    [jobs_requested] is what the caller
-    asked for, [jobs_effective] what {!Pool.effective_jobs} actually
-    used. [wall_seconds] (and the optional [speedup] block) are
-    measurements, deliberately outside the timing-free {!cells_to_json}
-    form so cell content stays comparable across runs. *)
+    [jobs_requested] is what the caller asked for, [jobs_effective]
+    what {!Mac_parallel.Pool.effective_jobs} actually used; [engine] is
+    the {!Mac_sim.Interp.engine_name} of the engine the cells ran on.
+    [wall_seconds] (and the optional [speedup] block) are measurements,
+    deliberately outside the timing-free {!cells_to_json} form so cell
+    content stays comparable across runs. *)
 
 (** The shared JSON kernel ({!Jsonio}) under its historical name — the
     independent re-parse {!validate} runs, kept as an alias so existing
@@ -169,10 +170,11 @@ val to_json :
 module Json = Jsonio
 
 val validate : string -> (int, string) result
-(** [validate text] re-parses an emitted document and checks the v6
-    schema: the [schema] field is [mac-bench-sim/6] (v5 and earlier
+(** [validate text] re-parses an emitted document and checks the v7
+    schema: the [schema] field is [mac-bench-sim/7] (v6 and earlier
     documents are rejected), [compiler_fingerprint] is a non-empty
-    string, the document-level [compile_seconds], [sim_seconds],
+    string, [engine] names an {!Mac_sim.Interp.engine}, the
+    document-level [compile_seconds], [sim_seconds],
     [jobs_requested] and [jobs_effective] are positive numbers,
     [sim_phase_seconds] carries numeric decode/compile/execute entries,
     [tvalid_seconds] is a non-empty all-numeric object (the FULL

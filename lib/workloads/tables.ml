@@ -87,8 +87,8 @@ let row ?(size = 100) ?(respect_profitability = false) ?assume_layout ?engine
        levels)
 
 (* The table fans its benchmark x level cells over domains ([?jobs],
-   default {!Pool.jobs}); results come back in canonical order, so the
-   rendered table is identical to a serial run. *)
+   default {!Mac_parallel.Pool.jobs}); results come back in canonical
+   order, so the rendered table is identical to a serial run. *)
 let table ?(size = 100) ?(respect_profitability = false) ?assume_layout
     ?engine ?profit_mode ?pipeline_sched ?jobs ~machine () =
   let cells =
@@ -97,7 +97,7 @@ let table ?(size = 100) ?(respect_profitability = false) ?assume_layout
       Workloads.all
   in
   let outcomes =
-    Pool.map ?jobs
+    Mac_parallel.Pool.map ?jobs
       (fun (b, l) ->
         cell ~size ~respect_profitability ?assume_layout ?engine ?profit_mode
           ?pipeline_sched ~machine b l)

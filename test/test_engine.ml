@@ -1,4 +1,4 @@
-(* The fast (pre-decoded) and jit (superblock closure) engines must be
+(* The jit (pre-decoded, superblock closure) engine must be
    bit-identical to the reference tree-walker: same return value, same
    final heap, and the same metrics down to every counter — cycles,
    stall-sensitive load/store accounting, icache misses at synthetic
@@ -30,14 +30,14 @@ let pp_metrics (m : Interp.metrics) =
     (String.concat ";"
        (List.map (fun (l, n) -> Printf.sprintf "%s:%d" l n) m.label_counts))
 
-let check_equal ~what (rf : Interp.result) (rr : Interp.result) hf hr =
+let check_equal ~what (rj : Interp.result) (rr : Interp.result) hj hr =
   Alcotest.(check int64)
-    (what ^ ": return value") rr.value rf.value;
-  if not (Bytes.equal hf hr) then
+    (what ^ ": return value") rr.value rj.value;
+  if not (Bytes.equal hj hr) then
     Alcotest.failf "%s: final heap differs between engines" what;
-  if rf.metrics <> rr.metrics then
-    Alcotest.failf "%s: metrics differ\n  fast: %s\n  ref:  %s" what
-      (pp_metrics rf.metrics) (pp_metrics rr.metrics)
+  if rj.metrics <> rr.metrics then
+    Alcotest.failf "%s: metrics differ\n  jit: %s\n  ref: %s" what
+      (pp_metrics rj.metrics) (pp_metrics rr.metrics)
 
 (* --- every workload x machine x level x icache mode ----------------- *)
 
@@ -70,10 +70,6 @@ let test_workloads_agree () =
                     run_bench b ~machine ~level ~model_icache
                       ~engine:`Reference
                   in
-                  let rf, hf =
-                    run_bench b ~machine ~level ~model_icache ~engine:`Fast
-                  in
-                  check_equal ~what:(what ^ "/fast") rf rr hf hr;
                   let rj, hj =
                     run_bench b ~machine ~level ~model_icache ~engine:`Jit
                   in
@@ -236,7 +232,7 @@ let run_kernel k ~machine ~level ~model_icache ~engine =
 let prop_engines_agree machine =
   QCheck.Test.make
     ~name:
-      (Printf.sprintf "fast and jit engines match reference on %s"
+      (Printf.sprintf "jit engine matches reference on %s"
          machine.Machine.name)
     ~count:60 arbitrary_kernel
     (fun k ->
@@ -244,33 +240,23 @@ let prop_engines_agree machine =
         (fun level ->
           List.for_all
             (fun model_icache ->
-              let same other =
-                match
-                  (other, run_kernel k ~machine ~level ~model_icache
-                            ~engine:`Reference)
-                with
-                | Ok (rf, hf), Ok (rr, hr) ->
-                  Int64.equal rf.Interp.value rr.Interp.value
-                  && Bytes.equal hf hr
-                  && rf.metrics = rr.metrics
-                | Error mf, Error mr ->
-                  (* engines must trap with the very same message *)
-                  String.equal mf mr
-                | Ok _, Error _ | Error _, Ok _ -> false
-              in
-              same (run_kernel k ~machine ~level ~model_icache ~engine:`Fast)
-              && same
-                   (run_kernel k ~machine ~level ~model_icache ~engine:`Jit))
+              match
+                ( run_kernel k ~machine ~level ~model_icache ~engine:`Jit,
+                  run_kernel k ~machine ~level ~model_icache
+                    ~engine:`Reference )
+              with
+              | Ok (rj, hj), Ok (rr, hr) ->
+                Int64.equal rj.Interp.value rr.Interp.value
+                && Bytes.equal hj hr
+                && rj.metrics = rr.metrics
+              | Error mj, Error mr ->
+                (* both engines must trap with the very same message *)
+                String.equal mj mr
+              | Ok _, Error _ | Error _, Ok _ -> false)
             [ false; true ])
         levels)
 
 (* --- jit corner cases ------------------------------------------------ *)
-
-let engines = [ `Reference; `Fast; `Jit ]
-let engine_name = function
-  | `Reference -> "reference"
-  | `Fast -> "fast"
-  | `Jit -> "jit"
 
 let run_raw ?(machine = Machine.alpha) program ~args ~engine =
   let memory = Memory.create ~size:4096 in
@@ -282,13 +268,8 @@ let run_raw ?(machine = Machine.alpha) program ~args ~engine =
 
 let agree ?machine ~what program args =
   let expected = run_raw ?machine program ~args ~engine:`Reference in
-  List.iter
-    (fun engine ->
-      let got = run_raw ?machine program ~args ~engine in
-      if got <> expected then
-        Alcotest.failf "%s: %s disagrees with reference" what
-          (engine_name engine))
-    engines;
+  if run_raw ?machine program ~args ~engine:`Jit <> expected then
+    Alcotest.failf "%s: jit disagrees with reference" what;
   expected
 
 (* A zero-trip loop: the remainder dispatch jumps straight past the body
@@ -313,31 +294,20 @@ let test_zero_trip () =
             Printf.sprintf "zero-trip/%s/%s" machine.Machine.name
               (Pipeline.level_to_string level)
           in
-          let expected =
-            run_kernel k ~machine ~level ~model_icache:false
-              ~engine:`Reference
+          let run engine =
+            match run_kernel k ~machine ~level ~model_icache:false ~engine with
+            | Ok ((r : Interp.result), h) -> Ok ((r.value, r.metrics), h)
+            | Error m -> Error m
           in
-          List.iter
-            (fun engine ->
-              let got =
-                run_kernel k ~machine ~level ~model_icache:false ~engine
-              in
-              let strip = function
-                | Ok ((r : Interp.result), h) ->
-                  Ok ((r.value, r.metrics), h)
-                | Error m -> Error m
-              in
-              if strip got <> strip expected then
-                Alcotest.failf "%s: %s disagrees with reference" what
-                  (engine_name engine))
-            engines)
+          if run `Jit <> run `Reference then
+            Alcotest.failf "%s: jit disagrees with reference" what)
         levels)
     machines
 
 (* A compare + branch pair as the very last instructions of a function —
    the jit fuses them, and the fall-through successor of the fused pair
    is the fell-off-the-end trap. Taken, the branch exits through an
-   earlier label and returns; not taken, all engines must trap with the
+   earlier label and returns; not taken, both engines must trap with the
    identical message. *)
 let cmp_branch_final () =
   let f = Func.create ~name:"main" ~params:[ Reg.make 0 ] in
@@ -359,7 +329,7 @@ let test_cmp_branch_final () =
   | Ok (v, _) -> Alcotest.(check int64) "taken exit returns 42" 42L v
   | Error m -> Alcotest.failf "cmp+branch taken trapped: %s" m);
   (* not taken: the fused pair is the last instruction, falling through
-     must hit the fell-off-the-end trap on every engine *)
+     must hit the fell-off-the-end trap on both engines *)
   match agree ~what:"cmp+branch fall-off" (cmp_branch_final ()) [ 6L ] with
   | Ok (v, _) ->
     Alcotest.failf "cmp+branch fall-off returned %Ld instead of trapping" v
@@ -425,7 +395,24 @@ let test_icache_penalty () =
          cycles = miss penalty (7) + move issue (1) + ret issue (1) *)
       Alcotest.(check int) "icache miss count" 1 r.metrics.icache_misses;
       Alcotest.(check int) "cycles use icache penalty" 9 r.metrics.cycles)
-    [ `Fast; `Reference; `Jit ]
+    [ `Reference; `Jit ]
+
+(* Callers that omit [?engine] (Workloads.run, Tables, Sweep, mcc) get
+   the jit: the same metrics as an explicit [`Jit] run, and a closure
+   compile phase the reference engine never reports. *)
+let test_default_is_jit () =
+  let f = cmp_branch_final () in
+  let run ?engine () =
+    Interp.run ~machine:Machine.alpha ~memory:(Memory.create ~size:4096) f
+      ~entry:"main" ~args:[ 5L ] ?engine ()
+  in
+  let d = run () and j = run ~engine:`Jit () in
+  Alcotest.(check string) "default engine" "jit"
+    (Interp.engine_name Interp.default_engine);
+  if d.metrics <> j.metrics then
+    Alcotest.fail "default run's metrics differ from an explicit jit run";
+  if not (List.assoc "compile" d.phases > 0.0) then
+    Alcotest.fail "default run reports no closure compile time"
 
 (* The bench sweep must be deterministic in the worker count: the cells
    array of BENCH_sim.json is byte-identical whether the benchmark x
@@ -444,18 +431,20 @@ let test_sweep_determinism () =
     (cells_to_json ~timing:false cells4);
   match
     validate
-      (to_json ~size:8 ~jobs_requested:4 ~jobs_effective:4 ~engine:"fast"
+      (to_json ~size:8 ~jobs_requested:4 ~jobs_effective:4 ~engine:"jit"
          ~wall_seconds:0.0 cells4)
   with
   | Ok n -> Alcotest.(check bool) "cell count >= 160" true (n >= 160)
   | Error msg -> Alcotest.fail msg
 
-(* The v6 validator rejects what it must: any old-schema document (v5
-   included), missing or non-positive compile_seconds / sim_seconds /
-   jobs counters, a missing sim_phase_seconds breakdown, a missing or
-   empty tvalid_seconds breakdown, cells without the guard or scheduler
-   counters, and missing cells. *)
-let test_validate_v6 () =
+(* The v7 validator rejects what it must: any old-schema document (v7
+   included), a missing fingerprint, an engine that does not exist,
+   missing or non-positive compile_seconds / sim_seconds / jobs
+   counters, a missing sim_phase_seconds breakdown, a missing or empty
+   tvalid_seconds breakdown, cells without the guard or scheduler
+   counters, and missing cells. Every v7 case below carries a valid
+   fingerprint and engine, so it is rejected for the reason it names. *)
+let test_validate_v7 () =
   let open Mac_workloads.Sweep in
   let reject what text =
     match validate text with
@@ -479,49 +468,61 @@ let test_validate_v6 () =
      \"jobs_effective\": 4, \"sim_phase_seconds\": {\"decode\": 0.1, \
      \"compile\": 0.1, \"execute\": 1.3}, \"cells\": []}";
   reject "a document without a schema" "{\"cells\": []}";
-  let v6 rest =
-    "{\"schema\": \"mac-bench-sim/6\", " ^ rest ^ "}"
-  in
   let header =
     "\"compile_seconds\": 1.5, \"sim_seconds\": 1.5, \
      \"jobs_requested\": 4, \"jobs_effective\": 4, \
      \"sim_phase_seconds\": {\"decode\": 0.1, \"compile\": 0.1, \
      \"execute\": 1.3}, \"tvalid_seconds\": {\"cse\": 0.2}, "
   in
-  reject "a document without compile_seconds" (v6 "\"cells\": []");
+  reject "a v6 document (engine could be \"fast\")"
+    ("{\"schema\": \"mac-bench-sim/6\", \"compiler_fingerprint\": \"f\", \
+      \"engine\": \"jit\", " ^ header ^ "\"cells\": []}");
+  let doc ~engine rest =
+    "{\"schema\": \"mac-bench-sim/7\", \"compiler_fingerprint\": \"f\", \
+     \"engine\": \"" ^ engine ^ "\", " ^ rest ^ "}"
+  in
+  let v7 = doc ~engine:"jit" in
+  reject "a document without a fingerprint"
+    ("{\"schema\": \"mac-bench-sim/7\", \"engine\": \"jit\", " ^ header
+   ^ "\"cells\": []}");
+  reject "engine \"fast\"" (doc ~engine:"fast" (header ^ "\"cells\": []"));
+  reject "a document without an engine"
+    ("{\"schema\": \"mac-bench-sim/7\", \"compiler_fingerprint\": \"f\", "
+   ^ header ^ "\"cells\": []}");
+  reject "a document without compile_seconds" (v7 "\"cells\": []");
   reject "compile_seconds = 0"
-    (v6 "\"compile_seconds\": 0.0, \"cells\": []");
+    (v7 "\"compile_seconds\": 0.0, \"cells\": []");
   reject "a document without sim_seconds"
-    (v6 "\"compile_seconds\": 1.5, \"jobs_requested\": 4, \
+    (v7 "\"compile_seconds\": 1.5, \"jobs_requested\": 4, \
          \"jobs_effective\": 4, \"cells\": []");
   reject "a document without jobs_requested/jobs_effective"
-    (v6 "\"compile_seconds\": 1.5, \"sim_seconds\": 1.5, \"cells\": []");
+    (v7 "\"compile_seconds\": 1.5, \"sim_seconds\": 1.5, \"cells\": []");
   reject "a document without sim_phase_seconds"
-    (v6 "\"compile_seconds\": 1.5, \"sim_seconds\": 1.5, \
+    (v7 "\"compile_seconds\": 1.5, \"sim_seconds\": 1.5, \
          \"jobs_requested\": 4, \"jobs_effective\": 4, \"cells\": []");
   reject "sim_phase_seconds without an execute entry"
-    (v6 "\"compile_seconds\": 1.5, \"sim_seconds\": 1.5, \
+    (v7 "\"compile_seconds\": 1.5, \"sim_seconds\": 1.5, \
          \"jobs_requested\": 4, \"jobs_effective\": 4, \
          \"sim_phase_seconds\": {\"decode\": 0.1, \"compile\": 0.1}, \
          \"cells\": []");
   reject "a document without tvalid_seconds"
-    (v6 "\"compile_seconds\": 1.5, \"sim_seconds\": 1.5, \
+    (v7 "\"compile_seconds\": 1.5, \"sim_seconds\": 1.5, \
          \"jobs_requested\": 4, \"jobs_effective\": 4, \
          \"sim_phase_seconds\": {\"decode\": 0.1, \"compile\": 0.1, \
          \"execute\": 1.3}, \"cells\": []");
   reject "an empty tvalid_seconds"
-    (v6 "\"compile_seconds\": 1.5, \"sim_seconds\": 1.5, \
+    (v7 "\"compile_seconds\": 1.5, \"sim_seconds\": 1.5, \
          \"jobs_requested\": 4, \"jobs_effective\": 4, \
          \"sim_phase_seconds\": {\"decode\": 0.1, \"compile\": 0.1, \
          \"execute\": 1.3}, \"tvalid_seconds\": {}, \"cells\": []");
-  reject "a well-formed header but no cells" (v6 (header ^ "\"cells\": []"));
+  reject "a well-formed header but no cells" (v7 (header ^ "\"cells\": []"));
   reject "a cell without guard counters"
-    (v6
+    (v7
        (header
       ^ "\"cells\": [{\"section\":\"TAB2\",\"bench\":\"dotproduct\",\
          \"level\":\"O1\",\"correct\":true}]"));
   reject "a cell without sched counters"
-    (v6
+    (v7
        (header
       ^ "\"cells\": [{\"section\":\"TAB2\",\"bench\":\"dotproduct\",\
          \"level\":\"O1\",\"correct\":true,\
@@ -542,9 +543,12 @@ let () =
       ( "icache",
         [ Alcotest.test_case "penalty is the icache's own" `Quick
             test_icache_penalty ] );
+      ( "default",
+        [ Alcotest.test_case "omitting ?engine runs the jit" `Quick
+            test_default_is_jit ] );
       ( "jit corners",
         [
-          Alcotest.test_case "zero-trip loop agrees on all engines" `Quick
+          Alcotest.test_case "zero-trip loop agrees on both engines" `Quick
             test_zero_trip;
           Alcotest.test_case "fused compare+branch as final instruction"
             `Quick test_cmp_branch_final;
@@ -554,6 +558,6 @@ let () =
       ( "sweep",
         [ Alcotest.test_case "cells JSON independent of worker count"
             `Quick test_sweep_determinism;
-          Alcotest.test_case "v6 validator rejects malformed documents"
-            `Quick test_validate_v6 ] );
+          Alcotest.test_case "v7 validator rejects malformed documents"
+            `Quick test_validate_v7 ] );
     ]

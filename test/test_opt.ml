@@ -1333,8 +1333,8 @@ let prop_steady_ii_bounded =
       Ps.steady_ii deep32 body <= Mac_opt.Sched.block_cycles deep32 body)
 
 (* A genuinely pipelined loop (S >= 2 on the deep-latency machine) is
-   bit-identical under all three simulator engines — same return value,
-   same metrics, correct output. *)
+   bit-identical under the jit and the reference engine — same return
+   value, same metrics, correct output. *)
 let test_pipeline_sched_engines_identical () =
   let module W = Mac_workloads.Workloads in
   let outs =
@@ -1342,18 +1342,16 @@ let test_pipeline_sched_engines_identical () =
       (fun engine ->
         W.run ~size:64 ~engine ~pipeline_sched:true ~machine:deep32
           ~level:Mac_vpo.Pipeline.O1 W.dotproduct)
-      [ `Reference; `Fast; `Jit ]
+      [ `Reference; `Jit ]
   in
-  let r, f, j =
-    match outs with [ r; f; j ] -> (r, f, j) | _ -> assert false
-  in
+  let r, j = match outs with [ r; j ] -> (r, j) | _ -> assert false in
   List.iter
     (fun (name, (o : W.outcome)) ->
       Alcotest.(check bool) (name ^ " correct") true o.W.correct;
       Alcotest.(check int64) (name ^ " value") r.W.value o.W.value;
       Alcotest.(check bool) (name ^ " metrics identical") true
         (o.W.metrics = r.W.metrics))
-    [ ("reference", r); ("fast", f); ("jit", j) ];
+    [ ("reference", r); ("jit", j) ];
   let pipelined =
     List.exists
       (fun (_, rs) ->
@@ -1492,7 +1490,7 @@ let () =
             test_sched_disjoint_mem_can_reorder;
         ] );
       ( "pipeline-sched",
-        Alcotest.test_case "pipelined loop identical on all engines" `Quick
+        Alcotest.test_case "pipelined loop identical on both engines" `Quick
           test_pipeline_sched_engines_identical
         :: List.map QCheck_alcotest.to_alcotest
              [ prop_pipeline_sched_cert; prop_steady_ii_bounded ] );

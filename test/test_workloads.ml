@@ -6,7 +6,7 @@ module Tables = Mac_workloads.Tables
 module Machine = Mac_machine.Machine
 module Pipeline = Mac_vpo.Pipeline
 module Memory = Mac_sim.Memory
-module Pool = Mac_workloads.Pool
+module Pool = Mac_parallel.Pool
 
 (* --- Pool failure paths (documented in pool.mli, previously untested):
    a worker raising mid-batch must re-raise the lowest-indexed failure,
