@@ -78,12 +78,15 @@ serve-bench: build
 profile: build
 	$(MCC) --table --force --machine alpha --size 64 --profile-passes
 
+# The eight benchmarks (`--bench`) the report loops below walk.
+BENCHES = dotproduct convolution image_add image_add16 image_xor \
+  translate eqntott mirror
+
 # What the static disambiguation oracle proved: per benchmark, the
 # guards emitted vs discharged (with their certificates), under the
 # asserted layout facts, with the audit re-verifying every certificate.
 alias-report: build
-	@for b in dotproduct convolution image_add image_add16 image_xor \
-	  translate eqntott mirror; do \
+	@for b in $(BENCHES); do \
 	  echo "== $$b"; \
 	  $(MCC) --bench $$b -O O4 --machine alpha --force --assume-layout \
 	    --explain-alias --verify-level full || exit 1; \
@@ -93,8 +96,7 @@ alias-report: build
 # achieved II / stage count and commit status, with the schedule audit
 # re-verifying every certificate (--verify-level full).
 sched-report: build
-	@for b in dotproduct convolution image_add image_add16 image_xor \
-	  translate eqntott mirror; do \
+	@for b in $(BENCHES); do \
 	  echo "== $$b"; \
 	  $(MCC) --bench $$b -O O4 --machine mc88100 --force \
 	    --explain-sched --verify-level full || exit 1; \
@@ -106,8 +108,7 @@ sched-report: build
 # block pairs checked vs skipped (generic-transfer equality), loop
 # regions carved, audited fallbacks with reasons, time.
 tvalid-report: build
-	@for b in dotproduct convolution image_add image_add16 image_xor \
-	  translate eqntott mirror; do \
+	@for b in $(BENCHES); do \
 	  echo "== $$b"; \
 	  $(MCC) --bench $$b -O O4 --machine alpha --force --assume-layout \
 	    --explain-tvalid || exit 1; \

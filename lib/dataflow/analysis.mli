@@ -32,12 +32,11 @@ type tvalid_cache = ..
 
 type t
 
-val create : ?engine:Dataflow.engine -> Func.t -> t
-(** A fresh manager with nothing computed. [engine] selects the dataflow
-    solver for {!liveness}/{!reaching}/{!copies} (default [`Bitvec]). *)
+val create : Func.t -> t
+(** A fresh manager with nothing computed. {!liveness}, {!reaching} and
+    {!copies} run the one packed-bitvector solver ({!Dataflow.solve_bits}). *)
 
 val func : t -> Func.t
-val engine : t -> Dataflow.engine
 
 val cfg : t -> Mac_cfg.Cfg.t
 val dom : t -> Mac_cfg.Dom.t

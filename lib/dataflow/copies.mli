@@ -1,21 +1,16 @@
-(** Available copies (forward, must): at a program point, which
-    [dst <- src] moves are sure to hold, where [src] is a register or an
-    immediate. Backs global copy and constant propagation. *)
+(** Available copies (forward, must), on the packed-bitvector solver: at
+    a program point, which [dst <- src] moves are sure to hold, where
+    [src] is a register or an immediate. Backs global copy and constant
+    propagation. *)
 
 open Mac_rtl
 
 type t
 
-val compute : ?engine:Dataflow.engine -> Mac_cfg.Cfg.t -> t
-(** Default [`Bitvec] (dense copy-fact bitvectors, Top tracked
-    explicitly); [`Reference] is the original map-lattice oracle.
-    Identical results either way. *)
-
-val copies_before_each : t -> int -> (Rtl.inst * Rtl.operand Reg.Map.t) list
-(** For block [b], each instruction paired with the map [dst -> src] of
-    copies available {e before} it. *)
+val compute : Mac_cfg.Cfg.t -> t
 
 val copies_query : t -> int -> (Rtl.inst * (Reg.t -> Rtl.operand option)) list
-(** {!copies_before_each} as lookup closures: the answer for register
-    [r] equals [Reg.Map.find_opt r] on the corresponding map, without
-    building the map. What copy propagation consults. *)
+(** For block [b], each instruction paired with a lookup of the copies
+    available {e before} it: [look r] is [Some src] when the copy
+    [r <- src] holds there. In a block no path from the entry reaches,
+    every lookup answers [None]. *)

@@ -1,9 +1,7 @@
-(** A small worklist dataflow framework over {!Mac_cfg.Cfg} block graphs.
-
-    Analyses supply the lattice (via [top], [meet], [equal]), the boundary
-    value at the entry (forward) or at every exit block (backward), and a
-    block transfer function. The solver iterates to the maximal fixed
-    point. *)
+(** The gen/kill dataflow solver behind {!Liveness}, {!Reaching} and
+    {!Copies}: one packed-bitvector engine over {!Mac_cfg.Cfg} block
+    graphs. The set/map fixpoints it is pinned against live in the tests
+    as an oracle. *)
 
 type direction = Forward | Backward
 
@@ -11,29 +9,6 @@ type 'a solution = { inb : 'a array; outb : 'a array }
 (** Per-block dataflow values: [inb.(b)] is the value at block [b]'s entry,
     [outb.(b)] at its exit (in execution order, regardless of analysis
     direction). *)
-
-type engine = [ `Bitvec | `Reference ]
-(** Which solver backs an analysis: [`Bitvec] (default everywhere) runs
-    the packed-bitvector reverse-postorder engine below; [`Reference]
-    runs the original functional-set implementations, kept as the oracle
-    the equivalence tests pin the fast engine against. *)
-
-val engine_of_string : string -> engine option
-val engine_to_string : engine -> string
-
-val solve :
-  Mac_cfg.Cfg.t ->
-  direction:direction ->
-  boundary:'a ->
-  top:'a ->
-  meet:('a -> 'a -> 'a) ->
-  equal:('a -> 'a -> bool) ->
-  transfer:(int -> 'a -> 'a) ->
-  'a solution
-(** [transfer b v] maps the value flowing into block [b] (block entry for
-    forward analyses, block exit for backward ones) across the block. *)
-
-(** {1 Bitvector engine} *)
 
 type meet_op = Union | Inter
 
@@ -47,7 +22,9 @@ val solve_bits :
   Bitv.t option solution
 (** Gen/kill solver over packed bitvectors ([out = gen ∪ (in − kill)] per
     block in flow orientation), iterating in reverse postorder until a
-    sweep is quiet. All vectors must share [boundary]'s length. In the
-    result, [None] is the must-analysis Top ("unreached"); [Union]
-    problems always yield [Some]. The fixed point equals {!solve}'s on
-    the corresponding set lattice. *)
+    sweep is quiet. All vectors must share [boundary]'s length. The
+    boundary value flows into the entry block (forward) or every exit
+    block (backward). In the result, [None] is the must-analysis Top
+    ("unreached"); [Union] problems always yield [Some]. The result is
+    the fixed point that round-robin iteration on the corresponding
+    set lattice reaches from the same initial values. *)

@@ -1,37 +1,12 @@
 open Mac_rtl
 
-(* Dual-engine: the bitvector path indexes registers by [Reg.id] (dense;
-   [Func.next_reg] bounds them) and runs the packed gen/kill solver; the
-   reference path is the original functional-set fixpoint, kept as the
-   oracle the equivalence tests pin the bitvector engine against. *)
+(* Registers are indexed by [Reg.id] (dense; [Func.next_reg] bounds
+   them) and solved with the packed gen/kill solver. *)
 
-type impl =
-  | Ref of Reg.Set.t Dataflow.solution
-  | Bits of { sol : Bitv.t Dataflow.solution; nbits : int }
+type t = { cfg : Mac_cfg.Cfg.t; sol : Bitv.t Dataflow.solution; nbits : int }
 
-type t = { cfg : Mac_cfg.Cfg.t; impl : impl }
-
-(* Reference engine. *)
-
-let transfer_inst (i : Rtl.inst) live_after =
-  let without_defs =
-    List.fold_left (fun acc r -> Reg.Set.remove r acc) live_after
-      (Rtl.defs i.kind)
-  in
-  List.fold_left (fun acc r -> Reg.Set.add r acc) without_defs
-    (Rtl.uses i.kind)
-
-let block_transfer (cfg : Mac_cfg.Cfg.t) b live_out =
-  List.fold_right transfer_inst cfg.blocks.(b).insts live_out
-
-let compute_ref (cfg : Mac_cfg.Cfg.t) =
-  Dataflow.solve cfg ~direction:Dataflow.Backward ~boundary:Reg.Set.empty
-    ~top:Reg.Set.empty ~meet:Reg.Set.union ~equal:Reg.Set.equal
-    ~transfer:(block_transfer cfg)
-
-(* Bitvector engine. Block gen = upward-exposed uses, kill = defs. *)
-
-let compute_bits (cfg : Mac_cfg.Cfg.t) =
+(* Block gen = upward-exposed uses, kill = defs. *)
+let compute (cfg : Mac_cfg.Cfg.t) =
   let nbits = cfg.func.next_reg in
   let n = Array.length cfg.blocks in
   let gen = Array.init n (fun _ -> Bitv.create nbits)
@@ -52,123 +27,42 @@ let compute_bits (cfg : Mac_cfg.Cfg.t) =
       ~gen ~kill ~boundary:(Bitv.create nbits)
   in
   let force = function Some v -> v | None -> Bitv.create nbits in
-  Bits
-    {
-      sol =
-        {
-          Dataflow.inb = Array.map force sol.Dataflow.inb;
-          outb = Array.map force sol.Dataflow.outb;
-        };
-      nbits;
-    }
-
-let compute ?(engine = `Bitvec) (cfg : Mac_cfg.Cfg.t) =
-  let impl =
-    match engine with
-    | `Reference -> Ref (compute_ref cfg)
-    | `Bitvec -> compute_bits cfg
-  in
-  { cfg; impl }
+  {
+    cfg;
+    sol =
+      {
+        Dataflow.inb = Array.map force sol.Dataflow.inb;
+        outb = Array.map force sol.Dataflow.outb;
+      };
+    nbits;
+  }
 
 let to_set bv = Bitv.fold_set (fun i acc -> Reg.Set.add (Reg.make i) acc) bv Reg.Set.empty
+let live_in t b = to_set t.sol.Dataflow.inb.(b)
+let live_out t b = to_set t.sol.Dataflow.outb.(b)
 
-let live_in t b =
-  match t.impl with
-  | Ref sol -> sol.Dataflow.inb.(b)
-  | Bits { sol; _ } -> to_set sol.Dataflow.inb.(b)
-
-let live_out t b =
-  match t.impl with
-  | Ref sol -> sol.Dataflow.outb.(b)
-  | Bits { sol; _ } -> to_set sol.Dataflow.outb.(b)
+(* The one per-instruction transfer: visit block [b]'s instructions in
+   reverse body order, calling [f live] once for the block and the
+   result on each instruction while [live] holds liveness after it, then
+   transfer that single working vector in place (the whole block costs
+   one copy). The accumulator threads through in visit order, so consing
+   builds a forward-order list. *)
+let walk t b ~init ~f =
+  let live = Bitv.copy t.sol.Dataflow.outb.(b) in
+  let f = f live in
+  List.fold_right
+    (fun (i : Rtl.inst) acc ->
+      let acc = f acc i in
+      List.iter (fun r -> Bitv.clear live (Reg.id r)) (Rtl.defs i.kind);
+      List.iter (fun r -> Bitv.set live (Reg.id r)) (Rtl.uses i.kind);
+      acc)
+    t.cfg.blocks.(b).insts init
 
 let live_after_each t b =
-  let insts = t.cfg.blocks.(b).insts in
-  match t.impl with
-  | Ref sol ->
-    (* Walk backward accumulating liveness after each instruction. *)
-    let _, acc =
-      List.fold_right
-        (fun i (live, acc) -> (transfer_inst i live, (i, live) :: acc))
-        insts
-        (sol.Dataflow.outb.(b), [])
-    in
-    acc
-  | Bits { sol; _ } ->
-    let transfer_bits (i : Rtl.inst) live =
-      let live = Bitv.copy live in
-      List.iter (fun r -> Bitv.clear live (Reg.id r)) (Rtl.defs i.kind);
-      List.iter (fun r -> Bitv.set live (Reg.id r)) (Rtl.uses i.kind);
-      live
-    in
-    let _, acc =
-      List.fold_right
-        (fun i (live, acc) -> (transfer_bits i live, (i, to_set live) :: acc))
-        insts
-        (sol.Dataflow.outb.(b), [])
-    in
-    acc
+  walk t b ~init:[] ~f:(fun live acc i -> (i, to_set live) :: acc)
 
-(* Same walk without materializing sets: each instruction is paired with a
-   membership query on the liveness-after fact. Consumers that only probe
-   a handful of registers per instruction (DCE asks about the defs)
-   sidestep the per-instruction [Reg.Set] construction, which costs an
-   order of magnitude more than the block solve itself. *)
-let live_after_query t b =
-  let insts = t.cfg.blocks.(b).insts in
-  match t.impl with
-  | Ref sol ->
-    let _, acc =
-      List.fold_right
-        (fun i (live, acc) ->
-          (transfer_inst i live, (i, fun r -> Reg.Set.mem r live) :: acc))
-        insts
-        (sol.Dataflow.outb.(b), [])
-    in
-    acc
-  | Bits { sol; nbits } ->
-    let transfer_bits (i : Rtl.inst) live =
-      let live = Bitv.copy live in
-      List.iter (fun r -> Bitv.clear live (Reg.id r)) (Rtl.defs i.kind);
-      List.iter (fun r -> Bitv.set live (Reg.id r)) (Rtl.uses i.kind);
-      live
-    in
-    let _, acc =
-      List.fold_right
-        (fun i (live, acc) ->
-          ( transfer_bits i live,
-            (i, fun r -> Reg.id r < nbits && Bitv.get live (Reg.id r)) :: acc
-          ))
-        insts
-        (sol.Dataflow.outb.(b), [])
-    in
-    acc
-
-(* Eager variant: instructions are visited in reverse body order and the
-   membership query passed to [f] is valid only during that call (the
-   bitvector engine transfers a single working vector in place, so the
-   whole block costs one copy). The fold accumulator threads through in
-   visit order, so consing builds a forward-order list. *)
 let fold_live_after t b ~init ~f =
-  let insts = t.cfg.blocks.(b).insts in
-  match t.impl with
-  | Ref sol ->
-    let _, acc =
-      List.fold_right
-        (fun i (live, acc) ->
-          let acc = f acc i (fun r -> Reg.Set.mem r live) in
-          (transfer_inst i live, acc))
-        insts
-        (sol.Dataflow.outb.(b), init)
-    in
-    acc
-  | Bits { sol; nbits } ->
-    let live = Bitv.copy sol.Dataflow.outb.(b) in
-    let query r = Reg.id r < nbits && Bitv.get live (Reg.id r) in
-    List.fold_right
-      (fun (i : Rtl.inst) acc ->
-        let acc = f acc i query in
-        List.iter (fun r -> Bitv.clear live (Reg.id r)) (Rtl.defs i.kind);
-        List.iter (fun r -> Bitv.set live (Reg.id r)) (Rtl.uses i.kind);
-        acc)
-      insts init
+  let nbits = t.nbits in
+  walk t b ~init ~f:(fun live ->
+      let query r = Reg.id r < nbits && Bitv.get live (Reg.id r) in
+      fun acc i -> f acc i query)

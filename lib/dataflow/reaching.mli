@@ -1,4 +1,4 @@
-(** Reaching definitions (forward, may).
+(** Reaching definitions (forward, may), on the packed-bitvector solver.
 
     Definitions are identified by the uid of the defining instruction.
     Function parameters are modelled as a pseudo-definition with uid [-1 -
@@ -10,22 +10,11 @@ type t
 
 module IntSet : Set.S with type elt = int
 
-val compute : ?engine:Dataflow.engine -> Mac_cfg.Cfg.t -> t
-(** Default [`Bitvec] (dense definition-site bitvectors); [`Reference]
-    is the original uid-set oracle. Identical results either way. *)
-
-val reach_in : t -> int -> IntSet.t
-(** Uids of definitions reaching block entry. *)
+val compute : Mac_cfg.Cfg.t -> t
 
 val defs_of_reg_reaching : t -> block:int -> before:Rtl.inst -> Reg.t ->
   IntSet.t
 (** The uids of the definitions of one register that reach the program
     point just before [before] (which must belong to [block]). Raises
-    [Not_found] if [before] is not in the block. *)
-
-val def_inst : t -> int -> Rtl.inst option
-(** Look an instruction up by defining uid ([None] for parameter
-    pseudo-definitions). *)
-
-val param_uid : Reg.t -> int
-(** The pseudo-definition uid of a parameter register. *)
+    [Not_found] if [before] is not in the block. Costs one walk of the
+    block prefix, independent of the block's position in the function. *)

@@ -99,10 +99,14 @@ let test_reaching_defs () =
   in
   Alcotest.(check int) "both definitions of r2 reach the join" 2
     (Reaching.IntSet.cardinal defs);
+  Alcotest.check_raises "instruction outside the block" Not_found (fun () ->
+      ignore
+        (Reaching.defs_of_reg_reaching r ~block:join ~before:(List.hd f.body)
+           (reg 2)));
   (* each reaching def is a Move *)
   Reaching.IntSet.iter
     (fun uid ->
-      match Reaching.def_inst r uid with
+      match List.find_opt (fun (i : Rtl.inst) -> i.uid = uid) f.body with
       | Some { Rtl.kind = Rtl.Move (d, Rtl.Imm _); _ } ->
         Alcotest.(check int) "defines r2" 2 (Reg.id d)
       | _ -> Alcotest.fail "expected immediate moves")
@@ -114,7 +118,8 @@ let test_reaching_params () =
   let r = Reaching.compute cfg in
   let ret_inst = List.hd f.body in
   let defs = Reaching.defs_of_reg_reaching r ~block:0 ~before:ret_inst (reg 0) in
-  Alcotest.(check (list int)) "parameter pseudo-def" [ Reaching.param_uid (reg 0) ]
+  (* a parameter's pseudo-definition has uid [-1 - Reg.id r] *)
+  Alcotest.(check (list int)) "parameter pseudo-def" [ -1 - Reg.id (reg 0) ]
     (Reaching.IntSet.elements defs)
 
 let test_reaching_loop_carried () =
@@ -160,12 +165,12 @@ let test_copies_straightline () =
   in
   let cfg = Cfg.build f in
   let copies = Copies.compute cfg in
-  match Copies.copies_before_each copies 0 with
+  match Copies.copies_query copies 0 with
   | [ _; _; (_, before_add); _ ] ->
-    (match Reg.Map.find_opt (reg 2) before_add with
+    (match before_add (reg 2) with
     | Some (Rtl.Reg s) -> Alcotest.(check int) "r2 copies r0" 0 (Reg.id s)
     | _ -> Alcotest.fail "expected copy r2 <- r0");
-    (match Reg.Map.find_opt (reg 3) before_add with
+    (match before_add (reg 3) with
     | Some (Rtl.Imm 7L) -> ()
     | _ -> Alcotest.fail "expected constant copy r3 <- 7")
   | _ -> Alcotest.fail "expected four instructions"
@@ -181,10 +186,10 @@ let test_copies_killed_by_redef () =
   in
   let cfg = Cfg.build f in
   let copies = Copies.compute cfg in
-  match List.rev (Copies.copies_before_each copies 0) with
+  match List.rev (Copies.copies_query copies 0) with
   | (_, before_ret) :: _ ->
     Alcotest.(check bool) "copy killed when source redefined" true
-      (Reg.Map.find_opt (reg 2) before_ret = None)
+      (before_ret (reg 2) = None)
   | [] -> Alcotest.fail "empty"
 
 let test_copies_meet_is_intersection () =
@@ -203,10 +208,10 @@ let test_copies_meet_is_intersection () =
   let cfg = Cfg.build f in
   let copies = Copies.compute cfg in
   let join = Option.get (Cfg.block_of_label cfg "Lj") in
-  match Copies.copies_before_each copies join with
+  match Copies.copies_query copies join with
   | (_, before) :: _ ->
     Alcotest.(check bool) "copy not available at join" true
-      (Reg.Map.find_opt (reg 2) before = None)
+      (before (reg 2) = None)
   | [] -> Alcotest.fail "empty block"
 
 let test_copies_available_at_join_when_on_both_paths () =
@@ -227,22 +232,25 @@ let test_copies_available_at_join_when_on_both_paths () =
   let cfg = Cfg.build f in
   let copies = Copies.compute cfg in
   let join = Option.get (Cfg.block_of_label cfg "Lj") in
-  match Copies.copies_before_each copies join with
+  match Copies.copies_query copies join with
   | (_, before) :: _ -> (
-    match Reg.Map.find_opt (reg 2) before with
+    match before (reg 2) with
     | Some (Rtl.Imm 5L) -> ()
     | _ -> Alcotest.fail "constant available from both paths")
   | [] -> Alcotest.fail "empty block"
 
-(* --- engine equivalence on random CFGs ------------------------------ *)
+(* --- the bitvector engine against the set/map oracle --------------- *)
 
-(* The bitvector engine is pinned against the reference (set/map-based)
-   engine on randomly generated control flow: chains of blocks with
-   random jumps, branches and fall-throughs, which naturally produce
-   unreachable blocks (a block after a jump nobody targets), self-loops
-   (a block branching to its own label) and empty blocks (a label that
-   falls straight through to the next). Every accessor — materialized
-   sets, query closures and the eager fold — must agree exactly. *)
+(* Every retained accessor is pinned against the test-side oracle
+   ([Dataflow_oracle]: round-robin set/map fixpoints) on randomly
+   generated control flow: chains of blocks with random jumps, branches
+   and fall-throughs, which naturally produce unreachable blocks (a block
+   after a jump nobody targets), self-loops (a block branching to its own
+   label) and empty blocks (a label that falls straight through to the
+   next). Answers must agree exactly at every block, instruction and
+   register. *)
+
+module Oracle = Dataflow_oracle
 
 type rand_block = {
   rb_insts : Rtl.kind list;  (* interior: moves and binops over r0..r7 *)
@@ -319,114 +327,87 @@ let arbitrary_func =
 
 let all_regs f = List.init f.Func.next_reg Reg.make
 
+(* [each] pairs a block's instructions with per-register answers; they
+   must visit the oracle's instructions in order and agree on every
+   register. *)
+let check_each ~what ~b ~regs ~expect oracle each =
+  if List.length oracle <> List.length each then
+    QCheck.Test.fail_reportf "%s visits a different count at block %d" what b;
+  List.iter2
+    (fun (i, o) (i', answer) ->
+      if i.Rtl.uid <> i'.Rtl.uid then
+        QCheck.Test.fail_reportf "%s order differs at block %d" what b;
+      List.iter
+        (fun r ->
+          if expect o r <> answer r then
+            QCheck.Test.fail_reportf "%s differs at block %d uid %d reg %d"
+              what b i.Rtl.uid (Reg.id r))
+        regs)
+    oracle each
+
 let check_liveness_equal f cfg =
-  let bits = Liveness.compute ~engine:`Bitvec cfg in
-  let refr = Liveness.compute ~engine:`Reference cfg in
+  let live = Liveness.compute cfg and oracle = Oracle.Liveness.compute cfg in
   let regs = all_regs f in
   Array.iteri
     (fun b _ ->
-      if not (Reg.Set.equal (Liveness.live_in bits b) (Liveness.live_in refr b))
+      if
+        not
+          (Reg.Set.equal (Liveness.live_in live b)
+             (Oracle.Liveness.live_in oracle b))
       then QCheck.Test.fail_reportf "live_in differs at block %d" b;
       if
         not
-          (Reg.Set.equal (Liveness.live_out bits b) (Liveness.live_out refr b))
+          (Reg.Set.equal (Liveness.live_out live b)
+             (Oracle.Liveness.live_out oracle b))
       then QCheck.Test.fail_reportf "live_out differs at block %d" b;
-      let each_b = Liveness.live_after_each bits b in
-      let each_r = Liveness.live_after_each refr b in
-      List.iter2
-        (fun (ib, sb) (ir, sr) ->
-          if ib.Rtl.uid <> ir.Rtl.uid || not (Reg.Set.equal sb sr) then
-            QCheck.Test.fail_reportf "live_after_each differs at block %d" b)
-        each_b each_r;
-      (* query closures and the eager fold answer exactly the sets *)
-      List.iter
-        (fun live ->
-          List.iter2
-            (fun (i, set) (iq, q) ->
-              if i.Rtl.uid <> iq.Rtl.uid then
-                QCheck.Test.fail_reportf "query order differs at block %d" b;
-              List.iter
-                (fun r ->
-                  if Reg.Set.mem r set <> q r then
-                    QCheck.Test.fail_reportf
-                      "live_after_query differs at block %d reg %d" b
-                      (Reg.id r))
-                regs)
-            each_r
-            (Liveness.live_after_query live b);
-          (* reverse visit order: consing builds the forward order *)
-          let folded =
-            Liveness.fold_live_after live b ~init:[]
-              ~f:(fun acc i q -> (i.Rtl.uid, List.filter q regs) :: acc)
-          in
-          List.iter2
-            (fun (i, set) (uid, live_regs) ->
-              if
-                i.Rtl.uid <> uid
-                || not (Reg.Set.equal set (Reg.Set.of_list live_regs))
-              then
-                QCheck.Test.fail_reportf "fold_live_after differs at block %d"
-                  b)
-            each_r folded)
-        [ bits; refr ])
+      let expect = Oracle.Liveness.live_after_each oracle b in
+      check_each ~what:"live_after_each" ~b ~regs ~expect:(Fun.flip Reg.Set.mem)
+        expect
+        (List.map
+           (fun (i, set) -> (i, Fun.flip Reg.Set.mem set))
+           (Liveness.live_after_each live b));
+      (* the query is only valid during the call: snapshot its answers;
+         reverse visit order, so consing builds the forward order *)
+      let folded =
+        Liveness.fold_live_after live b ~init:[] ~f:(fun acc i q ->
+            let set = Reg.Set.of_list (List.filter q regs) in
+            (i, Fun.flip Reg.Set.mem set) :: acc)
+      in
+      check_each ~what:"fold_live_after" ~b ~regs ~expect:(Fun.flip Reg.Set.mem)
+        expect folded)
     cfg.Cfg.blocks
 
 let check_reaching_equal f cfg =
-  let bits = Reaching.compute ~engine:`Bitvec cfg in
-  let refr = Reaching.compute ~engine:`Reference cfg in
+  let reach = Reaching.compute cfg and oracle = Oracle.Reaching.compute cfg in
   let regs = all_regs f in
   Array.iteri
     (fun b (blk : Cfg.block) ->
-      if not (Reaching.IntSet.equal (Reaching.reach_in bits b)
-                (Reaching.reach_in refr b))
-      then QCheck.Test.fail_reportf "reach_in differs at block %d" b;
       List.iter
         (fun i ->
           List.iter
             (fun r ->
-              let db =
-                Reaching.defs_of_reg_reaching bits ~block:b ~before:i r
-              and dr =
-                Reaching.defs_of_reg_reaching refr ~block:b ~before:i r
+              let got = Reaching.defs_of_reg_reaching reach ~block:b ~before:i r
+              and want =
+                Oracle.Reaching.defs_of_reg_reaching oracle ~block:b ~before:i
+                  r
               in
-              if not (Reaching.IntSet.equal db dr) then
+              if not (Reaching.IntSet.equal got want) then
                 QCheck.Test.fail_reportf
-                  "defs_of_reg_reaching differs at block %d reg %d" b
-                  (Reg.id r))
+                  "defs_of_reg_reaching differs at block %d uid %d reg %d" b
+                  i.Rtl.uid (Reg.id r))
             regs)
         blk.Cfg.insts)
     cfg.Cfg.blocks
 
 let check_copies_equal f cfg =
-  let bits = Copies.compute ~engine:`Bitvec cfg in
-  let refr = Copies.compute ~engine:`Reference cfg in
+  let copies = Copies.compute cfg and oracle = Oracle.Copies.compute cfg in
   let regs = all_regs f in
   Array.iteri
     (fun b _ ->
-      let each_b = Copies.copies_before_each bits b in
-      let each_r = Copies.copies_before_each refr b in
-      List.iter2
-        (fun (ib, mb) (ir, mr) ->
-          if ib.Rtl.uid <> ir.Rtl.uid || not (Reg.Map.equal ( = ) mb mr) then
-            QCheck.Test.fail_reportf "copies_before_each differs at block %d"
-              b)
-        each_b each_r;
-      List.iter
-        (fun copies ->
-          List.iter2
-            (fun (i, map) (iq, q) ->
-              if i.Rtl.uid <> iq.Rtl.uid then
-                QCheck.Test.fail_reportf
-                  "copies query order differs at block %d" b;
-              List.iter
-                (fun r ->
-                  if Reg.Map.find_opt r map <> q r then
-                    QCheck.Test.fail_reportf
-                      "copies_query differs at block %d reg %d" b (Reg.id r))
-                regs)
-            each_r
-            (Copies.copies_query copies b))
-        [ bits; refr ])
+      check_each ~what:"copies_query" ~b ~regs
+        ~expect:(fun map r -> Reg.Map.find_opt r map)
+        (Oracle.Copies.copies_before_each oracle b)
+        (Copies.copies_query copies b))
     cfg.Cfg.blocks
 
 let engine_equivalence_tests =
