@@ -5,13 +5,13 @@
    serve economics: cold-compile vs cache-hit p50/p99 latency, the p50
    speedup (the acceptance bar is >= 10x, gated below), throughput,
    hit rate, and whether the hit path returned bytes identical to the
-   cold path. Two phases, separated by a full barrier so hot latencies
-   never hide behind a batch-mate's cold compile:
+   cold path. Two phases, separated by a full barrier so the hot phase
+   measures the hit path alone:
 
      cold: every client issues its own run of *distinct* sources —
-           all cache misses, each compiled once by the daemon pool;
+           all cache misses, each compiled once by a daemon worker;
      hot:  every client re-issues one shared request — all cache hits
-           (the daemon answers hits before dispatching any compile).
+           (answered by the daemon's front, never by a worker).
 
    The daemon runs in a forked child of this process; clients are
    forked too, one process per client, each writing its latency
@@ -22,7 +22,8 @@
      MAC_SERVE_UNIQUE       distinct cold requests per client (default 8)
      MAC_SERVE_HOT          hot requests per client (default 24)
      MAC_SERVE_MIN_SPEEDUP  required cold/hot p50 ratio (default 10)
-     MAC_JOBS               daemon worker domains
+     MAC_JOBS               daemon domains: the front plus MAC_JOBS-1
+                            compile workers (at least 1)
      MAC_JSON_SERVE         output path (default ./BENCH_serve.json) *)
 
 module Serve = Mac_serve

@@ -2,8 +2,9 @@
 
    Accepts mcc compile requests (MiniC source or a named built-in
    workload + machine + level + verify level) over a length-framed
-   Unix-socket protocol, dispatches each batch to a domain pool, and
-   memoises artifacts in a content-addressed on-disk cache keyed by
+   Unix-socket protocol, answers cache hits on the accepting domain
+   while persistent worker domains compile the misses, and memoises
+   artifacts in a content-addressed on-disk cache keyed by
    (input digest, machine, level, verify level, compiler fingerprint)
    — a million identical requests cost one compile.
 
@@ -29,8 +30,9 @@ let cache_arg =
 let jobs_arg =
   Arg.(value & opt (some int) None
        & info [ "j"; "jobs" ] ~docv:"N"
-           ~doc:"Worker domains per compile batch (default: MAC_JOBS, \
-                 else the recommended domain count).")
+           ~doc:"Compile worker domains, beside the domain that accepts \
+                 and answers cache hits (default: one less than MAC_JOBS, \
+                 else than the recommended domain count, and at least 1).")
 
 let max_entries_arg =
   Arg.(value & opt int 4096
@@ -38,22 +40,16 @@ let max_entries_arg =
            ~doc:"Cache capacity in artifacts; least-recently-used \
                  entries are evicted past it.")
 
-let max_batch_arg =
-  Arg.(value & opt int 64
-       & info [ "max-batch" ] ~docv:"N"
-           ~doc:"Largest accept-queue drain dispatched as one pool \
-                 batch.")
-
 let max_requests_arg =
   Arg.(value & opt (some int) None
        & info [ "max-requests" ] ~docv:"N"
-           ~doc:"Exit after answering N requests (smoke tests); default \
-                 is to serve forever.")
+           ~doc:"Stop accepting after reading N requests, answer them and \
+                 exit (smoke tests); default is to serve forever.")
 
 let quiet_arg =
-  Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"No per-batch log lines.")
+  Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"No per-compile log lines.")
 
-let main socket cache_dir jobs max_entries max_batch max_requests quiet =
+let main socket cache_dir jobs max_entries max_requests quiet =
   let cache = Serve.Cache.open_dir ~max_entries cache_dir in
   let log = if quiet then ignore else fun s -> Fmt.epr "[mccd] %s@." s in
   log
@@ -61,14 +57,12 @@ let main socket cache_dir jobs max_entries max_batch max_requests quiet =
        Mac_vpo.Version.compiler_fingerprint socket
        (Serve.Cache.dir cache) (Serve.Cache.entries cache));
   match
-    Serve.Server.serve ?jobs ~max_batch ?max_requests ~log ~socket ~cache ()
+    Serve.Server.serve ?jobs ?max_requests ~log ~socket ~cache ()
   with
   | stats ->
     Fmt.pr
-      "mccd: served %d request(s) in %d batch(es): %d hit(s), %d \
-       miss(es), %d error(s)@."
-      stats.Serve.Server.requests stats.batches stats.hits stats.misses
-      stats.errors;
+      "mccd: served %d request(s): %d hit(s), %d miss(es), %d error(s)@."
+      stats.Serve.Server.requests stats.hits stats.misses stats.errors;
     0
   | exception Unix.Unix_error (e, fn, arg) ->
     Fmt.epr "mccd: %s(%s): %s@." fn arg (Unix.error_message e);
@@ -80,6 +74,6 @@ let cmd =
     (Cmd.info "mccd" ~doc ~version:Mac_vpo.Version.compiler_fingerprint)
     Term.(
       const main $ socket_arg $ cache_arg $ jobs_arg $ max_entries_arg
-      $ max_batch_arg $ max_requests_arg $ quiet_arg)
+      $ max_requests_arg $ quiet_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -5,7 +5,12 @@
    with no coordination beyond a shared work counter. Results are stored
    by input index and returned in input order, so callers that render
    sequentially produce output byte-identical to a serial run regardless
-   of the worker count or scheduling. *)
+   of the worker count or scheduling.
+
+   A domain this module spawned never spawns again: a nested [map] runs
+   serially where it is called. The outer map already keeps the cores
+   busy, and on OCaml 5.1 every extra live domain makes each minor
+   collection a costlier stop-the-world. *)
 
 let jobs () =
   match Sys.getenv_opt "MAC_JOBS" with
@@ -15,11 +20,20 @@ let jobs () =
     | _ -> 1)
   | None -> Stdlib.max 1 (Domain.recommended_domain_count ())
 
+let owned = Domain.DLS.new_key (fun () -> false)
+
+let spawn f =
+  Domain.spawn (fun () ->
+      Domain.DLS.set owned true;
+      f ())
+
 (* The worker count [map] actually uses for [n] work items — exposed so
    reports can record both the requested and the effective count. *)
 let effective_jobs ?jobs:requested n =
-  Stdlib.min n
-    (match requested with Some j -> Stdlib.max 1 j | None -> jobs ())
+  if Domain.DLS.get owned then 1
+  else
+    Stdlib.min n
+      (match requested with Some j -> Stdlib.max 1 j | None -> jobs ())
 
 let map ?jobs:requested f xs =
   let n = List.length xs in
@@ -39,7 +53,7 @@ let map ?jobs:requested f xs =
       in
       go ()
     in
-    let domains = List.init k (fun _ -> Domain.spawn worker) in
+    let domains = List.init k (fun _ -> spawn worker) in
     List.iter Domain.join domains;
     (* deliver in input order; the first failure (by index) re-raises *)
     Array.to_list out

@@ -1,6 +1,7 @@
 (* One-shot client. The request frame is written before the hello is
-   read — the server only sends its hello when it forms the batch, so
-   waiting for it first would deadlock a multi-connection burst. *)
+   read: the server sends its hello together with the reply, after it
+   has read the request, so waiting for the hello first would
+   deadlock. *)
 
 let ( let* ) r f = match r with Ok v -> f v | Error e -> Error e
 

@@ -1,8 +1,6 @@
 (** One-shot mccd client: connect, send, read hello + reply, close.
 
-    Connections are per-request (the server closes after answering),
-    which is also what lets the daemon batch an accept-queue burst
-    into one pool dispatch. *)
+    Connections are per-request: the server closes after answering. *)
 
 val request :
   socket:string ->

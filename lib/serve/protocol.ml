@@ -152,6 +152,12 @@ let really_read fd len =
       match Unix.read fd buf off (len - off) with
       | 0 -> Error (Printf.sprintf "connection closed after %d/%d bytes" off len)
       | k -> go (off + k)
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+        (* a socket read deadline ([SO_RCVTIMEO]) expired *)
+        Error (Printf.sprintf "read timed out after %d/%d bytes" off len)
+      | exception Unix.Unix_error (e, _, _) ->
+        Error (Printf.sprintf "read failed after %d/%d bytes: %s" off len
+                 (Unix.error_message e))
   in
   go 0
 

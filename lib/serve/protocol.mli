@@ -9,8 +9,8 @@
     {!Mac_vpo.Version.compiler_fingerprint}), and the server's reply
     frame; the server then closes the connection. The client may write
     its request before the hello arrives — the hello is consumed
-    together with the reply — so a batch of connections never
-    deadlocks on hello round-trips. *)
+    together with the reply — and must: the server sends nothing
+    until it has read the request. *)
 
 val proto : string
 (** Protocol identifier, ["mac-serve/1"]. *)
@@ -51,7 +51,8 @@ type reply = {
   r_ok : bool;  (** the compile succeeded (mirrors the body's [ok]) *)
   r_cached : bool;
       (** served without compiling: a cache hit, or single-flight
-          deduplication against an identical request in the same batch *)
+          deduplication against an identical request whose compile was
+          already under way *)
   r_key : string;  (** the {!Digest_key} the request resolved to *)
   r_body : string;
       (** the canonical artifact document ([mac-serve-artifact/3]) —
@@ -79,5 +80,6 @@ val write_frame : Unix.file_descr -> string -> unit
 (** One frame: 4-byte big-endian length, then the payload. *)
 
 val read_frame : Unix.file_descr -> (string, string) result
-(** The next frame's payload; [Error] on EOF, a short read, or a
-    length above {!max_frame}. *)
+(** The next frame's payload; [Error] on EOF, a short read, a failed
+    or timed-out read (a socket deadline expired), or a length above
+    {!max_frame}. *)

@@ -1,32 +1,23 @@
-(* The daemon loop. Batching and single-flight both fall out of the
-   same move: drain the accept queue, group the batch's requests by
-   cache key, and compile each distinct missing key exactly once on
-   the domain pool. Cache hits are answered before the pool dispatch
-   so a hot request never waits behind a batch-mate's cold compile. *)
+(* The daemon loop, split between two kinds of domain. The front (the
+   calling domain) accepts, reads, resolves and looks up every request,
+   and answers cache hits and protocol errors on the spot. Misses go to
+   a queue served by persistent compile workers, so a hit never waits
+   behind a compile. Single-flight rides on the in-flight table: a
+   request whose key is already being compiled joins that compile's
+   waiters instead of queueing a second one. *)
 
 module Pool = Mac_parallel.Pool
 
-type stats = {
-  batches : int;
-  requests : int;
-  hits : int;
-  misses : int;
-  errors : int;
-}
+type stats = { requests : int; hits : int; misses : int; errors : int }
 
-(* A connection whose request survived parsing and key resolution;
-   [key = None] marks a request answered with a protocol-level error
-   body (it takes no part in dedup or caching). [resolved] carries the
-   one-per-request canonical-source digest and derived keys down to
-   the compile so nothing re-canonicalizes. *)
-type pending = {
-  fd : Unix.file_descr;
-  key : Digest_key.t option;
-  req : (Protocol.request * Digest_key.resolved) option;
-  early : (bool * bool * string) option;
-      (* (ok, cached, body) decided before the compile dispatch:
-         protocol errors and cache hits *)
-}
+(* A client that connects and goes silent, or stops reading its reply,
+   holds the domain serving it at most this long. *)
+let io_deadline_s = 2.0
+
+(* Gc.set's minor heap is per-domain on OCaml 5.1. A compile allocates
+   heavily, and every minor collection stops all live domains, so the
+   workers collect less often than the default 256k words would. *)
+let worker_minor_heap_words = 1 lsl 20
 
 let hello_json =
   Protocol.hello_to_json
@@ -46,64 +37,137 @@ let answer fd ~ok ~cached ~key ~body =
    with Unix.Unix_error _ | Sys_error _ -> ());
   try Unix.close fd with Unix.Unix_error _ -> ()
 
-let read_pending cache fd =
+(* [Error body]: the canonical error document the request is answered
+   with. *)
+let read_request fd =
   match Protocol.read_frame fd with
-  | Error e ->
-    {
-      fd;
-      key = None;
-      req = None;
-      early = Some (false, false, Service.error_body ~kind:"protocol" e);
-    }
+  | Error e -> Error (Service.error_body ~kind:"protocol" e)
   | Ok payload -> (
     match Protocol.request_of_json payload with
-    | Error e ->
-      {
-        fd;
-        key = None;
-        req = None;
-        early = Some (false, false, Service.error_body ~kind:"protocol" e);
-      }
+    | Error e -> Error (Service.error_body ~kind:"protocol" e)
     | Ok req -> (
       match Digest_key.resolve req with
-      | Error e ->
-        {
-          fd;
-          key = None;
-          req = None;
-          early = Some (false, false, Service.error_body ~kind:"request" e);
-        }
-      | Ok rv -> (
-        let key = rv.Digest_key.r_artifact_key in
-        match Cache.find cache key with
-        | Some body ->
-          {
-            fd;
-            key = Some key;
-            req = Some (req, rv);
-            early = Some (true, true, body);
-          }
-        | None -> { fd; key = Some key; req = Some (req, rv); early = None })))
+      | Error e -> Error (Service.error_body ~kind:"request" e)
+      | Ok rv -> Ok (req, rv)))
 
-let drain_accept lfd ~max_batch =
-  let first, _ = Unix.accept lfd in
-  let conns = ref [ first ] in
-  let count = ref 1 in
-  Unix.set_nonblock lfd;
-  (try
-     while !count < max_batch do
-       let c, _ = Unix.accept lfd in
-       conns := c :: !conns;
-       incr count
-     done
-   with
-  | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-  | Unix.Unix_error (Unix.EINTR, _, _) -> ());
-  Unix.clear_nonblock lfd;
-  List.rev !conns
+(* Everything the front and the workers share, guarded by [m]. A key
+   is in [inflight] from the moment its miss is queued until its
+   artifact is published; its list holds the connections waiting on
+   it, newest first. *)
+type shared = {
+  m : Mutex.t;
+  work : Condition.t;
+  queue : (Protocol.request * Digest_key.resolved) Queue.t;
+  inflight : (Digest_key.t, Unix.file_descr list) Hashtbl.t;
+  mutable closed : bool;
+}
 
-let serve ?jobs ?(max_batch = 64) ?max_requests ?(log = ignore) ?verdicts
-    ~socket ~cache () =
+type counters = {
+  requests : int Atomic.t;
+  hits : int Atomic.t;
+  misses : int Atomic.t;
+  errors : int Atomic.t;
+}
+
+let add c n = ignore (Atomic.fetch_and_add c n)
+
+(* The next job, blocking while the queue is empty; [None] once the
+   front has closed the queue and it is drained. *)
+let next_job s =
+  Mutex.protect s.m (fun () ->
+      while Queue.is_empty s.queue && not s.closed do
+        Condition.wait s.work s.m
+      done;
+      Queue.take_opt s.queue)
+
+let worker s c ~cache ~verdicts ~log () =
+  Gc.set { (Gc.get ()) with Gc.minor_heap_size = worker_minor_heap_words };
+  let rec loop () =
+    match next_job s with
+    | None -> ()
+    | Some (req, rv) ->
+      let key = rv.Digest_key.r_artifact_key in
+      let t0 = Monotonic_clock.now () in
+      let ok, body = Service.run ~verdicts ~resolved:rv req in
+      (* publish before leaving the in-flight table, so a request that
+         no longer finds the key in flight finds it in the cache; a
+         disk that refuses the write costs the cache entry, not the
+         reply *)
+      let unpublished =
+        if not ok then None
+        else
+          match Cache.store cache key body with
+          | () -> None
+          | exception Sys_error e -> Some e
+          | exception Unix.Unix_error (e, fn, _) ->
+            Some (fn ^ ": " ^ Unix.error_message e)
+      in
+      let waiters =
+        Mutex.protect s.m (fun () ->
+            let w = Hashtbl.find s.inflight key in
+            Hashtbl.remove s.inflight key;
+            List.rev w)
+      in
+      (* the first requester is the miss; the rest joined it in flight
+         and get its exact bytes as hits *)
+      List.iteri
+        (fun i fd -> answer fd ~ok ~cached:(i > 0) ~key ~body)
+        waiters;
+      let n = List.length waiters in
+      add c.misses 1;
+      add c.hits (n - 1);
+      if not ok then add c.errors n;
+      log
+        (Printf.sprintf
+           "compile %s: %s%s in %.1f ms, %d waiter(s); totals: %d read / %d \
+            hit / %d miss / %d error"
+           (String.sub key 0 (Stdlib.min 12 (String.length key)))
+           (if ok then "ok" else "failed")
+           (match unpublished with
+           | None -> ""
+           | Some e -> " (served, not cached: " ^ e ^ ")")
+           (Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-6)
+           n (Atomic.get c.requests) (Atomic.get c.hits)
+           (Atomic.get c.misses) (Atomic.get c.errors));
+      loop ()
+  in
+  loop ()
+
+(* One request from accept to its answer or its place in the queue. *)
+let front_request s c ~cache fd =
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO io_deadline_s;
+  Unix.setsockopt_float fd Unix.SO_SNDTIMEO io_deadline_s;
+  match read_request fd with
+  | Error body ->
+    answer fd ~ok:false ~cached:false ~key:"" ~body;
+    add c.errors 1
+  | Ok (req, rv) -> (
+    let key = rv.Digest_key.r_artifact_key in
+    (* the in-flight check and the lookup share one critical section:
+       a worker publishes before it leaves the table, so a key missing
+       from both really has no artifact and no compile under way *)
+    let hit =
+      Mutex.protect s.m (fun () ->
+          match Hashtbl.find_opt s.inflight key with
+          | Some w ->
+            Hashtbl.replace s.inflight key (fd :: w);
+            None
+          | None -> (
+            match Cache.find cache key with
+            | Some body -> Some body
+            | None ->
+              Hashtbl.replace s.inflight key [ fd ];
+              Queue.push (req, rv) s.queue;
+              Condition.signal s.work;
+              None))
+    in
+    match hit with
+    | Some body ->
+      answer fd ~ok:true ~cached:true ~key ~body;
+      add c.hits 1
+    | None -> ())
+
+let serve ?jobs ?max_requests ?(log = ignore) ?verdicts ~socket ~cache () =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let verdicts =
     (* validation verdicts live beside the artifacts: same
@@ -117,88 +181,55 @@ let serve ?jobs ?(max_batch = 64) ?max_requests ?(log = ignore) ?verdicts
   let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind lfd (Unix.ADDR_UNIX socket);
   Unix.listen lfd 128;
-  let batches = ref 0
-  and requests = ref 0
-  and hits = ref 0
-  and misses = ref 0
-  and errors = ref 0 in
-  let continue () =
-    match max_requests with None -> true | Some m -> !requests < m
+  let s =
+    {
+      m = Mutex.create ();
+      work = Condition.create ();
+      queue = Queue.create ();
+      inflight = Hashtbl.create 16;
+      closed = false;
+    }
   in
-  (try
-     while continue () do
-       let conns = drain_accept lfd ~max_batch in
-       let pendings = List.map (read_pending cache) conns in
-       (* answer protocol errors and cache hits before compiling *)
-       List.iter
-         (fun p ->
-           match p.early with
-           | Some (ok, cached, body) ->
-             answer p.fd ~ok ~cached
-               ~key:(Option.value p.key ~default:"")
-               ~body;
-             incr requests;
-             if cached then incr hits;
-             if not ok then incr errors
-           | None -> ())
-         pendings;
-       (* single-flight: one compile per distinct missing key *)
-       let waiting = List.filter (fun p -> p.early = None) pendings in
-       let distinct =
-         List.fold_left
-           (fun acc p ->
-             match (p.key, p.req) with
-             | Some key, Some (req, rv) when not (List.mem_assoc key acc) ->
-               (key, (req, rv)) :: acc
-             | _ -> acc)
-           [] waiting
-         |> List.rev
-       in
-       let compiled =
-         Pool.map ?jobs
-           (fun (key, (req, rv)) ->
-             let ok, body = Service.run ~verdicts ~resolved:rv req in
-             (key, ok, body))
-           distinct
-       in
-       List.iter
-         (fun (key, ok, body) -> if ok then Cache.store cache key body)
-         compiled;
-       (* first requester of a key is the miss; duplicates in the same
-          batch were deduplicated and count as hits *)
-       let seen = Hashtbl.create 8 in
-       List.iter
-         (fun p ->
-           match p.key with
-           | None -> ()
-           | Some key ->
-             let _, ok, body =
-               List.find (fun (k, _, _) -> String.equal k key) compiled
-             in
-             let cached = Hashtbl.mem seen key in
-             Hashtbl.replace seen key ();
-             answer p.fd ~ok ~cached ~key ~body;
-             incr requests;
-             if cached then incr hits else incr misses;
-             if not ok then incr errors)
-         waiting;
-       incr batches;
-       log
-         (Printf.sprintf
-            "batch %d: %d request(s), %d compile(s), totals: %d served / %d \
-             hit / %d miss / %d error"
-            !batches (List.length pendings) (List.length distinct) !requests
-            !hits !misses !errors)
-     done
-   with e ->
-     (try Unix.close lfd with Unix.Unix_error _ -> ());
-     raise e);
-  (try Unix.close lfd with Unix.Unix_error _ -> ());
+  let c =
+    {
+      requests = Atomic.make 0;
+      hits = Atomic.make 0;
+      misses = Atomic.make 0;
+      errors = Atomic.make 0;
+    }
+  in
+  (* with the front, one worker per remaining recommended domain *)
+  let workers =
+    List.init
+      (match jobs with
+      | Some j -> Stdlib.max 1 j
+      | None -> Stdlib.max 1 (Pool.jobs () - 1))
+      (fun _ -> Pool.spawn (worker s c ~cache ~verdicts ~log))
+  in
+  let continue () =
+    match max_requests with
+    | None -> true
+    | Some m -> Atomic.get c.requests < m
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      (* queued misses still compile and get their replies *)
+      Mutex.protect s.m (fun () ->
+          s.closed <- true;
+          Condition.broadcast s.work);
+      List.iter Domain.join workers;
+      (try Unix.close lfd with Unix.Unix_error _ -> ()))
+    (fun () ->
+      while continue () do
+        let fd, _ = Unix.accept lfd in
+        add c.requests 1;
+        front_request s c ~cache fd
+      done);
   (try Unix.unlink socket with Unix.Unix_error _ -> ());
-  {
-    batches = !batches;
-    requests = !requests;
-    hits = !hits;
-    misses = !misses;
-    errors = !errors;
+  ({
+    requests = Atomic.get c.requests;
+    hits = Atomic.get c.hits;
+    misses = Atomic.get c.misses;
+    errors = Atomic.get c.errors;
   }
+    : stats)

@@ -1,33 +1,41 @@
-(** The mccd daemon loop: accept, batch, dedupe, compile, reply.
+(** The mccd daemon loop: a front that answers hits, and persistent
+    compile workers behind it.
 
-    One iteration = one {e batch}: a blocking accept for the first
-    connection, then a non-blocking drain of the whole accept queue
-    (up to [max_batch]). Every connection's request is read and
-    resolved to its {!Digest_key}; cache hits are answered
-    immediately; the remaining {e distinct} keys — identical in-flight
-    requests collapse to one compile here, the single-flight
-    guarantee — are compiled in one {!Mac_parallel.Pool.map}
-    dispatch over the worker domains; then the misses (and their
-    deduplicated followers) get their replies and every connection is
-    closed. A request that fails — malformed frame, bad JSON, unknown
-    machine, front-end error, verification failure — is answered with
-    an [ok:false] canonical error body on its own connection; it never
-    terminates the daemon and never disturbs the other requests of
-    its batch (only successful compiles enter the cache). *)
+    The {e front} is the domain that calls {!serve}. It accepts one
+    connection at a time, reads and resolves the request to its
+    {!Digest_key}, and answers a cache hit or a protocol error at once.
+    A miss is queued to the {e compile workers}, domains spawned once
+    when {!serve} starts, and the front goes straight back to
+    [accept]: a hit never waits behind a compile.
+
+    Single-flight: a key stays in an in-flight table from the moment
+    its miss is queued until its artifact is published. A request for
+    a key in flight joins that compile instead of queueing another,
+    and gets the miss's exact bytes with [r_cached = true]. The front
+    checks the table and the cache under one lock, and a worker
+    publishes before it removes the key, so a key is compiled at most
+    once per cache lifetime.
+
+    A request that fails — malformed frame, bad JSON, unknown machine,
+    front-end error, verification failure — is answered with an
+    [ok:false] canonical error body on its own connection; it never
+    terminates the daemon and never disturbs other requests (only
+    successful compiles enter the cache). A publish the disk refuses
+    is still answered: served, not cached. Every accepted socket has
+    a read and write deadline of about two seconds, so a client that
+    connects and goes silent holds the front no longer than that. *)
 
 type stats = {
-  batches : int;  (** batch iterations served *)
-  requests : int;  (** requests answered (including failed ones) *)
+  requests : int;  (** requests read (every one is answered) *)
   hits : int;
       (** served without compiling: cache hits + single-flight
-          deduplications *)
+          followers *)
   misses : int;  (** compiles actually executed *)
   errors : int;  (** [ok:false] replies *)
 }
 
 val serve :
   ?jobs:int ->
-  ?max_batch:int ->
   ?max_requests:int ->
   ?log:(string -> unit) ->
   ?verdicts:Cache.t ->
@@ -36,11 +44,16 @@ val serve :
   unit ->
   stats
 (** Bind the Unix socket (an existing socket file is replaced), ignore
-    [SIGPIPE], and serve until [max_requests] requests have been
-    answered ([None]: forever — the daemon then only returns on a
-    fatal listener error). [jobs] bounds the compile pool (default
-    {!Mac_parallel.Pool.jobs}); [max_batch] bounds one drain
-    (default 64). [log] receives one line per batch.
+    [SIGPIPE], and serve. With [max_requests], the front stops
+    accepting after that many requests have been read, lets the
+    workers finish the queue, joins them and returns; without it the
+    daemon serves forever and only returns on a fatal listener error.
+    [jobs] is the number of compile workers (default
+    [max 1 (]{!Mac_parallel.Pool.jobs}[ () - 1)], so the front plus
+    the workers fill the recommended domain count). Each worker is
+    pool-owned, so a compile's own {!Mac_parallel.Pool.map} runs
+    serially on it and no domain is spawned per request. [log]
+    receives one line per compile.
 
     Every request's canonical-source digest is computed once, at
     resolution, and threaded through cache lookup, single-flight

@@ -2,8 +2,8 @@
    pipeline, render the artifact in the one canonical form the cache
    stores and the wire carries. Every failure mode becomes an ok:false
    document — nothing may escape as an exception, because a poisoned
-   request must fail alone without taking down the daemon or the rest
-   of its batch. *)
+   request must fail alone without taking down the daemon or the
+   requests beside it. *)
 
 module J = Mac_workloads.Jsonio
 module Pipeline = Mac_vpo.Pipeline
@@ -222,8 +222,11 @@ let run ?verdicts ?resolved (req : Protocol.request) =
         in
         try_compile cfg source (fun compiled ->
             (match verdicts with
-            | Some vc when req.verify = Pipeline.Vfull ->
-              Cache.store vc rv.Digest_key.r_verdict_key
-                (verdict_body ~source_digest:rv.Digest_key.r_digest compiled)
+            | Some vc when req.verify = Pipeline.Vfull -> (
+              (* a verdict the disk refuses is only a lost shortcut *)
+              try
+                Cache.store vc rv.Digest_key.r_verdict_key
+                  (verdict_body ~source_digest:rv.Digest_key.r_digest compiled)
+              with Sys_error _ | Unix.Unix_error _ -> ())
             | _ -> ());
             (true, body_of_compiled req compiled))))

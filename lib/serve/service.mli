@@ -23,8 +23,9 @@ val run :
     verification failures and unknown machines/benchmarks all land
     here rather than escaping as exceptions, which is what lets the
     daemon serve a poisoned request its own failed response without
-    dying (and without poisoning the batch it arrived in). Only
-    [ok = true] bodies are cached.
+    dying (and without disturbing the requests beside it). Only
+    [ok = true] bodies are cached. A verdict the disk refuses to
+    store is dropped, not raised.
 
     [resolved] is the request's {!Digest_key.resolve} result when the
     caller (the daemon) already computed it — the canonical-source

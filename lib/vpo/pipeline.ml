@@ -416,7 +416,9 @@ let compile_funcs cfg funcs =
   (* Functions are compiled independently — uid allocation, the analysis
      manager and the validator cache are all per-Func — so they fan out
      over domains ({!Mac_parallel.Pool} caps the worker count at the
-     item count, so single-function sources stay on the calling domain).
+     item count, so single-function sources stay on the calling domain,
+     and a compile on a pool-owned domain — an mccd worker, a sweep
+     cell — stays there too).
      Each function accumulates into private timing/validation tables,
      merged afterwards in input order: totals are index-independent
      float/int sums, so the result is identical to a serial run. *)

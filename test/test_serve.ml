@@ -2,8 +2,10 @@
    properties), wire framing and codecs, the on-disk cache's LRU
    eviction, and fork-based end-to-end runs of the daemon — cache-hit
    byte-identity, single-key sharing between a named bench and its
-   source text, and error isolation (a poisoned request fails its own
-   reply without killing the daemon or its batch). *)
+   source text, error isolation (a poisoned request fails its own
+   reply without killing the daemon), hits answered while a miss
+   compiles, single-flight, a silent client, and a cache directory
+   deleted under the daemon. *)
 
 module Protocol = Mac_serve.Protocol
 module Digest_key = Mac_serve.Digest_key
@@ -271,18 +273,21 @@ let test_cache_find_touches () =
 (* --- end-to-end daemon runs -------------------------------------- *)
 
 (* Fork a daemon child serving exactly [max_requests] requests from a
-   fresh socket + cache, run [f], then reap the child. The fork happens
-   before any domain spawns (the pool lives in the child), so the
-   parent's runtime is never forked mid-domain. *)
-let with_daemon ?(max_batch = 64) ~max_requests f =
+   fresh socket + cache, run [f], then reap the child. [in_child] runs
+   in the child before it serves (to arm a pipeline test seam there
+   only). The fork happens while the parent runs no other domain (the
+   workers live in the child), so its runtime is never forked
+   mid-domain. *)
+let with_daemon ?(in_child = ignore) ~max_requests f =
   let dir = temp_dir "mccd_e2e" in
   let socket = Filename.concat dir "mccd.sock" in
   let cache_dir = Filename.concat dir "cache" in
   match Unix.fork () with
   | 0 ->
     (try
+       in_child ();
        let cache = Cache.open_dir cache_dir in
-       ignore (Server.serve ~jobs:2 ~max_batch ~max_requests ~socket ~cache ())
+       ignore (Server.serve ~jobs:2 ~max_requests ~socket ~cache ())
      with _ -> ());
     Unix._exit 0
   | pid ->
@@ -312,6 +317,55 @@ let send socket req =
     | Error e -> Alcotest.failf "client: %s" e
   in
   go 100
+
+(* Several requests in flight at once need their own connections: send
+   on one and leave its reply unread. A reply slower than [client_timeout]
+   fails the test instead of hanging it. *)
+let client_timeout = 10.0
+
+let connect socket =
+  let rec go n =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    match Unix.connect fd (Unix.ADDR_UNIX socket) with
+    | () ->
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO client_timeout;
+      fd
+    | exception Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ENOENT), _, _)
+      when n > 0 ->
+      Unix.close fd;
+      Unix.sleepf 0.05;
+      go (n - 1)
+  in
+  go 100
+
+let send_async socket req =
+  let fd = connect socket in
+  Protocol.write_frame fd (Protocol.request_to_json req);
+  fd
+
+let receive fd =
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      match Protocol.read_frame fd with
+      | Error e -> Alcotest.failf "hello: %s" e
+      | Ok _ -> (
+        match Protocol.read_frame fd with
+        | Error e -> Alcotest.failf "reply: %s" e
+        | Ok payload -> (
+          match Protocol.reply_of_json payload with
+          | Ok r -> r
+          | Error e -> Alcotest.failf "reply: %s" e)))
+
+(* Armed in a daemon child: every Vfull compile sleeps this long in
+   one pass, so a miss stays in flight long enough to race against. *)
+let compile_sleep = 0.3
+
+let slow_compiles () =
+  Pipeline.test_intercept :=
+    Some
+      (fun pass _ ->
+        if String.equal pass "legalize" then Unix.sleepf compile_sleep)
 
 let test_e2e_hit_byte_identical () =
   with_daemon ~max_requests:2 (fun ~socket ~cache_dir ->
@@ -477,6 +531,119 @@ let test_verdict_cache_skips_revalidation () =
       Alcotest.(check bool)
         "without the verdict cache the same mutant is rejected" false ok4)
 
+(* Head-of-line: a warm key's hit that arrives while a miss compiles
+   is answered at once, before the miss, not after the compile. *)
+let test_e2e_hit_not_behind_miss () =
+  with_daemon ~in_child:slow_compiles ~max_requests:3
+    (fun ~socket ~cache_dir:_ ->
+      let warm =
+        Protocol.request ~level:Pipeline.O2 ~machine:"alpha"
+          (`Bench "dotproduct")
+      in
+      let novel =
+        Protocol.request ~level:Pipeline.O2 ~machine:"mc88100"
+          (`Bench "dotproduct")
+      in
+      let _, first = send socket warm in
+      Alcotest.(check bool) "warm-up compiles" false first.Protocol.r_cached;
+      let miss_fd = send_async socket novel in
+      Unix.sleepf 0.05 (* the front has read the miss and queued it *);
+      let t0 = Unix.gettimeofday () in
+      let _, hit = send socket warm in
+      let hit_s = Unix.gettimeofday () -. t0 in
+      let miss_done, _, _ = Unix.select [ miss_fd ] [] [] 0.0 in
+      Alcotest.(check bool) "hit served from cache" true hit.Protocol.r_cached;
+      Alcotest.(check string) "hit bytes" first.Protocol.r_body
+        hit.Protocol.r_body;
+      Alcotest.(check bool)
+        (Printf.sprintf "hit answered in %.3f s, well under the %.1f s compile"
+           hit_s compile_sleep)
+        true
+        (hit_s < compile_sleep /. 2.);
+      Alcotest.(check bool) "hit answered before the miss" true
+        (miss_done = []);
+      let miss = receive miss_fd in
+      Alcotest.(check bool) "miss ok" true miss.Protocol.r_ok;
+      Alcotest.(check bool) "miss compiled" false miss.Protocol.r_cached)
+
+(* Single-flight: identical misses that arrive while the first compiles
+   join it. One compile, one miss reply, and every reply carries its
+   bytes. *)
+let test_e2e_single_flight () =
+  with_daemon ~in_child:slow_compiles ~max_requests:4
+    (fun ~socket ~cache_dir:_ ->
+      let req =
+        Protocol.request ~level:Pipeline.O2 ~machine:"alpha"
+          (`Bench "image_add")
+      in
+      let replies = List.init 4 (fun _ -> send_async socket req) in
+      let replies = List.map receive replies in
+      List.iter
+        (fun r -> Alcotest.(check bool) "ok" true r.Protocol.r_ok)
+        replies;
+      Alcotest.(check int) "exactly one reply compiled" 1
+        (List.length
+           (List.filter (fun r -> not r.Protocol.r_cached) replies));
+      let first = List.hd replies in
+      List.iter
+        (fun r ->
+          Alcotest.(check string) "same key" first.Protocol.r_key
+            r.Protocol.r_key;
+          Alcotest.(check string) "byte-identical body" first.Protocol.r_body
+            r.Protocol.r_body)
+        replies)
+
+(* A client that connects and sends nothing costs the front one read
+   deadline; the request behind it is still answered. *)
+let test_e2e_silent_client () =
+  with_daemon ~max_requests:2 (fun ~socket ~cache_dir:_ ->
+      let silent = connect socket in
+      let r =
+        receive
+          (send_async socket
+             (Protocol.request ~level:Pipeline.O1 ~machine:"alpha"
+                (`Bench "dotproduct")))
+      in
+      Alcotest.(check bool) "request behind a silent client answered" true
+        r.Protocol.r_ok;
+      let timed_out = receive silent in
+      Alcotest.(check bool) "silent client gets an error reply" false
+        timed_out.Protocol.r_ok)
+
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+    Unix.rmdir path
+  end
+  else Sys.remove path
+
+(* A disk that refuses the publish costs the cache entry, not the reply
+   or the worker: with the cache directory (and the verdicts inside it)
+   deleted under the daemon, a miss is still served and so is the next
+   request. *)
+let test_e2e_publish_error_served () =
+  with_daemon ~max_requests:3 (fun ~socket ~cache_dir ->
+      let req =
+        Protocol.request ~level:Pipeline.O1 ~machine:"alpha"
+          (`Bench "dotproduct")
+      in
+      let _, r0 =
+        send socket
+          (Protocol.request ~level:Pipeline.O2 ~machine:"alpha"
+             (`Bench "dotproduct"))
+      in
+      Alcotest.(check bool) "published before the delete" true
+        (Sys.file_exists
+           (Filename.concat cache_dir (r0.Protocol.r_key ^ ".json")));
+      rm_rf cache_dir;
+      let _, r1 = send socket req in
+      Alcotest.(check bool) "miss served" true r1.Protocol.r_ok;
+      Alcotest.(check bool) "compiled" false r1.Protocol.r_cached;
+      let _, r2 = send socket req in
+      Alcotest.(check bool) "next request answered" true r2.Protocol.r_ok;
+      Alcotest.(check bool) "nothing was published" false
+        r2.Protocol.r_cached)
+
 let test_local_fallback () =
   (* no daemon on the socket: request_or_local compiles in-process and
      produces the same canonical artifact document *)
@@ -546,6 +713,12 @@ let () =
             test_e2e_mutant_not_cached;
           Alcotest.test_case "verdict cache skips re-validation" `Quick
             test_verdict_cache_skips_revalidation;
+          Alcotest.test_case "hit not queued behind a miss" `Quick
+            test_e2e_hit_not_behind_miss;
+          Alcotest.test_case "single-flight" `Quick test_e2e_single_flight;
+          Alcotest.test_case "silent client" `Quick test_e2e_silent_client;
+          Alcotest.test_case "publish error still served" `Quick
+            test_e2e_publish_error_served;
           Alcotest.test_case "local fallback" `Quick test_local_fallback;
         ] );
     ]

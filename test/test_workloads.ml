@@ -51,6 +51,47 @@ let test_pool_failure_returns_rest () =
   | exception Failure msg -> Alcotest.(check string) "message" "first" msg);
   Alcotest.(check int) "other items completed" 7 (Atomic.get done_items)
 
+(* A pool-owned domain never spawns: a nested map runs serially on the
+   domain that calls it, still in input order and still re-raising the
+   lowest-indexed failure, while a top-level map keeps its domains. *)
+let test_pool_nested_stays_on_caller () =
+  let outer =
+    Pool.map ~jobs:2
+      (fun i ->
+        let self = Domain.self () in
+        let inner =
+          Pool.map ~jobs:4
+            (fun j -> (Domain.self (), (10 * i) + j))
+            [ 0; 1; 2; 3 ]
+        in
+        let failed =
+          match
+            Pool.map ~jobs:4
+              (fun j -> if j = 1 || j = 3 then raise (Boom j) else j)
+              [ 0; 1; 2; 3 ]
+          with
+          | _ -> None
+          | exception Boom j -> Some j
+        in
+        (self, inner, failed))
+      [ 0; 1 ]
+  in
+  let main = Domain.self () in
+  List.iteri
+    (fun i (self, inner, failed) ->
+      Alcotest.(check bool) "top-level map spawned a domain" true
+        (self <> main);
+      Alcotest.(check bool) "nested map ran on the caller's domain" true
+        (List.for_all (fun (d, _) -> d = self) inner);
+      Alcotest.(check (list int)) "nested results in input order"
+        (List.init 4 (fun j -> (10 * i) + j))
+        (List.map snd inner);
+      Alcotest.(check (option int)) "nested lowest-indexed failure" (Some 1)
+        failed)
+    outer;
+  Alcotest.(check int) "nested effective jobs" 1
+    (Domain.join (Pool.spawn (fun () -> Pool.effective_jobs ~jobs:4 8)))
+
 let test_find () =
   List.iter
     (fun name ->
@@ -258,6 +299,8 @@ let () =
             test_pool_failure_preserves_exception;
           Alcotest.test_case "failure drains the batch" `Quick
             test_pool_failure_returns_rest;
+          Alcotest.test_case "nested map stays on the caller" `Quick
+            test_pool_nested_stays_on_caller;
         ] );
       ( "execution",
         [
