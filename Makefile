@@ -6,8 +6,7 @@
 MCC = dune exec bin/mcc.exe --
 
 .PHONY: all build test verify bench bench-json bench-validate bench-e2e \
-  estimate triage profile alias-report sched-report tvalid-report \
-  serve-bench clean
+  estimate triage explain serve-bench clean
 
 all: build
 
@@ -46,10 +45,9 @@ bench-e2e: build
 # One gate for all three bench artifacts: re-validate whichever of
 # BENCH_sim.json / BENCH_est.json / BENCH_serve.json exist with the
 # same independent parsers the emitting harnesses use (dispatched on
-# each document's own schema field). MAC_TVALID_BUDGET=<seconds> or
-# MAC_TVALID_MAX_RATIO=<fraction> additionally gates the sim sweep's
-# total translation-validation time — the CI regression tripwire for
-# the incremental validator.
+# each document's own schema field). MAC_TVALID_BUDGET=<seconds>
+# additionally gates the sim sweep's total translation-validation time
+# — the CI regression tripwire for the incremental validator.
 bench-validate: build
 	dune exec bench/validate.exe
 
@@ -73,46 +71,29 @@ triage: build
 serve-bench: build
 	dune exec bench/serve.exe
 
-# Where compile time goes: the Table II sweep in the paper's measurement
-# configuration, with the per-pass wall-clock breakdown.
-profile: build
-	$(MCC) --table --force --machine alpha --size 64 --profile-passes
-
-# The eight benchmarks (`--bench`) the report loops below walk.
+# The eight benchmarks (`--bench`) the explain loop walks.
 BENCHES = dotproduct convolution image_add image_add16 image_xor \
   translate eqntott mirror
 
-# What the static disambiguation oracle proved: per benchmark, the
-# guards emitted vs discharged (with their certificates), under the
-# asserted layout facts, with the audit re-verifying every certificate.
-alias-report: build
+# What coalescing did to every benchmark, audited (`mcc --explain`):
+# - alpha, under the asserted layout facts: the guards emitted vs
+#   discharged with their certificates (alias) and the per-pass
+#   translation validation counters and fallbacks (tvalid);
+# - mc88100: every loop's MII / achieved II / stage count and commit
+#   status from the software pipeliner (sched);
+# then the Table II sweep in the paper's measurement configuration
+# with the per-pass compile-time breakdown (passes). The per-benchmark
+# compiles run at --verify-level full, so a rejected certificate or
+# validation fails the target.
+explain: build
 	@for b in $(BENCHES); do \
 	  echo "== $$b"; \
 	  $(MCC) --bench $$b -O O4 --machine alpha --force --assume-layout \
-	    --explain-alias --verify-level full || exit 1; \
-	done
-
-# What the software pipeliner did: per benchmark, every loop's MII /
-# achieved II / stage count and commit status, with the schedule audit
-# re-verifying every certificate (--verify-level full).
-sched-report: build
-	@for b in $(BENCHES); do \
-	  echo "== $$b"; \
+	    --verify-level full --explain=alias,tvalid || exit 1; \
 	  $(MCC) --bench $$b -O O4 --machine mc88100 --force \
-	    --explain-sched --verify-level full || exit 1; \
+	    --verify-level full --explain=sched || exit 1; \
 	done
-
-# What the translation validator proved: per benchmark, a forced-O4
-# compile with every pass validated (--explain-tvalid implies
-# --verify-level full) and the per-pass counters — validations run,
-# block pairs checked vs skipped (generic-transfer equality), loop
-# regions carved, audited fallbacks with reasons, time.
-tvalid-report: build
-	@for b in $(BENCHES); do \
-	  echo "== $$b"; \
-	  $(MCC) --bench $$b -O O4 --machine alpha --force --assume-layout \
-	    --explain-tvalid || exit 1; \
-	done
+	$(MCC) --table --force --machine alpha --size 64 --explain=passes
 
 clean:
 	dune clean

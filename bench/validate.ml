@@ -11,12 +11,10 @@
 
    The translation-validation regression gate rides along: when
    MAC_TVALID_BUDGET (seconds) is set, the sim document's total
-   tvalid_seconds must stay under it, and when MAC_TVALID_MAX_RATIO is
-   set, under that fraction of total compile_seconds — either trip
-   fails the run. The budget pins the incremental validator's win: a
-   change that quietly reverts block skipping or memoization shows up
-   as an order-of-magnitude tvalid_seconds jump long before anyone
-   reads a profile. *)
+   tvalid_seconds must stay under it or the run fails. The budget pins
+   the incremental validator's win: a change that quietly reverts block
+   skipping or memoization shows up as an order-of-magnitude
+   tvalid_seconds jump long before anyone reads a profile. *)
 
 module J = Mac_workloads.Jsonio
 
@@ -42,34 +40,25 @@ let num_member doc key =
    compile_seconds as a total at document level; the gate compares the
    object's sum against the total. *)
 let tvalid_gate path doc =
-  let budget =
+  match
     Option.bind (Sys.getenv_opt "MAC_TVALID_BUDGET") float_of_string_opt
-  in
-  let max_ratio =
-    Option.bind (Sys.getenv_opt "MAC_TVALID_MAX_RATIO") float_of_string_opt
-  in
-  if budget = None && max_ratio = None then Ok ()
-  else
+  with
+  | None -> Ok ()
+  | Some budget -> (
     match (sum_obj doc "tvalid_seconds", num_member doc "compile_seconds") with
     | None, _ -> Error (path ^ " has no tvalid_seconds object to gate")
     | _, None -> Error (path ^ " has no compile_seconds number to gate")
-    | Some tvalid, Some compile -> (
+    | Some tvalid, Some compile ->
       Printf.printf "%s: tvalid %.3f s over %.3f s of compiles (%.1f%%)\n"
         path tvalid compile
         (if compile > 0.0 then 100.0 *. tvalid /. compile else 0.0);
-      match (budget, max_ratio) with
-      | Some b, _ when tvalid > b ->
+      if tvalid > budget then
         Error
           (Printf.sprintf
              "%s: tvalid_seconds %.3f exceeds MAC_TVALID_BUDGET %.3f — the \
               incremental validator regressed"
-             path tvalid b)
-      | _, Some r when compile > 0.0 && tvalid /. compile > r ->
-        Error
-          (Printf.sprintf
-             "%s: tvalid/compile ratio %.3f exceeds MAC_TVALID_MAX_RATIO %.3f"
-             path (tvalid /. compile) r)
-      | _ -> Ok ())
+             path tvalid budget)
+      else Ok ())
 
 let validate_file path =
   let text = read_file path in

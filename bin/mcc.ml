@@ -2,10 +2,10 @@
 
    Compiles MiniC source through the vpo-style back end for one of the
    paper's three evaluation machines (or the permissive test32), optionally
-   dumping the optimized RTL, reporting what the coalescer did, and running
-   the program on the cycle-accounting simulator.
+   dumping the optimized RTL, explaining what the passes did (--explain),
+   and running the program on the cycle-accounting simulator.
 
-     mcc prog.c --machine alpha -O O3 --dump-rtl
+     mcc prog.c --machine alpha -O O3 --dump-rtl --explain=coalesce
      mcc prog.c --machine mc88100 -O O4 --run main --args 64,128,100
      mcc --bench image_add --machine alpha --run-bench --size 100 *)
 
@@ -65,10 +65,6 @@ let level_arg =
 
 let dump_rtl_arg =
   Arg.(value & flag & info [ "dump-rtl" ] ~doc:"Print the optimized RTL.")
-
-let stats_arg =
-  Arg.(value & flag
-       & info [ "stats" ] ~doc:"Print per-loop coalescing reports.")
 
 let run_arg =
   Arg.(value & opt (some string) None
@@ -143,17 +139,7 @@ let jobs_arg =
 let table_arg =
   Arg.(value & flag
        & info [ "table" ]
-           ~doc:"Print the paper-style evaluation table for --machine:                  every built-in benchmark at O1..O4 at --size, fanned                  over --jobs domains. Combine with --force for the                  paper's measurement configuration.")
-
-let profile_arg =
-  Arg.(value & flag
-       & info [ "profile-passes" ]
-           ~doc:"Print where compile time went: wall-clock per pass,                  summed over functions and optimization rounds (with                  --table, aggregated over every cell of the sweep).")
-
-let profile_sim_arg =
-  Arg.(value & flag
-       & info [ "profile-sim" ]
-           ~doc:"Print where simulation time went: monotonic wall-clock                  per simulator phase (decode, closure compile, execute)                  for --run and --run-bench; with --table, aggregated over                  every cell of the sweep. Decode and compile are 0 under                  --engine reference.")
+           ~doc:"Print the paper-style evaluation table for --machine:                  every built-in benchmark at O1..O4 at --size, fanned                  over --jobs domains. Combine with --force for the                  paper's measurement configuration. Of the pass options                  only --force, --assume-layout, --sched and --profit-mode                  apply to the sweep; the others are rejected with it.")
 
 let estimate_arg =
   Arg.(value & flag
@@ -179,27 +165,14 @@ let remote_arg =
                  Falls back to a local compile (same artifact format) \
                  when the daemon is unreachable. Compile-only: not \
                  combined with --run/--run-bench/--table/--estimate/\
-                 --triage.")
+                 --triage. The request carries the level, verify level \
+                 and machine only, so the pass options (--force, \
+                 --sched, --regalloc, ...) are rejected with it.")
 
 let force_arg =
   Arg.(value & flag
        & info [ "force" ]
            ~doc:"Apply coalescing unconditionally (no profitability gate,                  no I-cache unrolling guard) — the paper's measurement                  configuration.")
-
-let explain_alias_arg =
-  Arg.(value & flag
-       & info [ "explain-alias" ]
-           ~doc:"Print the static disambiguation report: per coalesced                  loop, the guards emitted, the guards discharged                  statically with their certificates, and the aggregate                  counters.")
-
-let explain_tvalid_arg =
-  Arg.(value & flag
-       & info [ "explain-tvalid" ]
-           ~doc:"Print the per-pass translation validation report: for                  every validated pass, how many symbolic block-pair                  equivalence checks ran, how many transformed-loop regions                  were carved out to their certificate audits, how many                  passes fell back to Rtlcheck-only (register renamers),                  and the validation wall-clock (implies --verify-level                  full).")
-
-let explain_sched_arg =
-  Arg.(value & flag
-       & info [ "explain-sched" ]
-           ~doc:"Print the -Osched report: per simple loop, the recurrence                  and resource bounds on the initiation interval, the                  achieved II against the list schedule's, kernel length,                  stage count and register pressure (implies --sched).")
 
 let profit_mode_conv =
   let parse s =
@@ -227,9 +200,9 @@ let profit_mode_conv =
           | Mac_core.Profitability.Pipelined -> "pipelined") )
 
 let profit_mode_arg =
-  Arg.(value & opt profit_mode_conv Mac_core.Profitability.Schedule
+  Arg.(value & opt (some profit_mode_conv) None
        & info [ "profit-mode" ] ~docv:"MODE"
-           ~doc:"Profitability oracle for the coalescing gate:                  $(b,schedule) (latency-aware list schedule, the paper's                  method), $(b,costsum) (naive in-order cost sum),                  $(b,estimate) (schedule + predicted steady-state d-cache                  miss cycles), or $(b,pipelined) (steady-state initiation                  interval under the -Osched software pipeliner — the                  honest price when --sched runs).")
+           ~doc:"Profitability oracle for the coalescing gate:                  $(b,schedule) (the default: latency-aware list schedule,                  the paper's method), $(b,costsum) (naive in-order cost sum),                  $(b,estimate) (schedule + predicted steady-state d-cache                  miss cycles), or $(b,pipelined) (steady-state initiation                  interval under the -Osched software pipeliner — the                  honest price when --sched runs).")
 
 let force_guards_arg =
   Arg.(value & flag
@@ -261,6 +234,80 @@ let verify_level_arg =
        & info [ "verify-level" ] ~docv:"LEVEL"
            ~doc:"How much verification runs between passes: none, ir                  (Rtlcheck well-formedness only), or full (+ the coalescing                  audit). Overrides --verify.")
 
+(* --explain: what a compile (and run) did, one section per concern. *)
+type section = Coalesce | Alias | Sched | Tvalid | Passes | Sim
+
+let sections =
+  [ ("coalesce", Coalesce); ("alias", Alias); ("sched", Sched);
+    ("tvalid", Tvalid); ("passes", Passes); ("sim", Sim) ]
+
+let section_name s = fst (List.find (fun (_, s') -> s' = s) sections)
+
+let explain_arg =
+  Arg.(value & opt (list (enum sections)) []
+       & info [ "explain" ] ~docv:"SECTION,..."
+           ~doc:"Explain what the compile (and run) did, one report per                  section, printed in the order below: $(b,coalesce) (per-loop                  coalescing reports); $(b,alias) (per coalesced loop, the                  guards emitted, the guards discharged statically with their                  certificates, and the totals); $(b,sched) (per simple loop,                  the recurrence and resource bounds on the initiation                  interval, the achieved II against the list schedule's,                  kernel length, stage count and register pressure; implies                  --sched); $(b,tvalid) (per validated pass, the symbolic                  block-pair checks run and skipped, loop regions carved out                  to their certificate audits, fallbacks with reasons, and                  wall-clock; implies --verify-level full unless                  --verify-level is given); $(b,passes) (compile wall-clock                  per pass, summed over functions and optimization rounds);                  $(b,sim) (monotonic wall-clock per simulator phase: decode,                  closure compile, execute; needs --run or --run-bench).                  With --table, $(b,passes) and $(b,sim) aggregate over every                  cell of the sweep; with --remote only $(b,passes) applies.")
+
+(* Everything a section reads, built once per mode: from
+   [Pipeline.compiled] (plus the run's phases), from a [W.outcome],
+   folded over a sweep with [merge], or decoded from a remote artifact. *)
+type view = {
+  reports : (string * Mac_core.Coalesce.loop_report list) list;
+  sched_reports :
+    (string
+    * (Mac_opt.Pipeline_sched.report * Mac_opt.Pipeline_sched.cert option)
+      list)
+    list;
+  tvalid_stats : (string * Mac_verify.Tvalid.agg) list;
+  pass_seconds : (string * float) list;
+  compile_seconds : float;
+  sim_phases : (string * float) list;
+}
+
+let empty =
+  { reports = []; sched_reports = []; tvalid_stats = []; pass_seconds = [];
+    compile_seconds = 0.0; sim_phases = [] }
+
+let of_compiled (c : Pipeline.compiled) ~sim_phases =
+  { reports = c.reports; sched_reports = c.sched_reports;
+    tvalid_stats = c.tvalid_stats; pass_seconds = c.pass_seconds;
+    compile_seconds = c.compile_seconds; sim_phases }
+
+let of_outcome (o : W.outcome) =
+  { reports = o.reports; sched_reports = o.sched_reports;
+    tvalid_stats = o.tvalid_stats; pass_seconds = o.pass_seconds;
+    compile_seconds = o.compile_seconds; sim_phases = o.sim_phases }
+
+let add_agg (a : Mac_verify.Tvalid.agg) (b : Mac_verify.Tvalid.agg) :
+    Mac_verify.Tvalid.agg =
+  { runs = a.runs + b.runs; blocks = a.blocks + b.blocks;
+    skipped = a.skipped + b.skipped; regions = a.regions + b.regions;
+    fallbacks = a.fallbacks + b.fallbacks;
+    fallback_reason =
+      (match a.fallback_reason with None -> b.fallback_reason | r -> r);
+    seconds = a.seconds +. b.seconds }
+
+(* Two compilations as one: per-function reports side by side, per-name
+   counters and timings summed (first-seen name order kept, so the
+   simulator phases stay in pipeline order). *)
+let merge a b =
+  let sum add xs ys =
+    List.fold_left
+      (fun acc (name, y) ->
+        match List.assoc_opt name acc with
+        | Some x ->
+          List.map (fun (n, v) -> (n, if n = name then add x y else v)) acc
+        | None -> acc @ [ (name, y) ])
+      xs ys
+  in
+  { reports = a.reports @ b.reports;
+    sched_reports = a.sched_reports @ b.sched_reports;
+    tvalid_stats = sum add_agg a.tvalid_stats b.tvalid_stats;
+    pass_seconds = sum ( +. ) a.pass_seconds b.pass_seconds;
+    compile_seconds = a.compile_seconds +. b.compile_seconds;
+    sim_phases = sum ( +. ) a.sim_phases b.sim_phases }
+
+(* coalesce: the coalescer's own per-loop report. *)
 let print_reports reports =
   List.iter
     (fun (fname, rs) ->
@@ -270,15 +317,9 @@ let print_reports reports =
         rs)
     reports
 
-let print_metrics (m : Mac_sim.Interp.metrics) =
-  Fmt.pr
-    "cycles=%d instructions=%d loads=%d stores=%d dcache-hits=%d \
-     dcache-misses=%d@."
-    m.cycles m.insts m.loads m.stores m.dcache_hits m.dcache_misses
-
-(* --explain-alias: per coalesced loop, what the static disambiguation
-   oracle proved and what remained a run-time guard. *)
-let print_explain reports =
+(* alias: per coalesced loop, what the static disambiguation oracle
+   proved and what remained a run-time guard. *)
+let print_alias reports =
   let emitted = ref 0 and elided = ref 0 in
   List.iter
     (fun (fname, rs) ->
@@ -298,10 +339,9 @@ let print_explain reports =
     reports;
   Fmt.pr "total: guards emitted=%d elided=%d@." !emitted !elided
 
-(* --explain-sched: per simple loop, what the modulo scheduler achieved
-   (or why it declined), plus aggregate counters — the -Osched analogue
-   of --explain-alias. *)
-let print_explain_sched sched_reports =
+(* sched: per simple loop, what the modulo scheduler achieved (or why it
+   declined), plus aggregate counters. *)
+let print_sched sched_reports =
   let pipelined = ref 0 and reordered = ref 0 and rejected = ref 0 in
   List.iter
     (fun (fname, rs) ->
@@ -317,32 +357,17 @@ let print_explain_sched sched_reports =
   Fmt.pr "total: pipelined=%d reordered=%d rejected=%d@." !pipelined
     !reordered !rejected
 
-(* Every diagnostic — Rtlcheck, the audits, the translation validator —
-   carries its pass and function name, so they all render through one
-   format: [severity] pass(function): message. *)
-let print_diags diags =
-  List.iter
-    (fun (_fname, ds) ->
-      List.iter (fun d -> Fmt.pr "%a@." Mac_verify.Diagnostic.pp d) ds)
-    diags
-
-(* --explain-tvalid: what the per-pass translation validator did — the
-   Vfull analogue of --explain-alias/--explain-sched. *)
-let print_explain_tvalid (stats : (string * Mac_verify.Tvalid.agg) list) =
+(* tvalid: what the per-pass translation validator did. *)
+let print_tvalid (stats : (string * Mac_verify.Tvalid.agg) list) =
   let open Mac_verify.Tvalid in
   Fmt.pr "translation validation (per pass):@.";
   Fmt.pr "  %-14s %6s %8s %8s %8s %10s %10s@." "pass" "runs" "checked"
     "skipped" "regions" "fallbacks" "ms";
-  let tr = ref 0 and tb = ref 0 and tk = ref 0 and tg = ref 0 and tf = ref 0 in
-  let ts = ref 0.0 in
+  let total =
+    List.fold_left (fun t (_, a) -> add_agg t a) (agg_zero ()) stats
+  in
   List.iter
     (fun (name, a) ->
-      tr := !tr + a.runs;
-      tb := !tb + a.blocks;
-      tk := !tk + a.skipped;
-      tg := !tg + a.regions;
-      tf := !tf + a.fallbacks;
-      ts := !ts +. a.seconds;
       Fmt.pr "  %-14s %6d %8d %8d %8d %10d %10.3f@." name a.runs a.blocks
         a.skipped a.regions a.fallbacks (a.seconds *. 1e3))
     stats;
@@ -357,29 +382,57 @@ let print_explain_tvalid (stats : (string * Mac_verify.Tvalid.agg) list) =
     stats;
   Fmt.pr "total: %d validation run(s), %d block pair(s) checked, %d skipped, \
           %d region(s), %d fallback(s) in %.3f ms@."
-    !tr !tb !tk !tg !tf (!ts *. 1e3)
+    total.runs total.blocks total.skipped total.regions total.fallbacks
+    (total.seconds *. 1e3)
 
-let print_pass_profile ~total pass_seconds =
-  Fmt.pr "compile-time profile (total %.3f ms):@." (total *. 1e3);
-  List.iter
-    (fun (name, s) ->
-      Fmt.pr "  %-12s %8.3f ms  %5.1f%%@." name (s *. 1e3)
-        (if total > 0.0 then 100.0 *. s /. total else 0.0))
-    (List.sort
-       (fun (na, a) (nb, b) ->
-         match compare b a with 0 -> compare na nb | c -> c)
-       pass_seconds)
-
-(* --profile-sim: per-phase simulator wall clock, kept in pipeline order
-   (decode, then closure compile, then execute) rather than sorted. *)
-let print_sim_profile phases =
-  let total = List.fold_left (fun acc (_, s) -> acc +. s) 0.0 phases in
-  Fmt.pr "simulation-time profile (total %.3f ms):@." (total *. 1e3);
+let print_phases ~what ~total phases =
+  Fmt.pr "%s profile (total %.3f ms):@." what (total *. 1e3);
   List.iter
     (fun (name, s) ->
       Fmt.pr "  %-12s %8.3f ms  %5.1f%%@." name (s *. 1e3)
         (if total > 0.0 then 100.0 *. s /. total else 0.0))
     phases
+
+(* passes: the slowest pass first. *)
+let print_passes ~total pass_seconds =
+  print_phases ~what:"compile-time" ~total
+    (List.sort
+       (fun (na, a) (nb, b) ->
+         match compare b a with 0 -> compare na nb | c -> c)
+       pass_seconds)
+
+(* sim: kept in pipeline order (decode, then closure compile, then
+   execute) rather than sorted. *)
+let print_sim phases =
+  print_phases ~what:"simulation-time"
+    ~total:(List.fold_left (fun acc (_, s) -> acc +. s) 0.0 phases)
+    phases
+
+(* The one place a section is rendered: the chosen sections in the
+   order of [sections], whatever order they were given in. *)
+let explain chosen v =
+  let on s = List.mem s chosen in
+  if on Coalesce then print_reports v.reports;
+  if on Alias then print_alias v.reports;
+  if on Sched then print_sched v.sched_reports;
+  if on Tvalid then print_tvalid v.tvalid_stats;
+  if on Passes then print_passes ~total:v.compile_seconds v.pass_seconds;
+  if on Sim then print_sim v.sim_phases
+
+let print_metrics (m : Mac_sim.Interp.metrics) =
+  Fmt.pr
+    "cycles=%d instructions=%d loads=%d stores=%d dcache-hits=%d \
+     dcache-misses=%d@."
+    m.cycles m.insts m.loads m.stores m.dcache_hits m.dcache_misses
+
+(* Every diagnostic — Rtlcheck, the audits, the translation validator —
+   carries its pass and function name, so they all render through one
+   format: [severity] pass(function): message. *)
+let print_diags diags =
+  List.iter
+    (fun (_fname, ds) ->
+      List.iter (fun d -> Fmt.pr "%a@." Mac_verify.Diagnostic.pp d) ds)
+    diags
 
 let print_estimate ~machine (s : Mac_dataflow.Reuse.summary)
     (m : Mac_sim.Interp.metrics) =
@@ -414,7 +467,7 @@ let print_triage ?jobs ~engine ~size () =
 
 (* --remote: render the daemon's canonical artifact document the way a
    local compile would print. Returns the process exit code. *)
-let print_artifact ~dump_rtl ~profile body =
+let print_artifact ~dump_rtl ~chosen body =
   let module J = Mac_workloads.Jsonio in
   match J.parse body with
   | Error msg ->
@@ -441,29 +494,25 @@ let print_artifact ~dump_rtl ~profile body =
       | Some (J.Num e), Some (J.Num l) ->
         Fmt.pr "guards: emitted=%.0f elided=%.0f@." e l
       | _ -> ());
-      if profile then
-        (match (J.member "pass_seconds" doc, J.member "compile_seconds" doc)
-         with
-        | Some (J.Obj passes), Some (J.Num total) ->
-          Fmt.pr "compile-time profile (total %.3f ms):@." (total *. 1e3);
-          List.iter
-            (fun (name, v) ->
-              match v with
-              | J.Num s -> Fmt.pr "  %-12s %8.3f ms@." name (s *. 1e3)
-              | _ -> ())
+      (match (J.member "pass_seconds" doc, J.member "compile_seconds" doc) with
+      | Some (J.Obj passes), Some (J.Num total) ->
+        let pass_seconds =
+          List.filter_map
+            (function name, J.Num s -> Some (name, s) | _ -> None)
             passes
-        | _ -> ());
+        in
+        explain chosen { empty with pass_seconds; compile_seconds = total }
+      | _ -> ());
       0
     | _ ->
       Fmt.epr "mcc: remote compile failed [%s]: %s@." (str_of "kind" doc)
         (str_of "error" doc);
       1)
 
-let main source bench machine level dump_rtl stats run args run_bench size
+let main source bench machine level dump_rtl chosen run args run_bench size
     mem_size strength_reduce schedule sched regalloc remainder force
-    profit_mode explain_alias explain_sched explain_tvalid force_guards
-    assume_layout verify verify_level engine jobs table profile profile_sim
-    estimate triage remote verbose =
+    profit_mode force_guards assume_layout verify verify_level engine jobs
+    table estimate triage remote verbose =
   if verbose then begin
     Logs.set_reporter (Logs.format_reporter ());
     Logs.set_level (Some Logs.Info)
@@ -472,21 +521,68 @@ let main source bench machine level dump_rtl stats run args run_bench size
     match verify_level with
     | Some v -> v
     | None ->
-      if verify || explain_tvalid then Pipeline.Vfull else Pipeline.Vnone
+      if verify || List.mem Tvalid chosen then Pipeline.Vfull
+      else Pipeline.Vnone
   in
   let verifying = vlevel <> Pipeline.Vnone in
-  let pipeline_sched = sched || explain_sched in
+  let pipeline_sched = sched || List.mem Sched chosen in
   let coalesce =
     { Mac_core.Coalesce.default with
       remainder_loop = remainder;
       respect_profitability = not force;
       icache_guard = not force;
-      profit_mode;
+      profit_mode =
+        Option.value profit_mode
+          ~default:Mac_core.Coalesce.default.profit_mode;
       force_guards }
   in
   let config ?(facts = []) machine =
     Pipeline.config ~level ~coalesce ~strength_reduce ~schedule
       ~pipeline_sched ?regalloc ~verify:vlevel ~facts machine
+  in
+  (* What each mode can explain, and the options it would otherwise drop
+     without a word: --remote sends only level, verify level and
+     machine; --table takes only what [Tables.table] does. *)
+  let mode, fillable, dropped =
+    let all = List.map snd sections in
+    if remote <> None then
+      ( "--remote", [ Passes ],
+        [ "--force"; "--strength-reduce"; "--schedule"; "--sched";
+          "--regalloc"; "--remainder"; "--profit-mode"; "--force-guards";
+          "--assume-layout" ] )
+    else if triage then ("--triage", [], [])
+    else if estimate then ("--estimate", [], [])
+    else if table then
+      ( "--table", [ Passes; Sim ],
+        [ "--strength-reduce"; "--schedule"; "--regalloc"; "--remainder";
+          "--force-guards"; "--verify"; "--verify-level" ] )
+    else if run <> None || (run_bench && bench <> None) then ("a run", all, [])
+    else ("a compile without --run", List.filter (( <> ) Sim) all, [])
+  in
+  let given =
+    [ ("--force", force); ("--strength-reduce", strength_reduce);
+      ("--schedule", schedule); ("--sched", sched);
+      ("--regalloc", regalloc <> None); ("--remainder", remainder);
+      ("--profit-mode", profit_mode <> None); ("--force-guards", force_guards);
+      ("--assume-layout", assume_layout); ("--verify", verify);
+      ("--verify-level", verify_level <> None) ]
+  in
+  let unusable =
+    match List.find_opt (fun s -> not (List.mem s fillable)) chosen with
+    | Some s ->
+      Some (Fmt.str "--explain=%s has nothing to show for %s"
+              (section_name s) mode)
+    | None -> (
+      match List.find_opt (fun (o, on) -> on && List.mem o dropped) given with
+      | Some (o, _) -> Some (Fmt.str "%s does not apply %s" mode o)
+      | None when List.mem Tvalid chosen && vlevel <> Pipeline.Vfull ->
+        Some "--explain=tvalid needs --verify-level full"
+      | None -> None)
+  in
+  let find_bench name =
+    match W.find name with
+    | Some b -> b
+    | None -> Fmt.failwith "unknown benchmark %S" name
   in
   (* O0-vs-level differential execution on the simulator, the last verifier
      layer; only meaningful for a workload with a reference harness. *)
@@ -513,6 +609,12 @@ let main source bench machine level dump_rtl stats run args run_bench size
         1
     end
   in
+  let source_text () =
+    match (source, bench) with
+    | Some path, _ -> read_file path
+    | None, Some name -> (find_bench name).W.source
+    | None, None -> failwith "provide a FILE or --bench NAME (see --help)"
+  in
   (* --remote: ship the compile to mccd, falling back to an identical
      local compile when the daemon is unreachable. *)
   let remote_compile sock =
@@ -523,37 +625,34 @@ let main source bench machine level dump_rtl stats run args run_bench size
       1
     end
     else
-      match (source, bench) with
-      | None, None ->
-        Fmt.epr "mcc: provide a FILE or --bench NAME (see --help)@.";
-        1
-      | _ ->
-        let src =
-          match (source, bench) with
-          | Some path, _ -> `Source (read_file path)
-          | None, Some name -> `Bench name
-          | None, None -> assert false
-        in
-        let req =
-          Mac_serve.Protocol.request ~level ~verify:vlevel
-            ~machine:machine.Machine.name src
-        in
-        (match Mac_serve.Client.request_or_local ~socket:sock req with
-        | `Remote (hello, reply) ->
-          Fmt.pr "remote: %s %s key=%s daemon=%s@."
-            (if reply.Mac_serve.Protocol.r_cached then "cache-hit"
-             else "compiled")
-            (if reply.r_ok then "ok" else "FAILED")
-            reply.r_key hello.Mac_serve.Protocol.h_fingerprint;
-          print_artifact ~dump_rtl ~profile reply.r_body
-        | `Local (_, body) ->
-          Fmt.pr "remote: daemon unreachable at %s, compiled locally@." sock;
-          print_artifact ~dump_rtl ~profile body)
+      let src =
+        match bench with
+        | Some name when source = None -> `Bench name
+        | _ -> `Source (source_text ())
+      in
+      let req =
+        Mac_serve.Protocol.request ~level ~verify:vlevel
+          ~machine:machine.Machine.name src
+      in
+      match Mac_serve.Client.request_or_local ~socket:sock req with
+      | `Remote (hello, reply) ->
+        Fmt.pr "remote: %s %s key=%s daemon=%s@."
+          (if reply.Mac_serve.Protocol.r_cached then "cache-hit"
+           else "compiled")
+          (if reply.r_ok then "ok" else "FAILED")
+          reply.r_key hello.Mac_serve.Protocol.h_fingerprint;
+        print_artifact ~dump_rtl ~chosen reply.r_body
+      | `Local (_, body) ->
+        Fmt.pr "remote: daemon unreachable at %s, compiled locally@." sock;
+        print_artifact ~dump_rtl ~chosen body
   in
   try
-    match remote with
-    | Some sock -> remote_compile sock
-    | None ->
+    match (unusable, remote) with
+    | Some msg, _ ->
+      Fmt.epr "mcc: %s@." msg;
+      1
+    | None, Some sock -> remote_compile sock
+    | None, None ->
     if triage then begin
       print_triage ?jobs ~engine ~size ();
       0
@@ -563,160 +662,94 @@ let main source bench machine level dump_rtl stats run args run_bench size
       | None ->
         Fmt.epr "mcc: --estimate needs --bench NAME@.";
         1
-      | Some name -> (
-        match W.find name with
-        | None ->
-          Fmt.epr "mcc: unknown benchmark %S@." name;
-          1
-        | Some b ->
-          let p =
-            W.estimate ~size ~coalesce ~strength_reduce ~schedule ?regalloc
-              ~assume_layout ~machine ~level b
-          in
-          let o =
-            W.run ~size ~coalesce ~strength_reduce ~schedule ~pipeline_sched
-              ?regalloc ~assume_layout ~engine ~machine ~level b
-          in
-          print_estimate ~machine p.W.summary o.W.metrics;
-          Fmt.pr "estimate %.4fs vs simulation %.4fs@." p.W.est_seconds
-            o.W.sim_seconds;
-          0)
+      | Some name ->
+        let b = find_bench name in
+        let p =
+          W.estimate ~size ~coalesce ~strength_reduce ~schedule ?regalloc
+            ~assume_layout ~machine ~level b
+        in
+        let o =
+          W.run ~size ~coalesce ~strength_reduce ~schedule ~pipeline_sched
+            ?regalloc ~assume_layout ~engine ~machine ~level b
+        in
+        print_estimate ~machine p.W.summary o.W.metrics;
+        Fmt.pr "estimate %.4fs vs simulation %.4fs@." p.W.est_seconds
+          o.W.sim_seconds;
+        0
     end
     else if table then begin
       let rows =
         Mac_workloads.Tables.table ~size
-          ~respect_profitability:(not force) ~assume_layout ~engine ?jobs
-          ~machine ()
+          ~respect_profitability:(not force) ~assume_layout ~engine
+          ?profit_mode ~pipeline_sched ?jobs ~machine ()
       in
       Mac_workloads.Tables.pp_table Format.std_formatter machine rows;
       Format.pp_print_flush Format.std_formatter ();
-      let outcomes () =
-        List.concat_map
-          (fun (r : Mac_workloads.Tables.row) -> List.map snd r.outcomes)
-          rows
-      in
-      if profile then begin
-        let outcomes = outcomes () in
-        let total =
-          List.fold_left
-            (fun acc (o : W.outcome) -> acc +. o.compile_seconds)
-            0.0 outcomes
-        in
-        let tbl : (string, float) Hashtbl.t = Hashtbl.create 16 in
-        List.iter
-          (fun (o : W.outcome) ->
-            List.iter
-              (fun (name, s) ->
-                Hashtbl.replace tbl name
-                  (s +. Option.value (Hashtbl.find_opt tbl name) ~default:0.0))
-              o.pass_seconds)
-          outcomes;
-        print_pass_profile ~total
-          (Hashtbl.fold (fun name s acc -> (name, s) :: acc) tbl [])
-      end;
-      if profile_sim then begin
-        let outcomes = outcomes () in
-        let phase name =
-          List.fold_left
-            (fun acc (o : W.outcome) ->
-              acc
-              +. Option.value
-                   (List.assoc_opt name o.sim_phases)
-                   ~default:0.0)
-            0.0 outcomes
-        in
-        print_sim_profile
-          [
-            ("decode", phase "decode");
-            ("compile", phase "compile");
-            ("execute", phase "execute");
-          ]
-      end;
+      explain chosen
+        (List.fold_left
+           (fun v (r : Mac_workloads.Tables.row) ->
+             List.fold_left (fun v (_, o) -> merge v (of_outcome o)) v
+               r.outcomes)
+           empty rows);
       0
     end
     else
-    match (source, bench) with
-    | None, None ->
-      Fmt.epr "mcc: provide a FILE or --bench NAME (see --help)@.";
-      1
-    | _, Some name when run_bench -> (
-      match W.find name with
-      | None ->
-        Fmt.epr "mcc: unknown benchmark %S@." name;
-        1
-      | Some b ->
-        let o =
-          W.run ~size ~coalesce ~strength_reduce ~schedule ~pipeline_sched
-            ?regalloc ~verify:vlevel ~assume_layout ~engine ~machine ~level b
-        in
-        if stats then print_reports o.reports;
-        if explain_alias then print_explain o.reports;
-        if explain_sched then print_explain_sched o.sched_reports;
-        if explain_tvalid then print_explain_tvalid o.tvalid_stats;
-        if verifying then print_diags o.diags;
-        if profile then
-          print_pass_profile ~total:o.compile_seconds o.pass_seconds;
-        if profile_sim then print_sim_profile o.sim_phases;
-        print_metrics o.metrics;
-        Fmt.pr "return value: %Ld@." o.value;
-        (match o.error with
-        | None ->
-          Fmt.pr "output verified against the reference implementation@.";
-          if verifying then differential b else 0
-        | Some e ->
-          Fmt.epr "OUTPUT MISMATCH: %s@." e;
-          1))
-    | _ ->
-      let src, facts =
-        match (source, bench) with
-        | Some path, _ -> (read_file path, [])
-        | None, Some name -> (
-          match W.find name with
-          | Some b ->
-            let facts =
-              if assume_layout then
-                [ (b.W.entry, b.W.facts W.default_layout ~size) ]
-              else []
-            in
-            (b.W.source, facts)
-          | None -> Fmt.failwith "unknown benchmark %S" name)
-        | None, None -> assert false
+    match bench with
+    | Some name when run_bench ->
+      let b = find_bench name in
+      let o =
+        W.run ~size ~coalesce ~strength_reduce ~schedule ~pipeline_sched
+          ?regalloc ~verify:vlevel ~assume_layout ~engine ~machine ~level b
       in
-      let cfg = config ~facts machine in
-      let compiled = Pipeline.compile_source cfg src in
-      if stats then print_reports compiled.reports;
-      if explain_alias then print_explain compiled.reports;
-      if explain_sched then print_explain_sched compiled.sched_reports;
-      if explain_tvalid then print_explain_tvalid compiled.tvalid_stats;
-      if profile then
-        print_pass_profile ~total:compiled.compile_seconds
-          compiled.pass_seconds;
+      explain chosen (of_outcome o);
+      if verifying then print_diags o.diags;
+      print_metrics o.metrics;
+      Fmt.pr "return value: %Ld@." o.value;
+      (match o.error with
+      | None ->
+        Fmt.pr "output verified against the reference implementation@.";
+        if verifying then differential b else 0
+      | Some e ->
+        Fmt.epr "OUTPUT MISMATCH: %s@." e;
+        1)
+    | _ ->
+      let facts =
+        match bench with
+        | Some name when assume_layout && source = None ->
+          let b = find_bench name in
+          [ (b.W.entry, b.W.facts W.default_layout ~size) ]
+        | _ -> []
+      in
+      let compiled =
+        Pipeline.compile_source (config ~facts machine) (source_text ())
+      in
+      (* the RTL first, so a run that traps still leaves it on screen *)
+      if dump_rtl then
+        List.iter (fun f -> Fmt.pr "%a@." Mac_rtl.Func.pp f) compiled.funcs;
+      let result =
+        Option.map
+          (fun entry ->
+            let memory = Mac_sim.Memory.create ~size:mem_size in
+            Mac_sim.Interp.run ~machine ~memory compiled.funcs ~entry
+              ~args:(List.map Int64.of_int args) ~engine ())
+          run
+      in
+      explain chosen
+        (of_compiled compiled
+           ~sim_phases:(match result with Some r -> r.phases | None -> []));
       if verifying then begin
         print_diags compiled.diags;
         Fmt.pr "verified: every pass passed Rtlcheck at level %s@."
           (Pipeline.verify_level_to_string vlevel)
       end;
-      if dump_rtl then
-        List.iter
-          (fun f -> Fmt.pr "%a@." Mac_rtl.Func.pp f)
-          compiled.funcs;
-      (match run with
-      | None -> ()
-      | Some entry ->
-        let memory = Mac_sim.Memory.create ~size:mem_size in
-        let result =
-          Mac_sim.Interp.run ~machine ~memory compiled.funcs ~entry
-            ~args:(List.map Int64.of_int args) ~engine ()
-        in
-        Fmt.pr "return value: %Ld@." result.value;
-        if profile_sim then print_sim_profile result.phases;
-        print_metrics result.metrics);
-      if verifying then
-        match bench with Some name -> (match W.find name with
-          | Some b -> differential b
-          | None -> 0)
-        | None -> 0
-      else 0
+      Option.iter
+        (fun (r : Mac_sim.Interp.result) ->
+          Fmt.pr "return value: %Ld@." r.value;
+          print_metrics r.metrics)
+        result;
+      match bench with
+      | Some name when verifying -> differential (find_bench name)
+      | _ -> 0
   with
   | Pipeline.Verification_failed d ->
     Fmt.epr "mcc: VERIFICATION FAILED: %a@." Mac_verify.Diagnostic.pp d;
@@ -746,13 +779,11 @@ let cmd =
     (Cmd.info "mcc" ~doc ~version:Mac_vpo.Version.compiler_fingerprint)
     Term.(
       const main $ source_arg $ bench_arg $ machine_arg $ level_arg
-      $ dump_rtl_arg $ stats_arg $ run_arg $ args_arg $ run_bench_arg
+      $ dump_rtl_arg $ explain_arg $ run_arg $ args_arg $ run_bench_arg
       $ size_arg $ mem_arg $ strength_arg $ schedule_arg $ sched_arg
       $ regalloc_arg $ remainder_arg $ force_arg $ profit_mode_arg
-      $ explain_alias_arg $ explain_sched_arg $ explain_tvalid_arg
-      $ force_guards_arg
-      $ assume_layout_arg $ verify_arg $ verify_level_arg
-      $ engine_arg $ jobs_arg $ table_arg $ profile_arg $ profile_sim_arg
-      $ estimate_arg $ triage_arg $ remote_arg $ verbose_arg)
+      $ force_guards_arg $ assume_layout_arg $ verify_arg $ verify_level_arg
+      $ engine_arg $ jobs_arg $ table_arg $ estimate_arg $ triage_arg
+      $ remote_arg $ verbose_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -64,7 +64,7 @@ type t = {
   program : (string, Func.t) Hashtbl.t;
   cache : (string, fn) Hashtbl.t;
   mutable inext : int64;  (* next synthetic code base to hand out *)
-  mutable decode_ns : int;  (* monotonic ns spent decoding, for --profile-sim *)
+  mutable decode_ns : int;  (* monotonic ns spent decoding, for --explain=sim *)
 }
 
 let create ~machine (program : Func.t list) =

@@ -101,4 +101,4 @@ val label_totals : t -> (Rtl.label, int) Hashtbl.t
 
 val seconds : t -> float
 (** Seconds spent decoding so far, on the monotonic clock — the "decode"
-    phase of the simulator profile ([mcc --profile-sim]). *)
+    phase of the simulator profile ([mcc --explain=sim]). *)

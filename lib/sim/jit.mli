@@ -55,4 +55,4 @@ val stores : state -> int
 
 val compile_seconds : state -> float
 (** Seconds spent compiling closures, on the monotonic clock — the
-    "compile" phase of the simulator profile ([mcc --profile-sim]). *)
+    "compile" phase of the simulator profile ([mcc --explain=sim]). *)

@@ -89,16 +89,19 @@ let test_observe :
     ref =
   ref None
 
-(* Per-pass wall-clock accounting: one table per compilation, keyed by
-   pass name, accumulated across fixpoint rounds and functions. *)
+(* Per-pass wall-clock accounting on the monotonic clock: one table per
+   compilation, keyed by pass name, accumulated across fixpoint rounds
+   and functions. *)
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+
 let add_time timings name dt =
   Hashtbl.replace timings name
     (dt +. Option.value (Hashtbl.find_opt timings name) ~default:0.)
 
 let timed timings name thunk =
-  let t0 = Unix.gettimeofday () in
+  let t0 = now () in
   let r = thunk () in
-  add_time timings name (Unix.gettimeofday () -. t0);
+  add_time timings name (now () -. t0);
   r
 
 (* The O1 fixed-point round. All six passes share [am]: Copyprop and Dce
@@ -213,7 +216,7 @@ let compile_func cfg timings tvalid_tbl (f : Func.t) =
     (match !test_observe with
     | Some h -> h ~pass:name ~fname:f.name ~old_f ~new_f:f
     | None -> ());
-    let t0 = Unix.gettimeofday () in
+    let t0 = now () in
     let res =
       (* the cross-pass memo rides in the analysis manager's [Tvalid]
          slot: passes that preserve it keep block skipping warm, a pass
@@ -224,7 +227,7 @@ let compile_func cfg timings tvalid_tbl (f : Func.t) =
         ~machine:cfg.machine ~facts ~pass:name ?reports ?sched_reports
         ~old_f ~new_f:f ()
     in
-    let dt = Unix.gettimeofday () -. t0 in
+    let dt = now () -. t0 in
     add_time timings "tvalid" dt;
     tv_record name res dt;
     match res with
@@ -408,7 +411,7 @@ let pass_seconds_of timings =
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let compile_funcs cfg funcs =
-  let t0 = Unix.gettimeofday () in
+  let t0 = now () in
   let timings : (string, float) Hashtbl.t = Hashtbl.create 16 in
   let tvalid_tbl : (string, Mac_verify.Tvalid.agg) Hashtbl.t =
     Hashtbl.create 16
@@ -485,7 +488,7 @@ let compile_funcs cfg funcs =
     diags = List.map (fun (n, (_, _, d, _)) -> (n, d)) per_func;
     ams = List.map (fun (n, (_, _, _, am)) -> (n, am)) per_func;
     pass_seconds = pass_seconds_of timings;
-    compile_seconds = Unix.gettimeofday () -. t0;
+    compile_seconds = now () -. t0;
     guards_emitted = sum (fun r -> r.Coalesce.guards_emitted);
     guards_elided = sum (fun r -> r.Coalesce.guards_elided);
     elision_reasons;
@@ -524,10 +527,10 @@ let facts_of_attrs (prog : Mac_minic.Ast.program) =
     prog
 
 let compile_source cfg src =
-  let t0 = Unix.gettimeofday () in
+  let t0 = now () in
   let prog = Mac_minic.Parser.parse src in
   let funcs = Mac_minic.Lower.program prog in
-  let lower = Unix.gettimeofday () -. t0 in
+  let lower = now () -. t0 in
   let cfg =
     {
       cfg with

@@ -108,7 +108,7 @@ type compiled = {
       (** per function name: one report per simple loop the [-Osched]
           pass considered (empty unless {!config.pipeline_sched}), with
           the schedule certificate for every committed loop — the input
-          to {!Mac_verify.Sched_audit} and to [mcc --explain-sched] *)
+          to {!Mac_verify.Sched_audit} and to [mcc --explain=sched] *)
   diags : (string * Mac_verify.Diagnostic.t list) list;
       (** per function name; warnings and infos the verifier collected
           (empty unless {!config.verify} enables it — errors raise

@@ -186,7 +186,6 @@ let run ?jobs ?engine ~size ?(full_size = 64) () =
 
 (* Escaping, number formats and the re-parse all come from the shared
    kernel; this writer only owns the mac-bench-sim/7 document shape. *)
-let json_escape = Jsonio.escape
 
 (* Timing fields are measurements: they differ run to run, so the
    jobs-count determinism test compares the cells array with
@@ -198,8 +197,9 @@ let cell_to_json ~timing c =
      \"stores\":%d,\"savings_pct\":%s,\"correct\":%b,\
      \"guards_emitted\":%d,\"guards_elided\":%d,\
      \"sched_mii\":%d,\"sched_ii\":%d,\"pipelined\":%d%s}"
-    (json_escape c.section) (json_escape c.bench) (json_escape c.machine)
-    (json_escape c.level) c.cycles c.insts c.loads c.stores
+    (Jsonio.escape c.section) (Jsonio.escape c.bench)
+    (Jsonio.escape c.machine) (Jsonio.escape c.level) c.cycles c.insts
+    c.loads c.stores
     (match c.savings_pct with
     | None -> "null"
     | Some f -> Printf.sprintf "%.4f" f)
@@ -238,8 +238,6 @@ let aggregate_seconds select cells =
 
 let aggregate_pass_seconds cells = aggregate_seconds (fun c -> c.pass_seconds) cells
 
-let seconds_obj = Jsonio.seconds_obj
-
 let to_json ~size ~jobs_requested ~jobs_effective ~engine ~wall_seconds
     ?speedup cells =
   let speedup_json =
@@ -259,12 +257,12 @@ let to_json ~size ~jobs_requested ~jobs_effective ~engine ~wall_seconds
   let sim_seconds =
     List.fold_left (fun acc c -> acc +. c.sim_seconds) 0.0 cells
   in
-  let pass_json = seconds_obj (aggregate_pass_seconds cells) in
+  let pass_json = Jsonio.seconds_obj (aggregate_pass_seconds cells) in
   let tvalid_json =
-    seconds_obj (aggregate_seconds (fun c -> c.tvalid_seconds) cells)
+    Jsonio.seconds_obj (aggregate_seconds (fun c -> c.tvalid_seconds) cells)
   in
   let sim_phase_json =
-    seconds_obj (aggregate_seconds (fun c -> c.sim_phases) cells)
+    Jsonio.seconds_obj (aggregate_seconds (fun c -> c.sim_phases) cells)
   in
   Printf.sprintf
     "{\n  \"schema\": \"mac-bench-sim/7\",\n  \
@@ -275,25 +273,23 @@ let to_json ~size ~jobs_requested ~jobs_effective ~engine ~wall_seconds
      \"tvalid_seconds\": {%s},\n  \
      \"sim_seconds\": %.6f,\n  \"sim_phase_seconds\": {%s},\n\
      %s  \"cells\": %s\n}\n"
-    (json_escape Mac_vpo.Version.compiler_fingerprint) size jobs_requested
-    jobs_effective (json_escape engine) wall_seconds compile_seconds
+    (Jsonio.escape Mac_vpo.Version.compiler_fingerprint) size jobs_requested
+    jobs_effective (Jsonio.escape engine) wall_seconds compile_seconds
     pass_json tvalid_json sim_seconds sim_phase_json speedup_json
     (cells_to_json cells)
-
-module Json = Jsonio
 
 (* Independent check used by the CI smoke: the emitted file parses, and
    every Table II cell — all seven benchmarks at O1..O4 on the Alpha —
    is present exactly once. *)
 let validate_cells doc =
-  match Json.member "cells" doc with
-    | Some (Json.Arr cells) ->
+  match Jsonio.member "cells" doc with
+    | Some (Jsonio.Arr cells) ->
       let has section bench level =
         List.exists
           (fun c ->
-            Json.member "section" c = Some (Json.Str section)
-            && Json.member "bench" c = Some (Json.Str bench)
-            && Json.member "level" c = Some (Json.Str level))
+            Jsonio.member "section" c = Some (Jsonio.Str section)
+            && Jsonio.member "bench" c = Some (Jsonio.Str bench)
+            && Jsonio.member "level" c = Some (Jsonio.Str level))
           cells
       in
       let missing =
@@ -314,7 +310,7 @@ let validate_cells doc =
             Tables.levels
       in
       let numeric key c =
-        match Json.member key c with Some (Json.Num _) -> true | _ -> false
+        match Jsonio.member key c with Some (Jsonio.Num _) -> true | _ -> false
       in
       let bad_guards =
         List.exists
@@ -344,27 +340,27 @@ let validate_cells doc =
     | _ -> Error "BENCH_sim.json has no \"cells\" array"
 
 let validate text =
-  match Json.parse text with
+  match Jsonio.parse text with
   | Error msg -> Error ("BENCH_sim.json does not parse: " ^ msg)
   | Ok doc -> (
-    match Json.member "schema" doc with
-    | Some (Json.Str "mac-bench-sim/7") -> (
+    match Jsonio.member "schema" doc with
+    | Some (Jsonio.Str "mac-bench-sim/7") -> (
       let positive_num key =
-        match Json.member key doc with
-        | Some (Json.Num s) when s > 0.0 -> Ok ()
-        | Some (Json.Num _) ->
+        match Jsonio.member key doc with
+        | Some (Jsonio.Num s) when s > 0.0 -> Ok ()
+        | Some (Jsonio.Num _) ->
           Error (Printf.sprintf "BENCH_sim.json %s is not positive" key)
         | _ ->
           Error (Printf.sprintf "BENCH_sim.json has no numeric %S" key)
       in
       let phase_obj () =
-        match Json.member "sim_phase_seconds" doc with
-        | Some (Json.Obj fields) ->
+        match Jsonio.member "sim_phase_seconds" doc with
+        | Some (Jsonio.Obj fields) ->
           let has k =
             List.exists
               (fun (n, v) ->
                 String.equal n k
-                && match v with Json.Num _ -> true | _ -> false)
+                && match v with Jsonio.Num _ -> true | _ -> false)
               fields
           in
           if has "decode" && has "compile" && has "execute" then Ok ()
@@ -375,8 +371,8 @@ let validate text =
         | _ -> Error "BENCH_sim.json has no \"sim_phase_seconds\" object"
       in
       let engine () =
-        match Json.member "engine" doc with
-        | Some (Json.Str e)
+        match Jsonio.member "engine" doc with
+        | Some (Jsonio.Str e)
           when List.exists
                  (fun k -> String.equal e (Mac_sim.Interp.engine_name k))
                  [ `Reference; `Jit ] ->
@@ -385,8 +381,8 @@ let validate text =
           Error "BENCH_sim.json \"engine\" is not \"jit\" or \"reference\""
       in
       let fingerprint () =
-        match Json.member "compiler_fingerprint" doc with
-        | Some (Json.Str s) when String.length s > 0 -> Ok ()
+        match Jsonio.member "compiler_fingerprint" doc with
+        | Some (Jsonio.Str s) when String.length s > 0 -> Ok ()
         | _ ->
           Error
             "BENCH_sim.json has no non-empty \"compiler_fingerprint\" \
@@ -395,14 +391,14 @@ let validate text =
       let tvalid_obj () =
         (* the FULL section compiles at Vfull, so the per-pass
            validation breakdown must be present and non-empty *)
-        match Json.member "tvalid_seconds" doc with
-        | Some (Json.Obj ((_ :: _) as fields))
+        match Jsonio.member "tvalid_seconds" doc with
+        | Some (Jsonio.Obj ((_ :: _) as fields))
           when List.for_all
                  (fun (_, v) ->
-                   match v with Json.Num _ -> true | _ -> false)
+                   match v with Jsonio.Num _ -> true | _ -> false)
                  fields ->
           Ok ()
-        | Some (Json.Obj _) ->
+        | Some (Jsonio.Obj _) ->
           Error
             "BENCH_sim.json tvalid_seconds is empty or non-numeric \
              (no pass was translation-validated?)"
@@ -420,7 +416,7 @@ let validate text =
       let* () = phase_obj () in
       let* () = tvalid_obj () in
       validate_cells doc)
-    | Some (Json.Str other) ->
+    | Some (Jsonio.Str other) ->
       Error
         (Printf.sprintf
            "BENCH_sim.json schema is %S, expected \"mac-bench-sim/7\"" other)

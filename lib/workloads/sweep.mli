@@ -12,7 +12,7 @@
 
     The toolchain has no JSON library, so the emitter is hand-rolled and
     {!validate} re-reads the result with an independent minimal parser
-    ({!Json}) — this is what the CI smoke runs. *)
+    ({!Jsonio}) — this is what the CI smoke runs. *)
 
 type cell = {
   section : string;  (** TAB2 | TAB3 | TAB4 | SCHED | FULL *)
@@ -163,11 +163,6 @@ val to_json :
     [wall_seconds] (and the optional [speedup] block) are measurements,
     deliberately outside the timing-free {!cells_to_json} form so cell
     content stays comparable across runs. *)
-
-(** The shared JSON kernel ({!Jsonio}) under its historical name — the
-    independent re-parse {!validate} runs, kept as an alias so existing
-    callers of [Sweep.Json] keep compiling. *)
-module Json = Jsonio
 
 val validate : string -> (int, string) result
 (** [validate text] re-parses an emitted document and checks the v7

@@ -795,7 +795,7 @@ let estimate ?(layout = default_layout) ?(size = 100) ?coalesce
       (fun (f : Func.t) -> String.equal f.Func.name name)
       compiled.funcs
   in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Monotonic_clock.now () in
   let summary =
     match List.assoc_opt bench.entry compiled.ams with
     | Some am ->
@@ -813,7 +813,8 @@ let estimate ?(layout = default_layout) ?(size = 100) ?coalesce
   in
   {
     summary;
-    est_seconds = Unix.gettimeofday () -. t0;
+    est_seconds =
+      Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-9;
     est_compile_seconds = compiled.compile_seconds;
   }
 

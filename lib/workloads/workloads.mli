@@ -92,7 +92,7 @@ type outcome = {
   sim_phases : (string * float) list;
       (** simulation time by phase — decode, compile, execute — as
           reported by {!Mac_sim.Interp.result.phases} ([mcc
-          --profile-sim]) *)
+          --explain=sim]) *)
   correct : bool;  (** output matched the reference *)
   error : string option;  (** the mismatch description when not *)
 }
