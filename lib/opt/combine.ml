@@ -14,7 +14,6 @@ let self_add (k : Rtl.kind) =
   | _ -> None
 
 let run (f : Func.t) =
-  let changed = ref false in
   let out = ref [] in
   let emit (i : Rtl.inst) = out := i :: !out in
   let emit_kind k = emit (Func.inst f k) in
@@ -23,19 +22,15 @@ let run (f : Func.t) =
     match Reg.Map.find_opt r !pending with
     | Some d ->
       pending := Reg.Map.remove r !pending;
-      if not (Int64.equal d 0L) then begin
-        changed := true;
+      if not (Int64.equal d 0L) then
         emit_kind (Rtl.Binop (Rtl.Add, r, Rtl.Reg r, Rtl.Imm d))
-      end
     | None -> ()
   in
   let flush_all () =
     Reg.Map.iter
       (fun r d ->
-        if not (Int64.equal d 0L) then begin
-          changed := true;
-          emit_kind (Rtl.Binop (Rtl.Add, r, Rtl.Reg r, Rtl.Imm d))
-        end)
+        if not (Int64.equal d 0L) then
+          emit_kind (Rtl.Binop (Rtl.Add, r, Rtl.Reg r, Rtl.Imm d)))
       !pending;
     pending := Reg.Map.empty
   in
@@ -46,7 +41,6 @@ let run (f : Func.t) =
     match self_add i.kind with
     | Some (r, v) ->
       (* defer *)
-      changed := true;
       pending := Reg.Map.add r (Int64.add (offset_of r) v) !pending
     | None -> (
       (* Memory references absorb the pending offset of their base; every
@@ -89,7 +83,6 @@ let run (f : Func.t) =
       in
       match absorbed with
       | Some k ->
-        changed := true;
         drop_defs k;
         emit { i with kind = k }
       | None ->
@@ -106,5 +99,15 @@ let run (f : Func.t) =
   in
   List.iter process f.body;
   flush_all ();
-  if !changed then Func.set_body f (List.rev !out);
-  !changed
+  (* An increment no memory reference absorbed comes back unmoved, under
+     a fresh uid: only a different kind sequence is a rewrite, so a
+     converged function keeps its body (and its uids) untouched. *)
+  let body = List.rev !out in
+  let changed =
+    not
+      (List.equal
+         (fun (a : Rtl.inst) (b : Rtl.inst) -> a.kind = b.kind)
+         body f.body)
+  in
+  if changed then Func.set_body f body;
+  changed

@@ -19,4 +19,6 @@
 open Mac_rtl
 
 val run : Func.t -> bool
-(** Rewrite in place; returns [true] if anything changed. *)
+(** Rewrite in place; returns [true] iff the kind sequence of the body
+    changed. On [false] the body is left physically untouched (an
+    increment deferred and flushed back unmoved is no rewrite). *)

@@ -38,22 +38,28 @@ let find t key =
     Some body
   | exception Sys_error _ -> None
 
+(* Below the cap there is nothing to evict, so only a directory over it
+   pays one stat per entry: a cache that grows by one entry a miss would
+   otherwise make the misses' stat calls quadratic in their number. *)
 let evict t =
-  let named =
-    List.filter_map
-      (fun f ->
-        let p = Filename.concat t.root f in
-        match Unix.stat p with
-        | st -> Some (st.Unix.st_mtime, f, p)
-        | exception Unix.Unix_error _ -> None)
-      (entry_names t)
-  in
-  let excess = List.length named - t.max_entries in
-  if excess > 0 then
-    List.sort compare named
-    |> List.filteri (fun i _ -> i < excess)
-    |> List.iter (fun (_, _, p) ->
-           try Unix.unlink p with Unix.Unix_error _ -> ())
+  let names = entry_names t in
+  if List.length names > t.max_entries then begin
+    let named =
+      List.filter_map
+        (fun f ->
+          let p = Filename.concat t.root f in
+          match Unix.stat p with
+          | st -> Some (st.Unix.st_mtime, f, p)
+          | exception Unix.Unix_error _ -> None)
+        names
+    in
+    let excess = List.length named - t.max_entries in
+    if excess > 0 then
+      List.sort compare named
+      |> List.filteri (fun i _ -> i < excess)
+      |> List.iter (fun (_, _, p) ->
+             try Unix.unlink p with Unix.Unix_error _ -> ())
+  end
 
 let store t key body =
   let final = path t key in

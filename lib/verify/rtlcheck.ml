@@ -132,21 +132,12 @@ let flow_checks am ~pass (f : Func.t) =
   Array.iter
     (fun (b : Cfg.block) ->
       if reachable.(b.index) then
-        List.iter
-          (fun (i : Rtl.inst) ->
-            List.iter
-              (fun r ->
-                let defs =
-                  Reaching.defs_of_reg_reaching reaching ~block:b.index
-                    ~before:i r
-                in
-                if Reaching.IntSet.is_empty defs && not (entry_ok r) then
-                  add
-                    (Diagnostic.errorf ~pass ~uid:i.uid
-                       "use of undefined register %s in %s" (Reg.to_string r)
-                       (Rtl.to_string i.kind)))
-              (Rtl.uses i.kind))
-          b.insts)
+        Reaching.iter_undefined_uses reaching ~block:b.index (fun i r ->
+            if not (entry_ok r) then
+              add
+                (Diagnostic.errorf ~pass ~uid:i.uid
+                   "use of undefined register %s in %s" (Reg.to_string r)
+                   (Rtl.to_string i.kind))))
     cfg.blocks;
   (* A register live into the entry that is not supplied from outside is
      read before being written on some path. Registers that are never

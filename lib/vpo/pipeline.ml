@@ -104,13 +104,22 @@ let timed timings name thunk =
   add_time timings name (now () -. t0);
   r
 
+let classic_budget = 10
+
 (* The O1 fixed-point round. All six passes share [am]: Copyprop and Dce
    read their facts through it and invalidate precisely on mutation; the
    others do not consume cached analyses, so the runner invalidates for
    them with a statically known [preserves] set — Simplify folds branches
    and Cleanflow rewrites labels/jumps (nothing survives), while Cse and
    Combine only remove or rewrite plain instructions (the block structure,
-   hence dominators and loops, survives). *)
+   hence dominators and loops, survives).
+
+   The rounds stop at the first round in which every pass reports no
+   change, which is only a fixed point because each pass keeps the
+   contract: [true] only if the instruction sequence now differs, and on
+   [false] [f.body] is physically untouched. [classic_budget] rounds
+   used up with a change still pending is returned as a warning naming the passes that
+   last changed something. *)
 let classic_rounds ?(tv = fun _name run -> run ()) am time (f : Func.t) =
   let dl = [ Analysis.Dom; Analysis.Loops ] in
   let pass name ~preserves run =
@@ -124,27 +133,31 @@ let classic_rounds ?(tv = fun _name run -> run ()) am time (f : Func.t) =
       Analysis.invalidate am ~preserves:(Analysis.Tvalid :: preserves);
     changed
   in
-  let rec go budget =
-    if budget > 0 then begin
-      let changed = ref false in
-      if pass "simplify" ~preserves:[] Mac_opt.Simplify.run then
-        changed := true;
-      if
-        tv "copyprop" (fun () ->
-            time "copyprop" (fun () -> Mac_opt.Copyprop.run ~am f))
-      then changed := true;
-      if pass "cse" ~preserves:dl Mac_opt.Cse.run then changed := true;
-      if pass "combine" ~preserves:dl Mac_opt.Combine.run then
-        changed := true;
-      if pass "cleanflow" ~preserves:[] Mac_opt.Cleanflow.run then
-        changed := true;
-      if
-        tv "dce" (fun () -> time "dce" (fun () -> Mac_opt.Dce.run ~am f))
-      then changed := true;
-      if !changed then go (budget - 1)
-    end
+  let round () =
+    let changed = ref [] in
+    let note name c = if c then changed := name :: !changed in
+    note "simplify" (pass "simplify" ~preserves:[] Mac_opt.Simplify.run);
+    note "copyprop"
+      (tv "copyprop" (fun () ->
+           time "copyprop" (fun () -> Mac_opt.Copyprop.run ~am f)));
+    note "cse" (pass "cse" ~preserves:dl Mac_opt.Cse.run);
+    note "combine" (pass "combine" ~preserves:dl Mac_opt.Combine.run);
+    note "cleanflow" (pass "cleanflow" ~preserves:[] Mac_opt.Cleanflow.run);
+    note "dce"
+      (tv "dce" (fun () -> time "dce" (fun () -> Mac_opt.Dce.run ~am f)));
+    List.rev !changed
   in
-  go 10
+  let rec go left =
+    match round () with
+    | [] -> []
+    | _ when left > 1 -> go (left - 1)
+    | changed ->
+      [ Diagnostic.warningf ~pass:"classic-opts" ~func:f.name
+          "no fixed point after %d rounds: the last round still changed \
+           the function (%s)"
+          classic_budget (String.concat ", " changed) ]
+  in
+  go classic_budget
 
 let classic_opts f =
   let am = Analysis.create f in
@@ -267,7 +280,7 @@ let compile_func cfg timings tvalid_tbl (f : Func.t) =
             (Mac_verify.Rtlcheck.check_func ?machine ~analysis:am ~pass:name
                f))
   in
-  let classic () = classic_rounds ~tv am time f in
+  let classic () = diags := !diags @ classic_rounds ~tv am time f in
   checkpoint "input";
   if cfg.level <> O0 then begin
     classic ();

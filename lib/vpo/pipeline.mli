@@ -153,8 +153,12 @@ val compile_funcs : config -> Func.t list -> compiled
 val compile_source : config -> string -> compiled
 (** Parse, type-check, lower and optimize MiniC source. *)
 
-val classic_opts : Func.t -> unit
-(** The O1 fixed-point combination, exposed for tests. *)
+val classic_opts : Func.t -> Mac_verify.Diagnostic.t list
+(** The O1 fixed-point combination, exposed for tests: rounds of the six
+    classic passes until one changes nothing, at most 10 of them. Returns
+    [[]] at the fixed point, or one warning from the pass
+    ["classic-opts"] naming the function and the passes that still
+    changed it when the budget ran out. *)
 
 val test_intercept : (string -> Func.t -> unit) option ref
 (** Test seam: called with the pass name and the function right after

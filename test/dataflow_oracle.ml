@@ -6,7 +6,7 @@
 
 open Mac_rtl
 module Cfg = Mac_cfg.Cfg
-module IntSet = Mac_dataflow.Reaching.IntSet
+module IntSet = Set.Make (Int)
 
 open Mac_dataflow.Dataflow
 

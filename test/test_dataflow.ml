@@ -6,6 +6,7 @@ module Cfg = Mac_cfg.Cfg
 module Liveness = Mac_dataflow.Liveness
 module Reaching = Mac_dataflow.Reaching
 module Copies = Mac_dataflow.Copies
+module Oracle = Dataflow_oracle
 
 let reg = Reg.make
 
@@ -91,20 +92,20 @@ let test_reaching_defs () =
       ]
   in
   let cfg = Cfg.build f in
-  let r = Reaching.compute cfg in
+  let r = Oracle.Reaching.compute cfg in
   let join = Option.get (Cfg.block_of_label cfg "Lj") in
   let ret_inst = List.hd (List.rev f.body) in
   let defs =
-    Reaching.defs_of_reg_reaching r ~block:join ~before:ret_inst (reg 2)
+    Oracle.Reaching.defs_of_reg_reaching r ~block:join ~before:ret_inst (reg 2)
   in
   Alcotest.(check int) "both definitions of r2 reach the join" 2
-    (Reaching.IntSet.cardinal defs);
+    (Oracle.IntSet.cardinal defs);
   Alcotest.check_raises "instruction outside the block" Not_found (fun () ->
       ignore
-        (Reaching.defs_of_reg_reaching r ~block:join ~before:(List.hd f.body)
-           (reg 2)));
+        (Oracle.Reaching.defs_of_reg_reaching r ~block:join
+           ~before:(List.hd f.body) (reg 2)));
   (* each reaching def is a Move *)
-  Reaching.IntSet.iter
+  Oracle.IntSet.iter
     (fun uid ->
       match List.find_opt (fun (i : Rtl.inst) -> i.uid = uid) f.body with
       | Some { Rtl.kind = Rtl.Move (d, Rtl.Imm _); _ } ->
@@ -115,12 +116,14 @@ let test_reaching_defs () =
 let test_reaching_params () =
   let f = func_of [ Rtl.Ret (Some (Rtl.Reg (reg 0))) ] in
   let cfg = Cfg.build f in
-  let r = Reaching.compute cfg in
+  let r = Oracle.Reaching.compute cfg in
   let ret_inst = List.hd f.body in
-  let defs = Reaching.defs_of_reg_reaching r ~block:0 ~before:ret_inst (reg 0) in
+  let defs =
+    Oracle.Reaching.defs_of_reg_reaching r ~block:0 ~before:ret_inst (reg 0)
+  in
   (* a parameter's pseudo-definition has uid [-1 - Reg.id r] *)
   Alcotest.(check (list int)) "parameter pseudo-def" [ -1 - Reg.id (reg 0) ]
-    (Reaching.IntSet.elements defs)
+    (Oracle.IntSet.elements defs)
 
 let test_reaching_loop_carried () =
   (* inside a loop both the initialisation and the loop's own definition
@@ -138,7 +141,7 @@ let test_reaching_loop_carried () =
       ]
   in
   let cfg = Cfg.build f in
-  let r = Reaching.compute cfg in
+  let r = Oracle.Reaching.compute cfg in
   let loop_block = Option.get (Cfg.block_of_label cfg "L") in
   let first_inst =
     List.find
@@ -147,11 +150,32 @@ let test_reaching_loop_carried () =
       cfg.blocks.(loop_block).insts
   in
   let defs =
-    Reaching.defs_of_reg_reaching r ~block:loop_block ~before:first_inst
+    Oracle.Reaching.defs_of_reg_reaching r ~block:loop_block ~before:first_inst
       (reg 2)
   in
   Alcotest.(check int) "init + loop def both reach" 2
-    (Reaching.IntSet.cardinal defs)
+    (Oracle.IntSet.cardinal defs)
+
+(* The per-block definedness query: uses no definition reaches, in body
+   order. The only definition of r2 is the instruction using it, so that
+   use is undefined; the later use of r2 is reached by it. *)
+let test_undefined_uses () =
+  let f =
+    func_of
+      [
+        Rtl.Binop (Rtl.Add, reg 2, Rtl.Reg (reg 2), Rtl.Imm 1L);
+        Rtl.Binop (Rtl.Add, reg 3, Rtl.Reg (reg 2), Rtl.Reg (reg 4));
+        Rtl.Ret (Some (Rtl.Reg (reg 3)));
+      ]
+  in
+  let r = Reaching.compute (Cfg.build f) in
+  let got = ref [] in
+  Reaching.iter_undefined_uses r ~block:0 (fun i reg ->
+      got := (i.Rtl.uid, Reg.id reg) :: !got);
+  let uid n = (List.nth f.body n).Rtl.uid in
+  Alcotest.(check (list (pair int int)))
+    "r2 in its own increment, then r4" [ (uid 0, 2); (uid 1, 4) ]
+    (List.rev !got)
 
 let test_copies_straightline () =
   let f =
@@ -249,8 +273,6 @@ let test_copies_available_at_join_when_on_both_paths () =
    label) and empty blocks (a label that falls straight through to the
    next). Answers must agree exactly at every block, instruction and
    register. *)
-
-module Oracle = Dataflow_oracle
 
 type rand_block = {
   rb_insts : Rtl.kind list;  (* interior: moves and binops over r0..r7 *)
@@ -377,26 +399,32 @@ let check_liveness_equal f cfg =
         expect folded)
     cfg.Cfg.blocks
 
-let check_reaching_equal f cfg =
+(* The production engine only answers "does any definition reach this
+   use"; the oracle's reaching set for the use must be empty exactly when
+   it says no, use by use in body order. *)
+let check_reaching_equal _f cfg =
   let reach = Reaching.compute cfg and oracle = Oracle.Reaching.compute cfg in
-  let regs = all_regs f in
   Array.iteri
     (fun b (blk : Cfg.block) ->
-      List.iter
-        (fun i ->
-          List.iter
-            (fun r ->
-              let got = Reaching.defs_of_reg_reaching reach ~block:b ~before:i r
-              and want =
-                Oracle.Reaching.defs_of_reg_reaching oracle ~block:b ~before:i
-                  r
-              in
-              if not (Reaching.IntSet.equal got want) then
-                QCheck.Test.fail_reportf
-                  "defs_of_reg_reaching differs at block %d uid %d reg %d" b
-                  i.Rtl.uid (Reg.id r))
-            regs)
-        blk.Cfg.insts)
+      let want =
+        List.concat_map
+          (fun (i : Rtl.inst) ->
+            List.filter_map
+              (fun r ->
+                if
+                  Oracle.IntSet.is_empty
+                    (Oracle.Reaching.defs_of_reg_reaching oracle ~block:b
+                       ~before:i r)
+                then Some (i.uid, Reg.id r)
+                else None)
+              (Rtl.uses i.kind))
+          blk.Cfg.insts
+      in
+      let got = ref [] in
+      Reaching.iter_undefined_uses reach ~block:b (fun i r ->
+          got := (i.uid, Reg.id r) :: !got);
+      if List.rev !got <> want then
+        QCheck.Test.fail_reportf "undefined uses differ at block %d" b)
     cfg.Cfg.blocks
 
 let check_copies_equal f cfg =
@@ -674,6 +702,7 @@ let () =
           Alcotest.test_case "params" `Quick test_reaching_params;
           Alcotest.test_case "loop carried" `Quick
             test_reaching_loop_carried;
+          Alcotest.test_case "undefined uses" `Quick test_undefined_uses;
         ] );
       ( "copies",
         [

@@ -10,6 +10,12 @@ module Machine = Mac_machine.Machine
 module Memory = Mac_sim.Memory
 module Interp = Mac_sim.Interp
 
+(* The classic fixed point, which must converge inside its budget. *)
+let classic_opts f =
+  match Mac_vpo.Pipeline.classic_opts f with
+  | [] -> ()
+  | d :: _ -> Alcotest.fail (Mac_verify.Diagnostic.to_string d)
+
 let reg = Reg.make
 
 let func_of ?(params = [ reg 0; reg 1 ]) kinds =
@@ -701,7 +707,7 @@ let test_strength_preserves_semantics () =
 let test_strength_stats () =
   let funcs = Mac_minic.Lower.compile sum_src in
   let f = List.hd funcs in
-  Mac_vpo.Pipeline.classic_opts f;
+  classic_opts f;
   let stats = Mac_opt.Strength.run f in
   Alcotest.(check int) "one loop rewritten" 1 stats.loops;
   Alcotest.(check bool) "a pointer was introduced" true (stats.pointers >= 1);
@@ -715,7 +721,7 @@ let test_strength_skips_register_stride () =
   in
   let funcs = Mac_minic.Lower.compile src in
   let f = List.hd funcs in
-  Mac_vpo.Pipeline.classic_opts f;
+  classic_opts f;
   let stats = Mac_opt.Strength.run f in
   Alcotest.(check int) "no pointer for register stride" 0 stats.pointers
 
@@ -922,6 +928,104 @@ let test_combine_redefinition_drops () =
   ignore (Mac_opt.Combine.run f);
   Alcotest.(check int64) "redefined value wins" 99L
     (exec ~args:[ 1L; 99L ] f)
+
+let test_combine_lone_increment_unchanged () =
+  (* nothing absorbs the increment, so it is flushed back unmoved at the
+     branch: no rewrite, and the instruction keeps its uid *)
+  let f =
+    func_of ~params:[ reg 0; reg 1 ]
+      [
+        Rtl.Label "L";
+        Rtl.Binop (Rtl.Add, reg 0, Rtl.Reg (reg 0), Rtl.Imm 1L);
+        Rtl.Branch
+          { cmp = Rtl.Lt; l = Rtl.Reg (reg 0); r = Rtl.Reg (reg 1);
+            target = "L" };
+        Rtl.Ret (Some (Rtl.Reg (reg 0)));
+      ]
+  in
+  let body = f.body in
+  let uid = (List.nth body 1).Rtl.uid in
+  Alcotest.(check bool) "no change reported" false (Mac_opt.Combine.run f);
+  Alcotest.(check bool) "body untouched" true (f.body == body);
+  Alcotest.(check int) "increment keeps its uid" uid (List.nth f.body 1).uid
+
+(* --- the classic fixed point --- *)
+
+(* The rounds stop at the first round that changes nothing, so on a
+   function the pipeline left converged every classic pass must report no
+   change and leave the body physically untouched: 8 programs x 3
+   machines x O1-O4. *)
+let test_classic_passes_idle_when_converged () =
+  let module W = Mac_workloads.Workloads in
+  let passes =
+    [
+      ("simplify", Mac_opt.Simplify.run);
+      ("copyprop", fun f -> Mac_opt.Copyprop.run f);
+      ("cse", Mac_opt.Cse.run);
+      ("combine", Mac_opt.Combine.run);
+      ("cleanflow", Mac_opt.Cleanflow.run);
+      ("dce", fun f -> Mac_opt.Dce.run f);
+    ]
+  in
+  List.iter
+    (fun (b : W.t) ->
+      List.iter
+        (fun machine ->
+          List.iter
+            (fun level ->
+              let cfg = Mac_vpo.Pipeline.config ~level machine in
+              let c = Mac_vpo.Pipeline.compile_source cfg b.source in
+              List.iter
+                (fun (f : Func.t) ->
+                  List.iter
+                    (fun (name, run) ->
+                      let what =
+                        Printf.sprintf "%s %s/%s/%s" name b.name
+                          machine.Machine.name
+                          (Mac_vpo.Pipeline.level_to_string level)
+                      in
+                      let body = f.body in
+                      Alcotest.(check bool) (what ^ " reports no change") false
+                        (run f);
+                      Alcotest.(check bool) (what ^ " keeps the body") true
+                        (f.body == body))
+                    passes)
+                c.funcs)
+            Mac_vpo.Pipeline.[ O1; O2; O3; O4 ])
+        Machine.[ alpha; mc88100; mc68030 ])
+    (W.dotproduct :: W.all)
+
+(* A chain [r2 = 0; r3 = r2 + 1; ...; rN = r(N-1) + 1] folds one link
+   per round: simplify turns the link whose operand copyprop replaced
+   last round into a constant move, and copyprop carries that constant
+   one link further. *)
+let const_chain links =
+  func_of
+    (Rtl.Move (reg 2, Rtl.Imm 0L)
+     :: List.init links (fun k ->
+            Rtl.Binop (Rtl.Add, reg (k + 3), Rtl.Reg (reg (k + 2)), Rtl.Imm 1L))
+    @ [ Rtl.Ret (Some (Rtl.Reg (reg (links + 2)))) ])
+
+(* A budget used up while a round still changes something is reported,
+   naming the pass group, the function and the passes still at work. *)
+let test_classic_budget_exhaustion_reported () =
+  (match Mac_vpo.Pipeline.classic_opts (const_chain 16) with
+  | [ (d : Mac_verify.Diagnostic.t) ] ->
+    Alcotest.(check bool) "a warning" true
+      (d.severity = Mac_verify.Diagnostic.Warning);
+    Alcotest.(check string) "pass" "classic-opts" d.pass;
+    Alcotest.(check (option string)) "function" (Some "t") d.func;
+    Alcotest.(check string) "reason"
+      "no fixed point after 10 rounds: the last round still changed the \
+       function (simplify, copyprop, dce)"
+      d.message
+  | ds ->
+    Alcotest.failf "expected one warning, got %d" (List.length ds));
+  let f = const_chain 4 in
+  Alcotest.(check int) "a short chain converges" 0
+    (List.length (Mac_vpo.Pipeline.classic_opts f));
+  Alcotest.(check bool) "folded to a constant" true
+    (kinds_of f = [ Rtl.Ret (Some (Rtl.Imm 4L)) ])
 
 (* --- schedule pass --- *)
 
@@ -1197,9 +1301,9 @@ let prop_classic_opts_preserve_semantics =
   QCheck.Test.make ~name:"classic opts preserve straight-line semantics"
     ~count:200 random_linear_func (fun f ->
       let g = clone_func f in
-      Mac_vpo.Pipeline.classic_opts g;
+      let converged = Mac_vpo.Pipeline.classic_opts g = [] in
       let run h = exec ~args:[ 7L; -3L ] h in
-      Int64.equal (run f) (run g))
+      converged && Int64.equal (run f) (run g))
 
 (* --- software pipeliner (-Osched) properties ----------------------- *)
 
@@ -1458,6 +1562,15 @@ let () =
             test_combine_flushes_at_branch;
           Alcotest.test_case "redefinition drops" `Quick
             test_combine_redefinition_drops;
+          Alcotest.test_case "lone increment unchanged" `Quick
+            test_combine_lone_increment_unchanged;
+        ] );
+      ( "classic fixed point",
+        [
+          Alcotest.test_case "passes idle when converged" `Quick
+            test_classic_passes_idle_when_converged;
+          Alcotest.test_case "budget exhaustion reported" `Quick
+            test_classic_budget_exhaustion_reported;
         ] );
       ( "schedule",
         [

@@ -12,6 +12,12 @@ module Audit = Mac_verify.Audit
 module Pipeline = Mac_vpo.Pipeline
 module W = Mac_workloads.Workloads
 
+(* The classic fixed point, which must converge inside its budget. *)
+let classic_opts f =
+  match Pipeline.classic_opts f with
+  | [] -> ()
+  | d :: _ -> Alcotest.fail (Diagnostic.to_string d)
+
 let reg = Reg.make
 
 let contains s sub =
@@ -78,6 +84,20 @@ let test_undefined_register () =
   check_flags "undefined register"
     (Rtlcheck.check_func ~pass:"test" f)
     "undefined register"
+
+let test_self_defined_register () =
+  (* the only definition of r2 is the instruction reading it: its own
+     definition comes after its use, so the use is still undefined *)
+  let f = Func.create ~name:"t" ~params:[] in
+  Func.append f (Rtl.Binop (Rtl.Add, reg 2, Rtl.Reg (reg 2), Rtl.Imm 1L));
+  Func.append f (Rtl.Ret (Some (Rtl.Reg (reg 2))));
+  let incr = (List.hd f.body).Rtl.uid in
+  match Diagnostic.errors (Rtlcheck.check_func ~pass:"test" f) with
+  | [ d ] ->
+    Alcotest.(check (option int)) "at the increment" (Some incr) d.uid;
+    Alcotest.(check bool) "undefined register" true
+      (String.starts_with ~prefix:"use of undefined register" d.message)
+  | ds -> Alcotest.failf "expected one error, got %d" (List.length ds)
 
 let test_maybe_undefined () =
   (* r5 is defined on the fall-through path only; the use after the join
@@ -157,7 +177,7 @@ let forced =
    to run on the coalesce pass's direct output, before legalization. *)
 let coalesced src machine =
   let f = List.hd (Mac_minic.Lower.compile src) in
-  Pipeline.classic_opts f;
+  classic_opts f;
   let reports = Coalesce.run f ~machine forced in
   let r =
     match
@@ -340,7 +360,7 @@ let image_add_facts =
 
 let coalesced_with_facts src machine ~facts =
   let f = List.hd (Mac_minic.Lower.compile src) in
-  Pipeline.classic_opts f;
+  classic_opts f;
   let reports = Coalesce.run ~facts f ~machine forced in
   let r =
     match
@@ -838,6 +858,8 @@ let () =
           Alcotest.test_case "fall-through end" `Quick test_fallthrough_end;
           Alcotest.test_case "undefined register" `Quick
             test_undefined_register;
+          Alcotest.test_case "self-defined register" `Quick
+            test_self_defined_register;
           Alcotest.test_case "maybe undefined" `Quick test_maybe_undefined;
           Alcotest.test_case "extract escapes register" `Quick
             test_extract_escapes_register;
