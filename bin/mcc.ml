@@ -285,6 +285,7 @@ let add_agg (a : Mac_verify.Tvalid.agg) (b : Mac_verify.Tvalid.agg) :
     fallbacks = a.fallbacks + b.fallbacks;
     fallback_reason =
       (match a.fallback_reason with None -> b.fallback_reason | r -> r);
+    replays = a.replays + b.replays;
     seconds = a.seconds +. b.seconds }
 
 (* Two compilations as one: per-function reports side by side, per-name
@@ -357,19 +358,22 @@ let print_sched sched_reports =
   Fmt.pr "total: pipelined=%d reordered=%d rejected=%d@." !pipelined
     !reordered !rejected
 
-(* tvalid: what the per-pass translation validator did. *)
+(* tvalid: what the translation validator did, per pass; each call's
+   classic rounds are one [classic-opts] composite. *)
 let print_tvalid (stats : (string * Mac_verify.Tvalid.agg) list) =
   let open Mac_verify.Tvalid in
-  Fmt.pr "translation validation (per pass):@.";
-  Fmt.pr "  %-14s %6s %8s %8s %8s %10s %10s@." "pass" "runs" "checked"
-    "skipped" "regions" "fallbacks" "ms";
+  Fmt.pr "translation validation (per pass; classic rounds as one \
+          composite):@.";
+  Fmt.pr "  %-14s %6s %8s %8s %8s %10s %8s %10s@." "pass" "runs" "checked"
+    "skipped" "regions" "fallbacks" "replays" "ms";
   let total =
     List.fold_left (fun t (_, a) -> add_agg t a) (agg_zero ()) stats
   in
   List.iter
     (fun (name, a) ->
-      Fmt.pr "  %-14s %6d %8d %8d %8d %10d %10.3f@." name a.runs a.blocks
-        a.skipped a.regions a.fallbacks (a.seconds *. 1e3))
+      Fmt.pr "  %-14s %6d %8d %8d %8d %10d %8d %10.3f@." name a.runs
+        a.blocks a.skipped a.regions a.fallbacks a.replays
+        (a.seconds *. 1e3))
     stats;
   (* fallbacks are legitimate (renaming passes check via Rtlcheck +
      certificate audits instead of symbolic execution) but must never
@@ -381,9 +385,9 @@ let print_tvalid (stats : (string * Mac_verify.Tvalid.agg) list) =
       | _ -> ())
     stats;
   Fmt.pr "total: %d validation run(s), %d block pair(s) checked, %d skipped, \
-          %d region(s), %d fallback(s) in %.3f ms@."
+          %d region(s), %d fallback(s), %d replay(s) in %.3f ms@."
     total.runs total.blocks total.skipped total.regions total.fallbacks
-    (total.seconds *. 1e3)
+    total.replays (total.seconds *. 1e3)
 
 let print_phases ~what ~total phases =
   Fmt.pr "%s profile (total %.3f ms):@." what (total *. 1e3);

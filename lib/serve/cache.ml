@@ -1,6 +1,6 @@
 (* On-disk content-addressed cache: DIR/KEY.json holds the canonical
    artifact body. Atomic publishes via rename; LRU-by-mtime eviction
-   capped at max_entries. *)
+   capped at max_entries; temp files of dead writers swept at open. *)
 
 type t = { root : string; max_entries : int }
 
@@ -10,8 +10,38 @@ let rec mkdir_p dir =
     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
+(* [store] names its temp file KEY.json.tmp.<pid>.<hash>: the pid is
+   the writer's, so a file whose pid is dead is an abandoned publish. *)
+let temp_pid name =
+  match List.rev (String.split_on_char '.' name) with
+  | _ :: pid :: "tmp" :: _ -> (
+    match int_of_string_opt pid with Some p when p > 0 -> Some p | _ -> None)
+  | _ -> None
+
+let dead pid =
+  match Unix.kill pid 0 with
+  | () -> false
+  | exception Unix.Unix_error (Unix.ESRCH, _, _) -> true
+  | exception Unix.Unix_error _ -> false
+
+(* Orphaned temp files from writers that died between write and rename;
+   a live writer's file is its publish in flight. *)
+let sweep_temps root =
+  match Sys.readdir root with
+  | names ->
+    Array.iter
+      (fun name ->
+        match temp_pid name with
+        | Some pid when dead pid -> (
+          try Unix.unlink (Filename.concat root name)
+          with Unix.Unix_error _ -> ())
+        | _ -> ())
+      names
+  | exception Sys_error _ -> ()
+
 let open_dir ?(max_entries = 4096) root =
   mkdir_p root;
+  sweep_temps root;
   { root; max_entries = Stdlib.max 1 max_entries }
 
 let dir t = t.root
@@ -67,9 +97,15 @@ let store t key body =
     Printf.sprintf "%s.tmp.%d.%d" final (Unix.getpid ())
       (Hashtbl.hash (key, String.length body))
   in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc body);
-  Unix.rename tmp final;
+  (try
+     let oc = open_out_bin tmp in
+     Fun.protect
+       ~finally:(fun () -> close_out_noerr oc)
+       (fun () ->
+         output_string oc body;
+         close_out oc);
+     Unix.rename tmp final
+   with e ->
+     (try Sys.remove tmp with Sys_error _ -> ());
+     raise e);
   evict t

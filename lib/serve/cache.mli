@@ -20,7 +20,9 @@ type t
 val open_dir : ?max_entries:int -> string -> t
 (** Create/open a cache rooted at the directory (created, with
     parents, if missing). [max_entries] defaults to 4096; the cap is
-    enforced on {!store}, never on {!find}. *)
+    enforced on {!store}, never on {!find}. Temp files left by a
+    {!store} whose process is gone are removed; a live process's are
+    left alone. *)
 
 val dir : t -> string
 
@@ -32,7 +34,9 @@ val store : t -> Digest_key.t -> string -> unit
 (** Atomically publish the body under the key, then evict
     oldest-mtime entries down to [max_entries]. Overwriting an
     existing key is harmless (last writer wins with identical
-    content — keys are content-addressed). *)
+    content — keys are content-addressed). When the write or the
+    rename fails, the temp file is removed and the exception
+    re-raised. *)
 
 val entries : t -> int
 (** Current number of cached artifacts (directory scan). *)

@@ -59,9 +59,10 @@ let diags_json (c : Pipeline.compiled) =
        c.Pipeline.diags)
 
 let tvalid_json (c : Pipeline.compiled) =
-  (* per-pass translation-validation counters; present (possibly
-     empty) so a full-verified artifact is recognizable as one the
-     validator actually gated before publication *)
+  (* per-pass translation-validation counters, each call's classic
+     rounds as one [classic-opts] row; present (possibly empty) so a
+     full-verified artifact is recognizable as one the validator
+     actually gated before publication *)
   J.Obj
     (List.map
        (fun (p, (a : Mac_verify.Tvalid.agg)) ->
@@ -73,6 +74,7 @@ let tvalid_json (c : Pipeline.compiled) =
                 ("skipped", J.Num (float_of_int a.skipped));
                 ("regions", J.Num (float_of_int a.regions));
                 ("fallbacks", J.Num (float_of_int a.fallbacks));
+                ("replays", J.Num (float_of_int a.replays));
               ]
              @ (match a.fallback_reason with
                | Some r -> [ ("fallback_reason", J.Str r) ]

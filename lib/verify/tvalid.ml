@@ -9,14 +9,15 @@ module Sx = Symexec
 
 type pass_class = Exact | Region | Fallback
 
-(* The classic round, legalization and the per-block list scheduler keep
+(* The classic passes, the composite of one call's classic rounds
+   ([classic-opts]), legalization and the per-block list scheduler keep
    the loop structure: they are matched exactly. The two loop
    restructurers are matched with region cut-points. Strength reduction
    rewrites induction variables wholesale and regalloc renames every
    register; both fall back to Rtlcheck + their own audits. *)
 let classify = function
-  | "simplify" | "copyprop" | "cse" | "combine" | "cleanflow" | "dce"
-  | "legalize" | "legalize-first" | "schedule" ->
+  | "classic-opts" | "simplify" | "copyprop" | "cse" | "combine"
+  | "cleanflow" | "dce" | "legalize" | "legalize-first" | "schedule" ->
     Exact
   | "coalesce" | "pipeline-sched" -> Region
   | _ -> Fallback
@@ -1067,12 +1068,14 @@ type agg = {
   mutable regions : int;
   mutable fallbacks : int;
   mutable fallback_reason : string option;
+  mutable replays : int;
   mutable seconds : float;
 }
 
 let agg_zero () =
   {
     runs = 0;
+    replays = 0;
     blocks = 0;
     skipped = 0;
     regions = 0;

@@ -12,7 +12,10 @@
     cross-block rewrites — CSE reusing a value over an extended basic
     block, copy propagation through a join — do not read as mismatches.
 
-    Scalar passes are matched exactly. The two loop-restructuring passes
+    Scalar passes are matched exactly; the pipeline validates each call
+    of the classic rounds as one such pass, [classic-opts], from before
+    the rounds to their fixed point, and replays its recorded steps pass
+    by pass only to blame a rejection. The two loop-restructuring passes
     ([coalesce], [pipeline-sched]) are matched with region cut-points:
     each transformed loop (named by its report) is carved out and
     justified by its own certificate audit, and matching resumes at the
@@ -103,6 +106,10 @@ type agg = {
   mutable regions : int;
   mutable fallbacks : int;
   mutable fallback_reason : string option;
+  mutable replays : int;
+      (** composites the validator rejected and replayed pass by pass
+          to blame a step; in a compile that was accepted, every
+          replayed step was *)
   mutable seconds : float;
 }
 

@@ -5,6 +5,7 @@ module Disambig = Mac_core.Disambig
 module Linform = Mac_opt.Linform
 module Diagnostic = Mac_verify.Diagnostic
 module Analysis = Mac_dataflow.Analysis
+module Tvalid = Mac_verify.Tvalid
 
 type level = O0 | O1 | O2 | O3 | O4
 
@@ -71,15 +72,17 @@ type compiled = {
   guards_emitted : int;
   guards_elided : int;
   elision_reasons : (string * int) list;
-  tvalid_stats : (string * Mac_verify.Tvalid.agg) list;
+  tvalid_stats : (string * Tvalid.agg) list;
 }
 
 exception Verification_failed of Diagnostic.t
 
 (* Test seams for the translation validator. [test_intercept] mutates the
-   function after a pass has run but before the validator sees it (the
-   mccd mutant-compile test injects a miscompile this way); [test_observe]
-   captures (pass, old, new) snapshots for the qcheck mutation adversary.
+   function after a pass has run but before the validator, or the
+   classic rounds' step recorder, sees it (the mccd mutant-compile test
+   injects a miscompile this way); [test_observe] captures (pass, old,
+   new) snapshots, classic steps and composites alike, for the qcheck
+   mutation adversary.
    Both survive a fork, so a daemon test can arm them before serving. *)
 let test_intercept : (string -> Func.t -> unit) option ref = ref None
 
@@ -120,13 +123,13 @@ let classic_budget = 10
    [false] [f.body] is physically untouched. [classic_budget] rounds
    used up with a change still pending is returned as a warning naming the passes that
    last changed something. *)
-let classic_rounds ?(tv = fun _name run -> run ()) am time (f : Func.t) =
+let classic_rounds ?(record = fun _name run -> run ()) am time (f : Func.t) =
   let dl = [ Analysis.Dom; Analysis.Loops ] in
   let pass name ~preserves run =
-    (* [tv] wraps the pass run itself (snapshotting before, validating
-       after) but not the cache invalidation; the per-pass timer sits
-       inside so validation time is never billed to the pass *)
-    let changed = tv name (fun () -> time name (fun () -> run f)) in
+    (* [record] wraps the pass run itself (snapshotting before and after)
+       but not the cache invalidation; the per-pass timer sits inside so
+       recording is never billed to the pass *)
+    let changed = record name (fun () -> time name (fun () -> run f)) in
     (* the validator memo is content-addressed, so every honest rewrite
        preserves it; {!Analysis.coherent}'s audit polices the claim *)
     if changed then
@@ -138,13 +141,13 @@ let classic_rounds ?(tv = fun _name run -> run ()) am time (f : Func.t) =
     let note name c = if c then changed := name :: !changed in
     note "simplify" (pass "simplify" ~preserves:[] Mac_opt.Simplify.run);
     note "copyprop"
-      (tv "copyprop" (fun () ->
+      (record "copyprop" (fun () ->
            time "copyprop" (fun () -> Mac_opt.Copyprop.run ~am f)));
     note "cse" (pass "cse" ~preserves:dl Mac_opt.Cse.run);
     note "combine" (pass "combine" ~preserves:dl Mac_opt.Combine.run);
     note "cleanflow" (pass "cleanflow" ~preserves:[] Mac_opt.Cleanflow.run);
     note "dce"
-      (tv "dce" (fun () -> time "dce" (fun () -> Mac_opt.Dce.run ~am f)));
+      (record "dce" (fun () -> time "dce" (fun () -> Mac_opt.Dce.run ~am f)));
     List.rev !changed
   in
   let rec go left =
@@ -190,64 +193,71 @@ let compile_func cfg timings tvalid_tbl (f : Func.t) =
   let facts =
     Option.value (List.assoc_opt f.name cfg.facts) ~default:Disambig.empty
   in
-  (* --- per-pass translation validation (the Vfull backbone) ---------- *)
+  (* --- translation validation (the Vfull backbone) ------------------- *)
   let tvalid_on = cfg.verify = Vfull in
+  let tv_agg name =
+    match Hashtbl.find_opt tvalid_tbl name with
+    | Some a -> a
+    | None ->
+      let a = Tvalid.agg_zero () in
+      Hashtbl.add tvalid_tbl name a;
+      a
+  in
   let tv_record name res dt =
-    let agg =
-      match Hashtbl.find_opt tvalid_tbl name with
-      | Some a -> a
-      | None ->
-        let a = Mac_verify.Tvalid.agg_zero () in
-        Hashtbl.add tvalid_tbl name a;
-        a
-    in
-    agg.Mac_verify.Tvalid.runs <- agg.Mac_verify.Tvalid.runs + 1;
-    agg.Mac_verify.Tvalid.seconds <- agg.Mac_verify.Tvalid.seconds +. dt;
+    let agg = tv_agg name in
+    agg.Tvalid.runs <- agg.Tvalid.runs + 1;
+    agg.Tvalid.seconds <- agg.Tvalid.seconds +. dt;
     match res with
-    | Ok (r : Mac_verify.Tvalid.result) ->
-      agg.Mac_verify.Tvalid.blocks <-
-        agg.Mac_verify.Tvalid.blocks + r.Mac_verify.Tvalid.blocks_checked;
-      agg.Mac_verify.Tvalid.skipped <-
-        agg.Mac_verify.Tvalid.skipped + r.Mac_verify.Tvalid.blocks_skipped;
-      agg.Mac_verify.Tvalid.regions <-
-        agg.Mac_verify.Tvalid.regions + r.Mac_verify.Tvalid.regions_skipped;
-      (match r.Mac_verify.Tvalid.fallback with
+    | Ok (r : Tvalid.result) ->
+      agg.Tvalid.blocks <- agg.Tvalid.blocks + r.Tvalid.blocks_checked;
+      agg.Tvalid.skipped <- agg.Tvalid.skipped + r.Tvalid.blocks_skipped;
+      agg.Tvalid.regions <- agg.Tvalid.regions + r.Tvalid.regions_skipped;
+      (match r.Tvalid.fallback with
       | Some reason ->
-        agg.Mac_verify.Tvalid.fallbacks <-
-          agg.Mac_verify.Tvalid.fallbacks + 1;
-        agg.Mac_verify.Tvalid.fallback_reason <- Some reason
+        agg.Tvalid.fallbacks <- agg.Tvalid.fallbacks + 1;
+        agg.Tvalid.fallback_reason <- Some reason
       | None -> ())
     | Error _ -> ()
   in
-  (* Validate [old_f -> f] for [name]: block-by-block symbolic
+  (* Validate [old_f -> new_f] for [name]: block-by-block symbolic
      equivalence for structure-preserving passes, region cut-points for
-     the loop restructurers, a recorded fallback for the renamers. An
-     error-severity mismatch fails the compilation like any other Vfull
-     diagnostic. *)
-  let tv_check ?reports ?sched_reports name old_f =
-    (match !test_intercept with Some h -> h name f | None -> ());
-    (match !test_observe with
-    | Some h -> h ~pass:name ~fname:f.name ~old_f ~new_f:f
-    | None -> ());
+     the loop restructurers, a recorded fallback for the renamers. *)
+  let tv_run ?reports ?sched_reports name ~old_f ~new_f =
     let t0 = now () in
     let res =
       (* the cross-pass memo rides in the analysis manager's [Tvalid]
          slot: passes that preserve it keep block skipping warm, a pass
          that drops it only costs a cold revalidation, and its self-audit
          runs with every checkpoint's coherence probe *)
-      Mac_verify.Tvalid.validate
-        ~cache:(Mac_verify.Tvalid.cache_of_analysis am)
+      Tvalid.validate ~cache:(Tvalid.cache_of_analysis am)
         ~machine:cfg.machine ~facts ~pass:name ?reports ?sched_reports
-        ~old_f ~new_f:f ()
+        ~old_f ~new_f ()
     in
     let dt = now () -. t0 in
     add_time timings "tvalid" dt;
     tv_record name res dt;
-    match res with
-    | Ok r -> diags := !diags @ r.Mac_verify.Tvalid.warnings
+    res
+  in
+  (* An error-severity mismatch fails the compilation like any other
+     Vfull diagnostic. *)
+  let accept = function
+    | Ok (r : Tvalid.result) -> diags := !diags @ r.Tvalid.warnings
     | Error d ->
       diags := !diags @ [ d ];
       raise (Verification_failed d)
+  in
+  let intercept name =
+    match !test_intercept with Some h -> h name f | None -> ()
+  in
+  let observe name ~old_f ~new_f =
+    match !test_observe with
+    | Some h -> h ~pass:name ~fname:f.name ~old_f ~new_f
+    | None -> ()
+  in
+  let tv_check ?reports ?sched_reports name old_f =
+    intercept name;
+    observe name ~old_f ~new_f:f;
+    accept (tv_run ?reports ?sched_reports name ~old_f ~new_f:f)
   in
   (* wrapper for passes reporting a changed flag: skip the validator when
      the pass did nothing (old = new trivially), unless a test intercept
@@ -255,10 +265,49 @@ let compile_func cfg timings tvalid_tbl (f : Func.t) =
   let tv name run =
     if not tvalid_on then run ()
     else begin
-      let old_f = Mac_verify.Tvalid.snapshot f in
+      let old_f = Tvalid.snapshot f in
       let changed = run () in
       if changed || !test_intercept <> None then tv_check name old_f;
       changed
+    end
+  in
+  (* The classic rounds are validated as one composite, from a snapshot
+     taken before the rounds to their fixed point: one validator run per
+     call instead of one per changing pass. The recorder keeps a
+     (pass, before, after) step for every pass that changed something
+     (instructions are immutable, so a snapshot is one record copy);
+     only a rejected composite replays the steps through the per-pass
+     validator, to blame the first one that fails. If every step is
+     accepted, their chain of proofs stands for the composite and the
+     compile is accepted; [replays] counts these cases. *)
+  let classic () =
+    if not tvalid_on then diags := !diags @ classic_rounds am time f
+    else begin
+      let old_f = Tvalid.snapshot f in
+      let steps = ref [] in
+      let record name run =
+        let before = Tvalid.snapshot f in
+        let changed = run () in
+        intercept name;
+        if changed || !test_intercept <> None then begin
+          let after = Tvalid.snapshot f in
+          observe name ~old_f:before ~new_f:after;
+          steps := (name, before, after) :: !steps
+        end;
+        changed
+      in
+      diags := !diags @ classic_rounds ~record am time f;
+      if !steps <> [] then begin
+        observe "classic-opts" ~old_f ~new_f:f;
+        match tv_run "classic-opts" ~old_f ~new_f:f with
+        | Ok _ as res -> accept res
+        | Error _ ->
+          let agg = tv_agg "classic-opts" in
+          agg.Tvalid.replays <- agg.Tvalid.replays + 1;
+          List.iter
+            (fun (name, old_f, new_f) -> accept (tv_run name ~old_f ~new_f))
+            (List.rev !steps)
+      end
     end
   in
   (* Every pass must leave a function {!Func.validate} accepts; with
@@ -280,7 +329,6 @@ let compile_func cfg timings tvalid_tbl (f : Func.t) =
             (Mac_verify.Rtlcheck.check_func ?machine ~analysis:am ~pass:name
                f))
   in
-  let classic () = diags := !diags @ classic_rounds ~tv am time f in
   checkpoint "input";
   if cfg.level <> O0 then begin
     classic ();
@@ -316,7 +364,7 @@ let compile_func cfg timings tvalid_tbl (f : Func.t) =
                changed)));
     checkpoint ~machine:cfg.machine "legalize-first"
   end;
-  let tv_old = if tvalid_on then Some (Mac_verify.Tvalid.snapshot f) else None in
+  let tv_old = if tvalid_on then Some (Tvalid.snapshot f) else None in
   let reports =
     match coalesce_options cfg with
     | Some opts ->
@@ -382,9 +430,7 @@ let compile_func cfg timings tvalid_tbl (f : Func.t) =
          legalization (the machine shapes being scheduled are final) and
          after the per-block list scheduler (the pipeliner rebuilds its
          loop bodies from scratch; nothing may reorder its kernels) *)
-      let tv_old =
-        if tvalid_on then Some (Mac_verify.Tvalid.snapshot f) else None
-      in
+      let tv_old = if tvalid_on then Some (Tvalid.snapshot f) else None in
       let changed, rs =
         time "pipeline-sched" (fun () ->
             Mac_opt.Pipeline_sched.run ~am ?max_regs:cfg.regalloc f
@@ -426,9 +472,7 @@ let pass_seconds_of timings =
 let compile_funcs cfg funcs =
   let t0 = now () in
   let timings : (string, float) Hashtbl.t = Hashtbl.create 16 in
-  let tvalid_tbl : (string, Mac_verify.Tvalid.agg) Hashtbl.t =
-    Hashtbl.create 16
-  in
+  let tvalid_tbl : (string, Tvalid.agg) Hashtbl.t = Hashtbl.create 16 in
   (* Functions are compiled independently — uid allocation, the analysis
      manager and the validator cache are all per-Func — so they fan out
      over domains ({!Mac_parallel.Pool} caps the worker count at the
@@ -442,9 +486,7 @@ let compile_funcs cfg funcs =
     Mac_parallel.Pool.map
       (fun f ->
         let tm : (string, float) Hashtbl.t = Hashtbl.create 16 in
-        let tv : (string, Mac_verify.Tvalid.agg) Hashtbl.t =
-          Hashtbl.create 16
-        in
+        let tv : (string, Tvalid.agg) Hashtbl.t = Hashtbl.create 16 in
         let r = compile_func cfg tm tv f in
         (f.Func.name, r, tm, tv))
       funcs
@@ -453,17 +495,18 @@ let compile_funcs cfg funcs =
     (fun (_, _, tm, tv) ->
       Hashtbl.iter (fun name dt -> add_time timings name dt) tm;
       Hashtbl.iter
-        (fun name (a : Mac_verify.Tvalid.agg) ->
+        (fun name (a : Tvalid.agg) ->
           let g =
             match Hashtbl.find_opt tvalid_tbl name with
             | Some g -> g
             | None ->
-              let g = Mac_verify.Tvalid.agg_zero () in
+              let g = Tvalid.agg_zero () in
               Hashtbl.add tvalid_tbl name g;
               g
           in
-          let open Mac_verify.Tvalid in
+          let open Tvalid in
           g.runs <- g.runs + a.runs;
+          g.replays <- g.replays + a.replays;
           g.blocks <- g.blocks + a.blocks;
           g.skipped <- g.skipped + a.skipped;
           g.regions <- g.regions + a.regions;

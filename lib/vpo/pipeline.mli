@@ -24,10 +24,11 @@ val level_to_string : level -> string
 
 (** How much of {!Mac_verify} runs between passes: [Vnone] only the cheap
     {!Mac_rtl.Func.validate}; [Vir] the full Rtlcheck well-formedness
-    suite after every pass; [Vfull] additionally per-pass translation
+    suite after every pass; [Vfull] additionally translation
     validation ({!Mac_verify.Tvalid} — symbolic block-by-block
-    equivalence after every structure-preserving pass, region cut-points
-    over the loop restructurers) plus the independent coalescing safety
+    equivalence after every structure-preserving pass, with each call's
+    classic rounds checked as one composite, and region cut-points over
+    the loop restructurers) plus the independent coalescing safety
     audit ({!Mac_verify.Audit}) right after the coalesce pass and the
     schedule audit after software pipelining. *)
 type verify_level = Vnone | Vir | Vfull
@@ -137,10 +138,14 @@ type compiled = {
           ["alias:provenance"]), sorted by reason *)
   tvalid_stats : (string * Mac_verify.Tvalid.agg) list;
       (** per pass name, sorted: translation-validation runs, block pairs
-          checked, regions carved out, fallbacks recorded and wall-clock
-          seconds, accumulated across functions (empty unless
-          {!config.verify} is [Vfull]). The seconds also appear under the
-          ["tvalid"] key of [pass_seconds]. *)
+          checked, regions carved out, fallbacks recorded, replays and
+          wall-clock seconds, accumulated across functions (empty unless
+          {!config.verify} is [Vfull]). Each call of the classic rounds
+          that changed the function is one ["classic-opts"] run, from
+          before the rounds to their fixed point; a classic pass has a
+          row of its own only when a rejected composite was replayed
+          pass by pass. The seconds also appear under the ["tvalid"] key
+          of [pass_seconds]. *)
 }
 
 exception Verification_failed of Mac_verify.Diagnostic.t
@@ -162,15 +167,17 @@ val classic_opts : Func.t -> Mac_verify.Diagnostic.t list
 
 val test_intercept : (string -> Func.t -> unit) option ref
 (** Test seam: called with the pass name and the function right after
-    each validated pass runs and {e before} the translation validator
-    compares input and output — a hook that mutates the function here
-    simulates a miscompiling pass. While armed, the validator runs even
-    for passes reporting no change. Only consulted at [Vfull]. *)
+    each validated pass runs — each classic pass of every round
+    included — and {e before} its output is recorded or validated; a
+    hook that mutates the function here simulates a miscompiling pass.
+    While armed, a pass reporting no change is recorded or validated
+    too. Only consulted at [Vfull]. *)
 
 val test_observe :
   (pass:string -> fname:string -> old_f:Func.t -> new_f:Func.t -> unit)
   option
   ref
-(** Test seam: called with each (pass, before, after) snapshot pair the
-    validator checks — the qcheck mutation adversary captures real pass
-    transitions through this. Only consulted at [Vfull]. *)
+(** Test seam: called with each (pass, before, after) snapshot pair —
+    every recorded classic step, every ["classic-opts"] composite, and
+    every other validated pass — so the qcheck mutation adversary
+    captures real transitions through it. Only consulted at [Vfull]. *)

@@ -6,7 +6,7 @@
    builds — the serve cache key, the protocol hello, the BENCH headers —
    uses this one string. *)
 
-let version = "0.7.0"
+let version = "0.7.1"
 
 let compiler_fingerprint =
   let seed =

@@ -253,6 +253,53 @@ let test_cache_store_find_evict () =
   Alcotest.(check (option string)) "new entry kept" (Some "body three")
     (Cache.find c "k3")
 
+(* Temp-file hygiene: opening a cache removes a dead writer's temp
+   file and keeps a live one's; a store whose rename fails (the key's
+   path is taken by a non-empty directory) or that a read-only
+   directory refuses leaves no temp file behind. *)
+let test_cache_temp_hygiene () =
+  let dir = temp_dir "mcc_cache" in
+  let temps () =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun n -> not (Filename.check_suffix n ".json"))
+    |> List.sort compare
+  in
+  let touch name = close_out (open_out (Filename.concat dir name)) in
+  let dead_pid =
+    match Unix.fork () with
+    | 0 -> Unix._exit 0
+    | pid ->
+      ignore (Unix.waitpid [] pid);
+      pid
+  in
+  let stale = Printf.sprintf "k1.json.tmp.%d.7" dead_pid
+  and live = Printf.sprintf "k2.json.tmp.%d.7" (Unix.getpid ()) in
+  touch stale;
+  touch live;
+  let c = Cache.open_dir dir in
+  Alcotest.(check (list string)) "dead writer's temp file swept" [ live ]
+    (temps ());
+  Sys.remove (Filename.concat dir live);
+  let blocker = Filename.concat dir "k3.json" in
+  Unix.mkdir blocker 0o700;
+  touch "k3.json/occupied";
+  (match Cache.store c "k3" "body" with
+  | () -> Alcotest.fail "rename over a non-empty directory succeeded"
+  | exception Unix.Unix_error _ -> ());
+  Alcotest.(check (list string)) "failed rename leaves no temp file" []
+    (temps ());
+  Sys.remove (Filename.concat blocker "occupied");
+  Unix.rmdir blocker;
+  (* root writes into a read-only directory anyway, so only the absence
+     of a temp file is checked, whichever way the store goes *)
+  Unix.chmod dir 0o500;
+  Fun.protect
+    ~finally:(fun () -> Unix.chmod dir 0o700)
+    (fun () ->
+      (try Cache.store c "k4" "body" with Sys_error _ | Unix.Unix_error _ -> ());
+      Alcotest.(check (list string)) "read-only directory: no temp file" []
+        (temps ()))
+
 let test_cache_find_touches () =
   (* find bumps mtime, so "oldest" means least recently used, not least
      recently written *)
@@ -700,6 +747,8 @@ let () =
             test_cache_store_find_evict;
           Alcotest.test_case "find touches LRU order" `Quick
             test_cache_find_touches;
+          Alcotest.test_case "temp-file hygiene" `Quick
+            test_cache_temp_hygiene;
         ] );
       ( "daemon",
         [

@@ -493,11 +493,18 @@ module Memory = Mac_sim.Memory
 module Ps = Mac_opt.Pipeline_sched
 
 (* Every paper benchmark × machine × optimizing level must compile clean
-   at Vfull: the per-pass validator proves every scalar pass and carves
-   region cut-points around every coalesced/pipelined loop without a
-   single rejection (a rejection raises [Verification_failed] inside
-   [W.run_exn]). *)
+   at Vfull: the validator proves each call's classic rounds as one
+   composite, the other scalar passes one by one, and carves region
+   cut-points around every coalesced/pipelined loop without a single
+   rejection (a rejection raises [Verification_failed] inside
+   [W.run_exn]). No composite needs a pass-by-pass replay, no classic
+   pass is validated on its own, and the regions carved and fallbacks
+   recorded over the grid are those of per-pass validation. *)
+let classic_passes =
+  [ "simplify"; "copyprop"; "cse"; "combine"; "cleanflow"; "dce" ]
+
 let test_tvalid_grid_clean () =
+  let regions = ref 0 and fallbacks = ref 0 in
   List.iter
     (fun machine ->
       List.iter
@@ -512,12 +519,55 @@ let test_tvalid_grid_clean () =
                 W.run_exn ~size:16 ~coalesce:forced ~assume_layout:true
                   ~verify:Pipeline.Vfull ~machine ~level b
               in
-              Alcotest.(check bool)
-                (name ^ ": validator ran") true
-                (o.W.tvalid_stats <> []))
+              let stats = o.W.tvalid_stats in
+              (match List.assoc_opt "classic-opts" stats with
+              | Some a ->
+                Alcotest.(check int) (name ^ ": composite replays") 0
+                  a.Tvalid.replays
+              | None -> Alcotest.failf "%s: no classic-opts row" name);
+              List.iter
+                (fun p ->
+                  Alcotest.(check bool)
+                    (Printf.sprintf "%s: no %s row" name p)
+                    false (List.mem_assoc p stats))
+                classic_passes;
+              List.iter
+                (fun (_, (a : Tvalid.agg)) ->
+                  regions := !regions + a.Tvalid.regions;
+                  fallbacks := !fallbacks + a.Tvalid.fallbacks)
+                stats)
             W.all)
         [ Pipeline.O2; Pipeline.O3; Pipeline.O4 ])
-    [ Machine.alpha; Machine.mc88100; Machine.mc68030 ]
+    [ Machine.alpha; Machine.mc88100; Machine.mc68030 ];
+  Alcotest.(check int) "regions over the grid" 63 !regions;
+  Alcotest.(check int) "fallbacks over the grid" 0 !fallbacks
+
+(* A miscompiling classic pass is still blamed by name: the store-dropping
+   mutant injected after [cse] makes the composite reject, and the
+   pass-by-pass replay names [cse] and the function, not the composite. *)
+let test_tvalid_composite_blames_pass () =
+  Pipeline.test_intercept :=
+    Some
+      (fun pass f ->
+        if String.equal pass "cse" then
+          Func.set_body f
+            (List.filter
+               (fun (i : Rtl.inst) ->
+                 match i.Rtl.kind with Rtl.Store _ -> false | _ -> true)
+               f.Func.body));
+  Fun.protect
+    ~finally:(fun () -> Pipeline.test_intercept := None)
+    (fun () ->
+      let cfg =
+        Pipeline.config ~level:Pipeline.O2 ~verify:Pipeline.Vfull
+          Machine.alpha
+      in
+      match Pipeline.compile_source cfg image_add_src with
+      | _ -> Alcotest.fail "store-dropping mutant accepted"
+      | exception Pipeline.Verification_failed d ->
+        Alcotest.(check string) "blamed pass" "cse" d.Diagnostic.pass;
+        Alcotest.(check (option string)) "blamed function"
+          (Some "image_add") d.Diagnostic.func)
 
 (* Spilling under register pressure (params live across the loop, frame
    pointer introduced) must flow through the validator: regalloc renames
@@ -574,9 +624,11 @@ let test_tvalid_pipeline_sched_regions () =
 (* --- the mutation adversary ------------------------------------------ *)
 
 (* (pass, machine, old, new) snapshots captured from real Vfull compiles
-   through [Pipeline.test_observe]. Only exactly-matched passes
-   participate: region passes need their loop reports to carve
-   cut-points, and fallback passes are not term-checked at all. *)
+   through [Pipeline.test_observe]: the step of every classic pass that
+   changed something, each call's [classic-opts] composite, and the other
+   passes. Only exactly-matched passes participate: region passes need
+   their loop reports to carve cut-points, and fallback passes are not
+   term-checked at all. *)
 let captured_snapshots =
   lazy
     (let snaps = ref [] in
@@ -712,11 +764,14 @@ let concrete machine (f : Func.t) =
    to any mutant. *)
 let run_mutation_adversary ?cache () =
   let snaps = Lazy.force captured_snapshots in
-  Alcotest.(check bool) "captured pass snapshots" true
-    (Array.length snaps > 0);
+  let captured p = Array.exists (fun (pass, _, _, _) -> p pass) snaps in
+  Alcotest.(check bool) "captured per-pass classic steps" true
+    (captured (fun pass -> List.mem pass classic_passes));
+  Alcotest.(check bool) "captured classic-opts composites" true
+    (captured (String.equal "classic-opts"));
   let st = Random.State.make [| 0x5eed |] in
   let target = 500 and max_attempts = 50_000 in
-  let counted = ref 0 and attempts = ref 0 in
+  let counted = ref 0 and attempts = ref 0 and composites = ref 0 in
   let accepted = ref [] in
   while !counted < target && !attempts < max_attempts do
     incr attempts;
@@ -734,6 +789,7 @@ let run_mutation_adversary ?cache () =
       in
       if distinguished then begin
         incr counted;
+        if String.equal pass "classic-opts" then incr composites;
         match
           Tvalid.validate ?cache ~machine ~facts:Disambig.empty ~pass ~old_f
             ~new_f:mutant ()
@@ -748,6 +804,9 @@ let run_mutation_adversary ?cache () =
        !counted !attempts)
     true
     (!counted >= target);
+  Alcotest.(check bool)
+    (Printf.sprintf "composite mutants counted (%d)" !composites)
+    true (!composites > 0);
   Alcotest.(check int)
     (Printf.sprintf "accepted mutants (%s)"
        (String.concat "; "
@@ -905,6 +964,8 @@ let () =
             test_tvalid_spilling_fallback;
           Alcotest.test_case "pipeline-sched region cut-points" `Quick
             test_tvalid_pipeline_sched_regions;
+          Alcotest.test_case "composite rejection blames the pass" `Quick
+            test_tvalid_composite_blames_pass;
           Alcotest.test_case "grid clean at Vfull" `Slow
             test_tvalid_grid_clean;
           Alcotest.test_case "mutation adversary rejects all mutants" `Slow
