@@ -5,8 +5,7 @@
 
 MCC = dune exec bin/mcc.exe --
 
-.PHONY: all build test verify bench bench-json bench-validate bench-e2e \
-  estimate triage explain serve-bench clean
+.PHONY: all build test verify bench bench-e2e triage explain clean
 
 all: build
 
@@ -22,13 +21,10 @@ verify: build
 	$(MCC) --bench dotproduct -O O4 --machine mc88100 --verify
 	$(MCC) --bench dotproduct -O O4 --machine mc68030 --verify
 
+# The paper printer: every FIG/TAB/SCHED/PREH/ABL/FULL section
+# (MAC_QUICK=1 for 64x64 images instead of the paper's 500x500).
 bench: build
 	dune exec bench/main.exe
-
-# Quick sweep that writes and self-validates BENCH_sim.json (the harness
-# refuses to write a document that fails its independent re-parse).
-bench-json: build
-	MAC_QUICK=1 dune exec bench/main.exe
 
 # The repo's end-to-end benchmark: exactly the BENCHMARK.json command
 # for one workload and seed (see bench/e2e/README.md), e.g.
@@ -42,34 +38,10 @@ bench-e2e: build
 	dune exec -- bench/e2e/bench.exe --workload $(W) --seed $(SEED) \
 	  --seconds $(RUN_SECONDS)
 
-# One gate for all three bench artifacts: re-validate whichever of
-# BENCH_sim.json / BENCH_est.json / BENCH_serve.json exist with the
-# same independent parsers the emitting harnesses use (dispatched on
-# each document's own schema field). MAC_TVALID_BUDGET=<seconds>
-# additionally gates the sim sweep's total translation-validation time
-# — the CI regression tripwire for the incremental validator.
-bench-validate: build
-	dune exec bench/validate.exe
-
-# The static-estimation sweep: predict every paper-table cell without
-# simulating, pin each prediction against the simulator, and write the
-# schema-validated BENCH_est.json (the harness exits non-zero when the
-# median cycle error exceeds the documented tolerance).
-estimate: build
-	dune exec bench/estimate.exe -- --size 48
-
-# The payoff mode: rank cells by predicted coalescing benefit and only
-# simulate the interesting half.
+# The static estimator's payoff mode: rank cells by predicted
+# coalescing benefit and only simulate the interesting half.
 triage: build
-	dune exec bench/estimate.exe -- --size 48 --triage
-
-# Load-test the mccd compile daemon: fork it with a fresh cache, replay
-# a duplicate-heavy burst from several client processes, and write the
-# schema-validated BENCH_serve.json (the harness exits non-zero unless
-# cache hits are byte-identical to the cold compile and the hit-path p50
-# latency beats the miss path by the documented factor).
-serve-bench: build
-	dune exec bench/serve.exe
+	$(MCC) --triage --size 48
 
 # The eight benchmarks (`--bench`) the explain loop walks.
 BENCHES = dotproduct convolution image_add image_add16 image_xor \

@@ -1,30 +1,26 @@
-(* The benchmark harness: regenerates every table and figure of the
-   paper's evaluation section (see DESIGN.md experiment index), runs the
-   ablation experiments of DESIGN.md §5, and finishes with Bechamel
-   microbenchmarks of the compiler and simulator themselves.
+(* The paper printer: regenerates every table and figure of the paper's
+   evaluation section (see DESIGN.md experiment index) and runs the
+   ablation experiments of DESIGN.md §5. The repo's benchmark is
+   bench/e2e (BENCHMARK.json); this program only prints.
 
    Output sections are labelled with the experiment ids used in DESIGN.md
-   and EXPERIMENTS.md: FIG1, TAB2, TAB3, TAB4, FIG5, PREH, ABL1..ABL4.
+   and EXPERIMENTS.md: FIG1, TAB2, TAB3, TAB4, SCHED, FIG5, PREH,
+   ABL1..ABL8 and FULL.
 
    The benchmark x machine x mode cells of each section are computed on a
    pool of domains (Pool.map) and joined in canonical order, so the
    printed output is byte-identical to a serial run; only the wall clock
-   changes with MAC_JOBS. Alongside the human-readable sections the
-   harness writes BENCH_sim.json, a machine-readable record of every
-   TAB2/TAB3/TAB4/SCHED/FULL cell plus the sweep's wall-clock and the
-   measured serial-reference vs parallel-jit speedup.
+   changes with MAC_JOBS.
 
    Environment:
      MAC_SIZE   image edge length (default 500, the paper's size)
-     MAC_QUICK  if set, size 64 and shorter Bechamel quotas
-     MAC_JOBS   worker domains (default Domain.recommended_domain_count)
-     MAC_JSON   where to write BENCH_sim.json (default ./BENCH_sim.json) *)
+     MAC_QUICK  if set, size 64
+     MAC_JOBS   worker domains (default Domain.recommended_domain_count) *)
 
 open Mac_rtl
 module W = Mac_workloads.Workloads
 module Tables = Mac_workloads.Tables
 module Pool = Mac_parallel.Pool
-module Sweep = Mac_workloads.Sweep
 module Machine = Mac_machine.Machine
 module Pipeline = Mac_vpo.Pipeline
 module Coalesce = Mac_core.Coalesce
@@ -37,8 +33,6 @@ let size =
   | None -> if quick then 64 else 500
 
 let jobs = Pool.jobs ()
-let json_path = Option.value (Sys.getenv_opt "MAC_JSON") ~default:"BENCH_sim.json"
-let now () = Unix.gettimeofday ()
 let section id title = Fmt.pr "@.=== %s: %s ===@." id title
 
 (* ------------------------------------------------------------------ *)
@@ -72,21 +66,17 @@ let fig1 () =
 
 (* ------------------------------------------------------------------ *)
 (* TAB2/TAB3/TAB4: the evaluation tables. Each table's benchmark x level
-   cells run on the pool; the rows come back in canonical order and are
-   rendered exactly as before. Returns the rows for the JSON record. *)
+   cells run on the pool; the rows come back in canonical order. *)
 
 let table id machine note =
   section id (Printf.sprintf "%s (%dx%d images)" note size size);
   let rows = Tables.table ~size ~jobs ~machine () in
-  Fmt.pr "%a@." (fun ppf r -> Tables.pp_table ppf machine r) rows;
-  rows
+  Fmt.pr "%a@." (fun ppf r -> Tables.pp_table ppf machine r) rows
 
 (* ------------------------------------------------------------------ *)
 (* SCHED: the same forced-coalescing tables with the [-Osched] software
    pipeliner on and the Pipelined profitability oracle pricing the
-   coalescer's versions. The harness gates on the headline cell: the
-   scheduled mc88100 image_add16/O4 must beat its unscheduled TAB3
-   counterpart, or the JSON is not written. *)
+   coalescer's versions. *)
 
 let sched_table machine note =
   section "SCHED"
@@ -96,128 +86,7 @@ let sched_table machine note =
     Tables.table ~size ~jobs ~pipeline_sched:true
       ~profit_mode:Mac_core.Profitability.Pipelined ~machine ()
   in
-  Fmt.pr "%a@." (fun ppf r -> Tables.pp_table ppf machine r) rows;
-  rows
-
-let o4_cycles bench rows =
-  let r =
-    List.find
-      (fun (r : Tables.row) -> String.equal r.Tables.bench.W.name bench)
-      rows
-  in
-  r.Tables.loads_stores
-
-let sched_gate ~sched_rows ~tab3_rows =
-  let scheduled = o4_cycles "image_add16" sched_rows in
-  let unscheduled = o4_cycles "image_add16" tab3_rows in
-  if scheduled >= unscheduled then
-    failwith
-      (Printf.sprintf
-         "SCHED gate: mc88100 image_add16 O4 with -Osched is %d cycles, \
-          not below the unscheduled TAB3 cell's %d"
-         scheduled unscheduled);
-  Fmt.pr
-    "SCHED gate: mc88100 image_add16 O4 %d -> %d cycles (-%.1f%%) with \
-     -Osched@."
-    unscheduled scheduled
-    (100.0
-    *. float_of_int (unscheduled - scheduled)
-    /. float_of_int unscheduled)
-
-(* ------------------------------------------------------------------ *)
-(* SPEEDUP: the Table II sweep under each engine, serially, vs the
-   domain-parallel run on the default (jit) engine. Both engines produce
-   the same rows (the equivalence tests pin them to each other); only
-   the clock differs. The reference-vs-jit ratio at jobs=1 is what
-   pre-decoding plus superblock closure compilation buys. *)
-
-let speedup_tab2 parallel_jit_seconds =
-  section "SPEEDUP"
-    "Table II sweep: serial reference vs serial jit vs parallel jit";
-  let serial engine =
-    let t0 = now () in
-    ignore (Tables.table ~size ~jobs:1 ~engine ~machine:Machine.alpha ());
-    now () -. t0
-  in
-  let serial_reference = serial `Reference in
-  let serial_jit = serial `Jit in
-  let ratio =
-    if parallel_jit_seconds > 0.0 then serial_reference /. parallel_jit_seconds
-    else 0.0
-  in
-  let jit_ratio =
-    if serial_jit > 0.0 then serial_reference /. serial_jit else 0.0
-  in
-  Fmt.pr
-    "28 cells at size %d, jobs=1: reference %.2fs, jit %.2fs \
-     (reference/jit = %.2fx)@."
-    size serial_reference serial_jit jit_ratio;
-  Fmt.pr "parallel jit (%d job(s)): %.2fs -> %.1fx over serial reference@."
-    jobs parallel_jit_seconds ratio;
-  {
-    Sweep.serial_reference_seconds = serial_reference;
-    serial_jit_seconds = serial_jit;
-    parallel_jit_seconds;
-    ratio;
-    jit_ratio;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* ENGINES: the cross-engine equivalence gate the JSON record rides on.
-   One Table II cell runs under the jit and the reference oracle and
-   every metric must agree bit for bit; then a deliberately trapping
-   program must produce the identical trap string on both. A mismatch
-   aborts the harness (and therefore CI) before an invalid
-   BENCH_sim.json can be written. *)
-
-let engines_check () =
-  section "ENGINES" "cross-engine equivalence on one Table II cell";
-  let bench = Option.get (W.find "image_add") in
-  let outcomes =
-    Pool.map ~jobs
-      (fun engine ->
-        W.run ~size:64 ~engine ~machine:Machine.alpha ~level:Pipeline.O4
-          bench)
-      [ `Reference; `Jit ]
-  in
-  let r, j = match outcomes with [ r; j ] -> (r, j) | _ -> assert false in
-  let check name (o : W.outcome) =
-    if not (Int64.equal o.W.value r.W.value) then
-      failwith
-        (Printf.sprintf "ENGINES: %s return value differs from reference"
-           name);
-    if o.W.metrics <> r.W.metrics then
-      failwith
-        (Printf.sprintf "ENGINES: %s metrics differ from reference" name);
-    if not o.W.correct then
-      failwith (Printf.sprintf "ENGINES: %s output is wrong" name);
-    Fmt.pr
-      "%-9s cycles=%d insts=%d loads=%d stores=%d dcache=%d/%d ok@." name
-      o.W.metrics.cycles o.W.metrics.insts o.W.metrics.loads
-      o.W.metrics.stores o.W.metrics.dcache_hits o.W.metrics.dcache_misses
-  in
-  check "reference" r;
-  check "jit" j;
-  (* trap fidelity: out-of-fuel fires mid-run with the same message *)
-  let trap_of engine =
-    let cfg = Pipeline.config ~level:Pipeline.O4 Machine.alpha in
-    let compiled = Pipeline.compile_source cfg bench.W.source in
-    let mem = Mac_sim.Memory.create ~size:(1 lsl 16) in
-    match
-      Mac_sim.Interp.run ~machine:Machine.alpha ~memory:mem compiled.funcs
-        ~entry:bench.W.entry
-        ~args:[ 64L; 4096L; 8192L; 1024L ]
-        ~fuel:100 ~engine ()
-    with
-    | _ -> "no trap"
-    | exception Mac_sim.Interp.Trap msg -> msg
-  in
-  let tr = trap_of `Reference in
-  let tj = trap_of `Jit in
-  if not (String.equal tj tr) then
-    failwith
-      (Printf.sprintf "ENGINES: jit trap %S differs from reference %S" tj tr);
-  Fmt.pr "trap fidelity: both engines trap with %S@." tr
+  Fmt.pr "%a@." (fun ppf r -> Tables.pp_table ppf machine r) rows
 
 (* ------------------------------------------------------------------ *)
 (* FIG5: the run-time alignment and alias dispatch. *)
@@ -548,14 +417,15 @@ let abl8 () =
 let full_pipeline () =
   section "FULL"
     "Table II with the complete vpo-style pipeline (strength reduction +      list scheduling + 32-register allocation)";
-  let outs = Sweep.full_outcomes ~jobs ~size:64 () in
+  let res = Tables.full ~jobs ~size:64 () in
   let get (bench : W.t) level =
-    let _, _, o =
-      List.find
-        (fun ((b : W.t), l, _) -> String.equal b.name bench.name && l = level)
-        outs
-    in
-    (o.W.metrics.cycles, o.W.correct)
+    List.find_map
+      (fun ((b : W.t), l, (o : W.outcome)) ->
+        if String.equal b.name bench.name && l = level then
+          Some (o.W.metrics.cycles, o.W.correct)
+        else None)
+      res
+    |> Option.get
   in
   Fmt.pr "| %-12s | %10s | %10s | %10s | %6s |@." "program" "O2 unroll"
     "O3 loads" "O4 ld+st" "sv-all";
@@ -568,129 +438,19 @@ let full_pipeline () =
         o4
         (100.0 *. float_of_int (o2 - o4) /. float_of_int o2)
         (if k2 && k3 && k4 then "ok" else "WRONG OUTPUT"))
-    W.all;
-  outs
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel microbenchmarks: compiler and simulator throughput. *)
-
-let bechamel_benches () =
-  section "BECH" "Bechamel microbenchmarks (wall-clock of this library)";
-  let open Bechamel in
-  let compile_test name source machine =
-    Test.make ~name
-      (Staged.stage (fun () ->
-           let cfg = Pipeline.config ~level:Pipeline.O4 machine in
-           ignore (Pipeline.compile_source cfg source)))
-  in
-  let simulate_test name bench machine level =
-    Test.make ~name
-      (Staged.stage (fun () -> ignore (W.run ~size:24 ~machine ~level bench)))
-  in
-  let image_add_src = (Option.get (W.find "image_add")).W.source in
-  let verify_test name source verify =
-    Test.make ~name
-      (Staged.stage (fun () ->
-           let cfg = Pipeline.config ~level:Pipeline.O4 ~verify Machine.alpha in
-           ignore (Pipeline.compile_source cfg source)))
-  in
-  (* engine microbenchmark: the same simulation on both engines — the
-     per-instruction win of pre-decoding plus closure compilation,
-     isolated from parallelism *)
-  let engine_test name engine =
-    Test.make ~name
-      (Staged.stage (fun () ->
-           ignore
-             (W.run ~size:24 ~engine ~machine:Machine.alpha
-                ~level:Pipeline.O4
-                (Option.get (W.find "image_add")))))
-  in
-  let tests =
-    Test.make_grouped ~name:"mac"
-      [
-        Test.make_grouped ~name:"compile"
-          (List.map
-             (fun (b : W.t) ->
-               compile_test ("tab2/" ^ b.name) b.source Machine.alpha)
-             W.all);
-        (* what --verify costs on top of an O4 compile *)
-        Test.make_grouped ~name:"verify"
-          [
-            verify_test "image_add/none" image_add_src Pipeline.Vnone;
-            verify_test "image_add/ir" image_add_src Pipeline.Vir;
-            verify_test "image_add/full" image_add_src Pipeline.Vfull;
-          ];
-        Test.make_grouped ~name:"engine"
-          [
-            engine_test "image_add/reference" `Reference;
-            engine_test "image_add/jit" `Jit;
-          ];
-        Test.make_grouped ~name:"simulate"
-          [
-            simulate_test "table2_alpha"
-              (Option.get (W.find "image_add"))
-              Machine.alpha Pipeline.O4;
-            simulate_test "table3_mc88100"
-              (Option.get (W.find "image_add"))
-              Machine.mc88100 Pipeline.O4;
-            simulate_test "table4_mc68030"
-              (Option.get (W.find "image_add"))
-              Machine.mc68030 Pipeline.O4;
-            simulate_test "fig1_dotproduct" W.dotproduct Machine.alpha
-              Pipeline.O4;
-            simulate_test "fig5_runtime_checks"
-              (Option.get (W.find "mirror"))
-              Machine.alpha Pipeline.O4;
-          ];
-      ]
-  in
-  let quota = Time.second (if quick then 0.1 else 0.5) in
-  let cfg = Benchmark.cfg ~limit:500 ~quota ~kde:(Some 500) () in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let raw = Benchmark.all cfg instances tests in
-  let results =
-    Analyze.all
-      (Analyze.ols ~bootstrap:0 ~r_square:false
-         ~predictors:[| Measure.run |])
-      Toolkit.Instance.monotonic_clock raw
-  in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols ->
-      let est =
-        match Analyze.OLS.estimates ols with
-        | Some [ est ] -> est
-        | _ -> nan
-      in
-      rows := (name, est) :: !rows)
-    results;
-  List.iter
-    (fun (name, est) -> Fmt.pr "%-40s %12.0f ns/run@." name est)
-    (List.sort compare !rows)
+    W.all
 
 let () =
-  Fmt.pr "memory-access-coalescing benchmark harness (size=%d%s, %d job(s))@."
+  Fmt.pr "memory-access-coalescing paper printer (size=%d%s, %d job(s))@."
     size
     (if quick then ", quick mode" else "")
     jobs;
-  let t0 = now () in
   fig1 ();
-  let tab_t0 = now () in
-  let rows2 = table "TAB2" Machine.alpha "Table II: DEC Alpha" in
-  let tab2_seconds = now () -. tab_t0 in
-  let rows3 = table "TAB3" Machine.mc88100 "Table III: Motorola 88100" in
-  let rows4 =
-    table "TAB4" Machine.mc68030 "68030 result (in-text): slower everywhere"
-  in
-  let sched88 =
-    sched_table Machine.mc88100 "Table III + software pipelining"
-  in
-  let sched68 =
-    sched_table Machine.mc68030 "68030 + software pipelining"
-  in
-  sched_gate ~sched_rows:sched88 ~tab3_rows:rows3;
-  let speedup = speedup_tab2 tab2_seconds in
-  engines_check ();
+  table "TAB2" Machine.alpha "Table II: DEC Alpha";
+  table "TAB3" Machine.mc88100 "Table III: Motorola 88100";
+  table "TAB4" Machine.mc68030 "68030 result (in-text): slower everywhere";
+  sched_table Machine.mc88100 "Table III + software pipelining";
+  sched_table Machine.mc68030 "68030 + software pipelining";
   fig5 ();
   preh ();
   abl1 ();
@@ -701,28 +461,5 @@ let () =
   abl6 ();
   abl7 ();
   abl8 ();
-  let full_outs = full_pipeline () in
-  let cells =
-    Sweep.cells_of_rows ~section:"TAB2" ~machine:Machine.alpha rows2
-    @ Sweep.cells_of_rows ~section:"TAB3" ~machine:Machine.mc88100 rows3
-    @ Sweep.cells_of_rows ~section:"TAB4" ~machine:Machine.mc68030 rows4
-    @ Sweep.cells_of_rows ~section:"SCHED" ~machine:Machine.mc88100 sched88
-    @ Sweep.cells_of_rows ~section:"SCHED" ~machine:Machine.mc68030 sched68
-    @ Sweep.cells_of_full_outcomes full_outs
-  in
-  let wall = now () -. t0 in
-  let json =
-    Sweep.to_json ~size ~jobs_requested:jobs
-      ~jobs_effective:(Pool.effective_jobs ~jobs 28)
-      ~engine:(Mac_sim.Interp.engine_name Mac_sim.Interp.default_engine)
-      ~wall_seconds:wall ~speedup cells
-  in
-  (match Sweep.validate json with
-  | Ok n ->
-    let oc = open_out json_path in
-    output_string oc json;
-    close_out oc;
-    Fmt.pr "@.wrote %s (%d cells, validated)@." json_path n
-  | Error msg -> failwith ("refusing to write invalid JSON: " ^ msg));
-  bechamel_benches ();
+  full_pipeline ();
   Fmt.pr "@.done.@."

@@ -1,4 +1,5 @@
 open Mac_rtl
+module Machine = Mac_machine.Machine
 
 exception Too_few_registers of string
 
@@ -114,16 +115,48 @@ let scan intervals ~allocatable =
     intervals;
   (assignment, !next_slot)
 
+(* Spill code for slot [slot]. Every slot is 8 bytes, because a register
+   holds 64 bits whatever the machine's word. A machine without a 64-bit
+   store and load (the 88100, the 68030) moves it as two unsigned W32
+   halves through [scratch], as {!Legalize.split_store} and
+   {!Legalize.split_load} do, so the reloaded value is exact. *)
+let slot_mem ~fp ~width slot ~half =
+  { Rtl.base = fp; disp = Int64.of_int ((8 * slot) + (4 * half)); width;
+    aligned = true }
+
+let reload ~fp ~scratch ~dst slot =
+  match scratch with
+  | None ->
+    [ Rtl.Load { dst; src = slot_mem ~fp ~width:Width.W64 slot ~half:0;
+                 sign = Rtl.Unsigned } ]
+  | Some s ->
+    let half h = slot_mem ~fp ~width:Width.W32 slot ~half:h in
+    [
+      Rtl.Load { dst; src = half 0; sign = Rtl.Unsigned };
+      Rtl.Load { dst = s; src = half 1; sign = Rtl.Unsigned };
+      Rtl.Binop (Rtl.Shl, s, Rtl.Reg s, Rtl.Imm 32L);
+      Rtl.Binop (Rtl.Or, dst, Rtl.Reg dst, Rtl.Reg s);
+    ]
+
+let spill ~fp ~scratch ~src slot =
+  match scratch with
+  | None ->
+    [ Rtl.Store { src = Rtl.Reg src;
+                  dst = slot_mem ~fp ~width:Width.W64 slot ~half:0 } ]
+  | Some s ->
+    let half h = slot_mem ~fp ~width:Width.W32 slot ~half:h in
+    [
+      Rtl.Store { src = Rtl.Reg src; dst = half 0 };
+      Rtl.Binop (Rtl.Lshr, s, Rtl.Reg src, Rtl.Imm 32L);
+      Rtl.Store { src = Rtl.Reg s; dst = half 1 };
+    ]
+
 (* Rewrite one instruction: spilled uses are loaded into staging temps
    before it, spilled definitions stored back after it. The mapping is
    computed once over the original registers, so read-modify-write
    destinations (Insert) get both the load and the store. *)
-let rewrite_inst assignment ~temps ~fp (i : Rtl.inst)
+let rewrite_inst assignment ~temps ~fp ~scratch (i : Rtl.inst)
     (fresh : Rtl.kind -> Rtl.inst) =
-  let slot_mem slot =
-    { Rtl.base = fp; disp = Int64.of_int (8 * slot); width = Width.W64;
-      aligned = true }
-  in
   let next_temp = ref 0 in
   let temp_of : (int, Reg.t) Hashtbl.t = Hashtbl.create 4 in
   let temp_for r =
@@ -146,34 +179,24 @@ let rewrite_inst assignment ~temps ~fp (i : Rtl.inst)
     | Some (`Slot _) -> temp_for r
     | None -> r
   in
-  let slot_of r =
-    match Reg.Tbl.find_opt assignment r with
-    | Some (`Slot s) -> Some s
-    | _ -> None
+  let spill_code emit regs =
+    List.concat_map
+      (fun r ->
+        match Reg.Tbl.find_opt assignment r with
+        | Some (`Slot s) -> emit (temp_for r) s
+        | _ -> [])
+      regs
   in
   let pre =
-    List.filter_map
-      (fun r ->
-        Option.map
-          (fun s ->
-            Rtl.Load { dst = temp_for r; src = slot_mem s;
-                       sign = Rtl.Unsigned })
-          (slot_of r))
-      (Rtl.uses i.kind)
+    spill_code (fun dst s -> reload ~fp ~scratch ~dst s) (Rtl.uses i.kind)
   in
   let post =
-    List.filter_map
-      (fun r ->
-        Option.map
-          (fun s ->
-            Rtl.Store { src = Rtl.Reg (temp_for r); dst = slot_mem s })
-          (slot_of r))
-      (Rtl.defs i.kind)
+    spill_code (fun src s -> spill ~fp ~scratch ~src s) (Rtl.defs i.kind)
   in
   let kind' = Rtl.map_regs mapping i.kind in
   List.map fresh pre @ [ { i with kind = kind' } ] @ List.map fresh post
 
-let run ?am (f : Func.t) ~num_regs =
+let run ?am (f : Func.t) ~(machine : Machine.t) ~num_regs =
   let am =
     match am with Some am -> am | None -> Mac_dataflow.Analysis.create f
   in
@@ -182,16 +205,29 @@ let run ?am (f : Func.t) ~num_regs =
       (Too_few_registers
          (Printf.sprintf "%d registers for %d parameters" num_regs
             (List.length f.params)));
-  let allocatable = num_regs - 3 in
   let temps = [ Reg.make (num_regs - 3); Reg.make (num_regs - 2);
                 Reg.make (num_regs - 1) ] in
   let fp = Reg.make num_regs in
   let intervals = intervals_of am f in
-  let assignment, slots = scan intervals ~allocatable in
+  let assignment, slots = scan intervals ~allocatable:(num_regs - 3) in
+  let split =
+    not
+      (Machine.legal_store machine Width.W64 ~aligned:true
+      && Machine.legal_load machine Width.W64 ~aligned:true)
+  in
+  (* Split spills need a fourth reserved register; give it up only when
+     something actually spills, so code that fits is allocated the same
+     on every machine. *)
+  let assignment, slots, scratch =
+    if split && slots > 0 then
+      let assignment, slots = scan intervals ~allocatable:(num_regs - 4) in
+      (assignment, slots, Some (Reg.make (num_regs - 4)))
+    else (assignment, slots, None)
+  in
   let fresh kind = Func.inst f kind in
   let body' =
     List.concat_map
-      (fun i -> rewrite_inst assignment ~temps ~fp i fresh)
+      (fun i -> rewrite_inst assignment ~temps ~fp ~scratch i fresh)
       f.body
   in
   Func.set_body f body';
@@ -212,5 +248,5 @@ let run ?am (f : Func.t) ~num_regs =
   {
     virtuals = List.length intervals;
     spilled = slots;
-    frame_bytes = (if slots > 0 then 8 * slots else 0);
+    frame_bytes = 8 * slots;
   }

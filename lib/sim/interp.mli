@@ -37,8 +37,7 @@ val default_engine : engine
 (** [`Jit]: what {!run} uses when [?engine] is omitted. *)
 
 val engine_name : engine -> string
-(** ["reference"] or ["jit"], the spelling [mcc --engine] accepts and
-    [BENCH_sim.json] records. *)
+(** ["reference"] or ["jit"], the spelling [mcc --engine] accepts. *)
 
 type metrics = {
   insts : int;

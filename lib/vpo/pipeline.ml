@@ -458,7 +458,9 @@ let compile_func cfg timings tvalid_tbl (f : Func.t) =
   in
   (match cfg.regalloc with
   | Some num_regs ->
-    ignore (time "regalloc" (fun () -> Mac_opt.Regalloc.run ~am f ~num_regs));
+    ignore
+      (time "regalloc" (fun () ->
+           Mac_opt.Regalloc.run ~am f ~machine:cfg.machine ~num_regs));
     checkpoint ~machine:cfg.machine "regalloc";
     (* whole-function renaming onto machine registers: recorded fallback *)
     if tvalid_on then tv_check "regalloc" f

@@ -1,7 +1,7 @@
-(* The estimation sweep behind BENCH_est.json: every paper-table cell
-   predicted by the static estimator, optionally pinned against the
-   simulator, plus the triage mode that uses the predictions to decide
-   which cells are worth simulating at all. *)
+(* The estimation sweep: every paper-table cell predicted by the static
+   estimator, optionally pinned against the simulator, plus the triage
+   mode that uses the predictions to decide which cells are worth
+   simulating at all. *)
 
 module Machine = Mac_machine.Machine
 module Pipeline = Mac_vpo.Pipeline
@@ -21,7 +21,6 @@ type ecell = {
   est_seconds : float;
   sim_cycles : int option;
   sim_misses : int option;
-  sim_seconds : float option;
 }
 
 (* Acceptance grid: O0 (nothing moved), O2 (unrolled baseline) and O4
@@ -33,8 +32,8 @@ let sections =
   [ ("TAB2", Machine.alpha); ("TAB3", Machine.mc88100);
     ("TAB4", Machine.mc68030) ]
 
-(* Same forced-coalescing configuration as the simulation sweep, so the
-   two artifacts describe the same compiled code. *)
+(* The paper tables' forced-coalescing configuration, so the estimates
+   describe the code the tables simulate. *)
 let coalesce = Tables.coalesce_options ~respect_profitability:false
 
 let rel_err ~pred ~sim =
@@ -67,7 +66,6 @@ let predict ~section ~(machine : Machine.t) ~size (b : Workloads.t) level =
     est_seconds = p.Workloads.est_seconds;
     sim_cycles = None;
     sim_misses = None;
-    sim_seconds = None;
   }
 
 let grid =
@@ -88,7 +86,6 @@ let simulate ~(machine : Machine.t) ~size ?engine (b : Workloads.t) level c =
     c with
     sim_cycles = Some o.Workloads.metrics.Mac_sim.Interp.cycles;
     sim_misses = Some o.Workloads.metrics.Mac_sim.Interp.dcache_misses;
-    sim_seconds = Some o.Workloads.sim_seconds;
   }
 
 let predictions ~size () =
@@ -97,9 +94,9 @@ let predictions ~size () =
       predict ~section ~machine ~size b level)
     grid
 
-(* Every cell estimated AND simulated — the accuracy artifact. The
-   simulations fan over domains; the estimates are cheap enough to run
-   serially. *)
+(* Every cell estimated AND simulated — what the accuracy contract is
+   checked on. The simulations fan over domains; the estimates are cheap
+   enough to run serially. *)
 let run ?jobs ?engine ~size () =
   let preds = predictions ~size () in
   let sims =
@@ -263,11 +260,11 @@ let run_triage ?jobs ?engine ~size () =
     t_sim_seconds;
   }
 
-(* --- JSON ----------------------------------------------------------- *)
+(* --- accuracy contract ----------------------------------------------- *)
 
 (* Documented accuracy contract (DESIGN.md §13): median relative cycle
    error of the estimate against the simulator, over all cells that were
-   simulated. CI fails when a sweep exceeds it. *)
+   simulated. The test suite fails a grid that exceeds it. *)
 let tolerance = 0.25
 
 let median xs =
@@ -279,146 +276,3 @@ let median xs =
     (a +. b) /. 2.0
 
 let median_cycle_err cells = median (List.filter_map cycle_err cells)
-let median_miss_err cells = median (List.filter_map miss_err cells)
-
-let opt_int = function None -> "null" | Some i -> string_of_int i
-let opt_f ~decimals = function
-  | None -> "null"
-  | Some f -> Jsonio.fnum ~decimals f
-
-let cell_to_json c =
-  Printf.sprintf
-    "{\"section\":\"%s\",\"bench\":\"%s\",\"machine\":\"%s\",\
-     \"level\":\"%s\",\"pred_cycles\":%d,\"pred_insts\":%d,\
-     \"pred_loads\":%d,\"pred_stores\":%d,\"pred_misses\":%d,\
-     \"approx\":%b,\"est_seconds\":%s,\"sim_cycles\":%s,\
-     \"sim_misses\":%s,\"sim_seconds\":%s,\"cycle_err\":%s,\
-     \"miss_err\":%s}"
-    (Jsonio.escape c.section) (Jsonio.escape c.bench)
-    (Jsonio.escape c.machine) (Jsonio.escape c.level) c.pred_cycles
-    c.pred_insts c.pred_loads c.pred_stores c.pred_misses c.pred_approx
-    (Jsonio.fnum ~decimals:6 c.est_seconds)
-    (opt_int c.sim_cycles) (opt_int c.sim_misses)
-    (opt_f ~decimals:6 c.sim_seconds)
-    (opt_f ~decimals:4 (cycle_err c))
-    (opt_f ~decimals:4 (miss_err c))
-
-let ranked_to_json r =
-  Printf.sprintf
-    "{\"section\":\"%s\",\"bench\":\"%s\",\"pred_savings_pct\":%s,\
-     \"sim_savings_pct\":%s}"
-    (Jsonio.escape r.r_section) (Jsonio.escape r.r_bench)
-    (Jsonio.fnum ~decimals:4 r.r_pred_savings)
-    (opt_f ~decimals:4 r.r_sim_savings)
-
-let triage_to_json t =
-  Printf.sprintf
-    "{\"simulated\": %d, \"skipped\": %d, \"agreement\": %s, \
-     \"est_seconds\": %s, \"sim_seconds\": %s, \"ranking\": [\n    %s\n  ]}"
-    t.simulated t.skipped
-    (Jsonio.fnum ~decimals:4 t.agreement)
-    (Jsonio.fnum ~decimals:6 t.t_est_seconds)
-    (Jsonio.fnum ~decimals:6 t.t_sim_seconds)
-    (String.concat ",\n    " (List.map ranked_to_json t.ranking))
-
-let to_json ~size ?triage cells =
-  let est_seconds =
-    List.fold_left (fun acc c -> acc +. c.est_seconds) 0.0 cells
-  in
-  let sim_seconds =
-    List.fold_left
-      (fun acc c -> acc +. Option.value c.sim_seconds ~default:0.0)
-      0.0 cells
-  in
-  Printf.sprintf
-    "{\n  \"schema\": \"mac-bench-est/1\",\n  \
-     \"compiler_fingerprint\": \"%s\",\n  \"size\": %d,\n  \
-     \"tolerance\": %s,\n  \"median_cycle_err\": %s,\n  \
-     \"median_miss_err\": %s,\n  \"est_seconds\": %s,\n  \
-     \"sim_seconds\": %s,\n%s  \"cells\": [\n    %s\n  ]\n}\n"
-    (Jsonio.escape Mac_vpo.Version.compiler_fingerprint) size
-    (Jsonio.fnum ~decimals:4 tolerance)
-    (Jsonio.fnum ~decimals:4 (median_cycle_err cells))
-    (Jsonio.fnum ~decimals:4 (median_miss_err cells))
-    (Jsonio.fnum ~decimals:6 est_seconds)
-    (Jsonio.fnum ~decimals:6 sim_seconds)
-    (match triage with
-    | None -> ""
-    | Some t -> Printf.sprintf "  \"triage\": %s,\n" (triage_to_json t))
-    (String.concat ",\n    " (List.map cell_to_json cells))
-
-(* Independent re-parse for CI: the documented tolerance holds and every
-   grid cell is present. *)
-let validate text =
-  match Jsonio.parse text with
-  | Error msg -> Error ("BENCH_est.json does not parse: " ^ msg)
-  | Ok doc -> (
-    match Jsonio.member "schema" doc with
-    | Some (Jsonio.Str "mac-bench-est/1") -> (
-      let num key =
-        match Jsonio.member key doc with
-        | Some (Jsonio.Num f) -> Ok f
-        | _ ->
-          Error (Printf.sprintf "BENCH_est.json has no numeric %S" key)
-      in
-      let ( let* ) r f = match r with Ok v -> f v | Error e -> Error e in
-      let* () =
-        match Jsonio.member "compiler_fingerprint" doc with
-        | Some (Jsonio.Str s) when String.length s > 0 -> Ok ()
-        | _ ->
-          Error
-            "BENCH_est.json has no non-empty \"compiler_fingerprint\" \
-             string"
-      in
-      let* tol = num "tolerance" in
-      let* med = num "median_cycle_err" in
-      let* _ = num "median_miss_err" in
-      if med > tol then
-        Error
-          (Printf.sprintf
-             "BENCH_est.json median cycle error %.4f exceeds tolerance %.4f"
-             med tol)
-      else
-        match Jsonio.member "cells" doc with
-        | Some (Jsonio.Arr cells) ->
-          let has section bench level =
-            List.exists
-              (fun c ->
-                Jsonio.member "section" c = Some (Jsonio.Str section)
-                && Jsonio.member "bench" c = Some (Jsonio.Str bench)
-                && Jsonio.member "level" c = Some (Jsonio.Str level))
-              cells
-          in
-          let missing =
-            List.filter_map
-              (fun (section, _, (b : Workloads.t), level) ->
-                let level = Pipeline.level_to_string level in
-                if has section b.Workloads.name level then None
-                else
-                  Some
-                    (Printf.sprintf "%s/%s/%s" section b.Workloads.name
-                       level))
-              grid
-          in
-          let bad_pred =
-            List.exists
-              (fun c ->
-                match Jsonio.member "pred_cycles" c with
-                | Some (Jsonio.Num f) -> f <= 0.0
-                | _ -> true)
-              cells
-          in
-          if bad_pred then
-            Error
-              "BENCH_est.json has cell(s) without positive pred_cycles"
-          else if missing = [] then Ok (List.length cells)
-          else
-            Error
-              ("BENCH_est.json is missing cell(s): "
-              ^ String.concat ", " missing)
-        | _ -> Error "BENCH_est.json has no \"cells\" array")
-    | Some (Jsonio.Str other) ->
-      Error
-        (Printf.sprintf
-           "BENCH_est.json schema is %S, expected \"mac-bench-est/1\"" other)
-    | _ -> Error "BENCH_est.json has no \"schema\" string")

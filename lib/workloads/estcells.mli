@@ -1,10 +1,10 @@
-(** The estimation sweep behind [BENCH_est.json].
+(** The estimation sweep.
 
     Every paper-table cell (TAB2/TAB3/TAB4 benchmarks at O0/O2/O4, the
-    same forced-coalescing configuration as the simulation sweep) is
-    predicted by the static estimator ({!Workloads.estimate}); {!run}
-    additionally simulates each cell and records the per-cell relative
-    error, which is what CI holds against the documented {!tolerance}.
+    forced-coalescing configuration of {!Tables}) is predicted by the
+    static estimator ({!Workloads.estimate}); {!run} additionally
+    simulates each cell and records the per-cell relative error, which
+    the test suite holds against the documented {!tolerance}.
     {!run_triage} is the payoff mode: rank the (section, benchmark)
     pairs by {e predicted} coalescing savings, simulate only the
     interesting top half, and report how well the predicted order agreed
@@ -26,7 +26,6 @@ type ecell = {
   est_seconds : float;
   sim_cycles : int option;  (** simulator ground truth, when run *)
   sim_misses : int option;
-  sim_seconds : float option;
 }
 
 val levels : Mac_vpo.Pipeline.level list
@@ -35,7 +34,7 @@ val sections : (string * Mac_machine.Machine.t) list
 val tolerance : float
 (** The documented accuracy contract: the median relative cycle error
     over all simulated cells may not exceed this (DESIGN.md §13).
-    {!validate} — and therefore CI — fails a sweep that does. *)
+    The test suite fails a sweep that does. *)
 
 val cycle_err : ecell -> float option
 (** [|pred - sim| / sim], when the cell was simulated. *)
@@ -43,10 +42,6 @@ val cycle_err : ecell -> float option
 val miss_err : ecell -> float option
 
 val median_cycle_err : ecell list -> float
-val median_miss_err : ecell list -> float
-
-val predictions : size:int -> unit -> ecell list
-(** Estimate-only cells for the whole grid — no simulation at all. *)
 
 val run :
   ?jobs:int -> ?engine:Mac_sim.Interp.engine -> size:int -> unit ->
@@ -83,17 +78,3 @@ val run_triage :
 
 val concordance : (float * float) list -> float
 (** Exposed for the test suite. *)
-
-(** {1 JSON} *)
-
-val cell_to_json : ecell -> string
-
-val to_json : size:int -> ?triage:triage -> ecell list -> string
-(** The full [BENCH_est.json] document (schema [mac-bench-est/1]):
-    document-level tolerance, median errors and time totals, the
-    optional triage block, and the per-cell predictions. *)
-
-val validate : string -> (int, string) result
-(** Independent re-parse: the schema matches, every grid cell is present
-    with positive predicted cycles, and the recorded median cycle error
-    does not exceed the recorded tolerance. Returns the cell count. *)

@@ -1,8 +1,9 @@
-(* One hand-rolled JSON kernel shared by every bench artifact writer
-   (BENCH_sim.json in Sweep, BENCH_est.json in Estcells) and by the
-   independent re-parse their validators run. The toolchain has no JSON
-   library; keeping the escape rules, the number formats and the parser
-   in one place means the emitters and the validator cannot drift. *)
+(* One hand-rolled JSON kernel: the mccd protocol and its artifact
+   documents, mcc's rendering of a remote artifact, and the benchmark's
+   result line and Chrome trace all emit and parse through it. The
+   toolchain has no JSON library; keeping the escape rules, the number
+   format and the parser in one place means writers and readers cannot
+   drift. *)
 
 type t =
   | Null
@@ -29,14 +30,6 @@ let escape s =
   Buffer.contents buf
 
 let str s = "\"" ^ escape s ^ "\""
-
-let fnum ~decimals f = Printf.sprintf "%.*f" decimals f
-
-let seconds_obj pairs =
-  pairs
-  |> List.map (fun (name, s) ->
-         Printf.sprintf "\"%s\": %.6f" (escape name) s)
-  |> String.concat ", "
 
 (* Canonical compact emitter for {!t} values. Finite floats only; a
    whole number prints without a fraction part and anything else with

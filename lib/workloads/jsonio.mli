@@ -1,12 +1,11 @@
-(** Shared hand-rolled JSON kernel for the bench artifacts.
+(** Shared hand-rolled JSON kernel.
 
-    The toolchain carries no JSON dependency, so the [BENCH_sim.json]
-    ({!Sweep}) and [BENCH_est.json] ({!Estcells}) writers emit by hand
-    and their CI validators re-read the files with the independent
-    minimal parser below. Escaping, the number formats and the parser
-    live here — one copy — so the writers and the validators cannot
-    drift apart. The emit/parse pair is pinned by a qcheck round-trip
-    test ([test_estimate.ml]): for any finite value, [parse (render v)]
+    The toolchain carries no JSON dependency, so the mccd protocol and
+    artifact documents ({!Mac_serve}), mcc's remote-artifact rendering
+    and the benchmark's result line and trace ([bench/e2e]) emit and
+    parse through this one module, and cannot drift apart. The
+    emit/parse pair is pinned by a qcheck round-trip test
+    ([test_estimate.ml]): for any finite value, [parse (render v)]
     recovers [v]. *)
 
 type t =
@@ -17,21 +16,10 @@ type t =
   | Arr of t list
   | Obj of (string * t) list
 
-val escape : string -> string
-(** Body of a JSON string literal: escapes quote, backslash, and control
-    characters (["\n"], ["\t"], ["\r"] short forms, [\uXXXX] for the
-    rest). *)
-
 val str : string -> string
-(** A complete string literal: [escape] wrapped in quotes. *)
-
-val fnum : decimals:int -> float -> string
-(** Fixed-point number rendering — the artifact convention is
-    [~decimals:4] for percentages and [~decimals:6] for seconds. *)
-
-val seconds_obj : (string * float) list -> string
-(** The members of a [{"name": seconds, ...}] breakdown object
-    (without the braces), each value at 6 decimals. *)
+(** A complete string literal, with quote, backslash and control
+    characters escaped (["\n"], ["\t"], ["\r"] short forms, [\uXXXX]
+    for the rest). *)
 
 val render : t -> string
 (** Canonical compact emitter. Floats must be finite: whole numbers

@@ -28,8 +28,7 @@ type row = {
   loads_stores : int;  (** O4 cycles *)
   verified : bool;  (** every configuration produced correct output *)
   outcomes : (Mac_vpo.Pipeline.level * Workloads.outcome) list;
-      (** the full per-level outcomes the summary columns were read off
-          (used by {!Sweep} to emit per-cell metrics) *)
+      (** the full per-level outcomes the summary columns were read off *)
 }
 
 let savings ~baseline v =
@@ -119,6 +118,28 @@ let table ?(size = 100) ?(respect_profitability = false) ?assume_layout
       chunk (row_of_outcomes bench taken :: rows) cells' outs'
   in
   chunk [] cells outcomes
+
+(* The FULL table: Table II under the complete vpo-style pipeline
+   (strength reduction, list scheduling and 32-register allocation) at
+   O2..O4 on the Alpha, compiled at Vfull so every cell is also
+   translation-validated. Outcomes come back in canonical
+   benchmark x level order, whatever [?jobs]. *)
+let full ?jobs ~size () =
+  let cells =
+    List.concat_map
+      (fun b -> List.map (fun l -> (b, l)) Mac_vpo.Pipeline.[ O2; O3; O4 ])
+      Workloads.all
+  in
+  let outs =
+    Mac_parallel.Pool.map ?jobs
+      (fun (b, level) ->
+        Workloads.run ~size ~coalesce:Mac_core.Coalesce.default
+          ~strength_reduce:true ~schedule:true ~regalloc:32
+          ~assume_layout:true ~verify:Mac_vpo.Pipeline.Vfull
+          ~machine:Machine.alpha ~level b)
+      cells
+  in
+  List.map2 (fun (b, l) o -> (b, l, o)) cells outs
 
 let pp_row ppf r =
   Format.fprintf ppf "| %-12s | %10d | %10d | %10d | %10d | %6.2f | %6.2f | %s"

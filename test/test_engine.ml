@@ -17,6 +17,7 @@ module Memory = Mac_sim.Memory
 module Interp = Mac_sim.Interp
 module Pipeline = Mac_vpo.Pipeline
 module W = Mac_workloads.Workloads
+module Tables = Mac_workloads.Tables
 
 let machines = Machine.all @ [ Machine.test32 ]
 let levels = Pipeline.[ O0; O1; O2; O3; O4 ]
@@ -367,6 +368,32 @@ let test_fused_load_misaligned () =
   | Ok _ -> ()
   | Error m -> Alcotest.failf "aligned fused load trapped: %s" m
 
+(* Trap fidelity on a real kernel: O4 image_add runs out of fuel in its
+   loop, and both engines trap with the same message. *)
+let test_out_of_fuel () =
+  let bench = Option.get (W.find "image_add") in
+  let compiled =
+    Pipeline.compile_source
+      (Pipeline.config ~level:Pipeline.O4 Machine.alpha)
+      bench.W.source
+  in
+  let trap engine =
+    match
+      Interp.run ~machine:Machine.alpha
+        ~memory:(Memory.create ~size:(1 lsl 16))
+        compiled.funcs ~entry:bench.W.entry
+        ~args:[ 64L; 4096L; 8192L; 1024L ]
+        ~fuel:100 ~engine ()
+    with
+    | _ ->
+      Alcotest.failf "the %s engine finished on 100 fuel"
+        (Interp.engine_name engine)
+    | exception Interp.Trap msg -> msg
+  in
+  Alcotest.(check string) "reference trap" "out of fuel in image_add"
+    (trap `Reference);
+  Alcotest.(check string) "jit trap" "out of fuel in image_add" (trap `Jit)
+
 (* --- satellite: the icache miss penalty is the icache's own ---------- *)
 
 let test_icache_penalty () =
@@ -397,7 +424,7 @@ let test_icache_penalty () =
       Alcotest.(check int) "cycles use icache penalty" 9 r.metrics.cycles)
     [ `Reference; `Jit ]
 
-(* Callers that omit [?engine] (Workloads.run, Tables, Sweep, mcc) get
+(* Callers that omit [?engine] (Workloads.run, Tables, mcc) get
    the jit: the same metrics as an explicit [`Jit] run, and a closure
    compile phase the reference engine never reports. *)
 let test_default_is_jit () =
@@ -414,119 +441,46 @@ let test_default_is_jit () =
   if not (List.assoc "compile" d.phases > 0.0) then
     Alcotest.fail "default run reports no closure compile time"
 
-(* The bench sweep must be deterministic in the worker count: the cells
-   array of BENCH_sim.json is byte-identical whether the benchmark x
-   machine x level cells were computed serially or fanned over four
-   domains. Timing fields (per-cell compile_seconds) are measurements
-   and differ run to run, so the comparison uses the timing-free form;
-   wall-clock and the speedup block live outside the cells array for the
-   same reason. *)
-let test_sweep_determinism () =
-  let open Mac_workloads.Sweep in
-  let cells1 = run ~jobs:1 ~size:8 ~full_size:8 () in
-  let cells4 = run ~jobs:4 ~size:8 ~full_size:8 () in
-  Alcotest.(check string)
-    "cells JSON identical for MAC_JOBS=1 and MAC_JOBS=4"
-    (cells_to_json ~timing:false cells1)
-    (cells_to_json ~timing:false cells4);
-  match
-    validate
-      (to_json ~size:8 ~jobs_requested:4 ~jobs_effective:4 ~engine:"jit"
-         ~wall_seconds:0.0 cells4)
-  with
-  | Ok n -> Alcotest.(check bool) "cell count >= 160" true (n >= 160)
-  | Error msg -> Alcotest.fail msg
-
-(* The v7 validator rejects what it must: any old-schema document (v7
-   included), a missing fingerprint, an engine that does not exist,
-   missing or non-positive compile_seconds / sim_seconds / jobs
-   counters, a missing sim_phase_seconds breakdown, a missing or empty
-   tvalid_seconds breakdown, cells without the guard or scheduler
-   counters, and missing cells. Every v7 case below carries a valid
-   fingerprint and engine, so it is rejected for the reason it names. *)
-let test_validate_v7 () =
-  let open Mac_workloads.Sweep in
-  let reject what text =
-    match validate text with
-    | Error _ -> ()
-    | Ok _ -> Alcotest.failf "validate accepted %s" what
+(* The paper tables are deterministic in the worker count (MAC_JOBS):
+   every simulated cell comes back identical, down to each metric,
+   whether the benchmark x level cells run serially or fan over four
+   domains. That includes FULL, whose cells run strength reduction,
+   scheduling and register allocation at Vfull. Timing fields are
+   measurements and are not compared. *)
+let test_tables_determinism () =
+  let cells (r : Tables.row) =
+    List.map
+      (fun (level, (o : W.outcome)) ->
+        (r.Tables.bench.W.name, level, o.W.value, o.W.metrics, o.W.correct))
+      r.Tables.outcomes
   in
-  reject "a v1 document"
-    "{\"schema\": \"mac-bench-sim/1\", \"cells\": []}";
-  reject "a v2 document"
-    "{\"schema\": \"mac-bench-sim/2\", \"compile_seconds\": 1.5, \
-     \"cells\": []}";
-  reject "a v3 document (pre sim timing)"
-    "{\"schema\": \"mac-bench-sim/3\", \"compile_seconds\": 1.5, \
-     \"cells\": []}";
-  reject "a v4 document (pre sched counters)"
-    "{\"schema\": \"mac-bench-sim/4\", \"compile_seconds\": 1.5, \
-     \"sim_seconds\": 1.5, \"cells\": []}";
-  reject "a v5 document (pre tvalid breakdown)"
-    "{\"schema\": \"mac-bench-sim/5\", \"compile_seconds\": 1.5, \
-     \"sim_seconds\": 1.5, \"jobs_requested\": 4, \
-     \"jobs_effective\": 4, \"sim_phase_seconds\": {\"decode\": 0.1, \
-     \"compile\": 0.1, \"execute\": 1.3}, \"cells\": []}";
-  reject "a document without a schema" "{\"cells\": []}";
-  let header =
-    "\"compile_seconds\": 1.5, \"sim_seconds\": 1.5, \
-     \"jobs_requested\": 4, \"jobs_effective\": 4, \
-     \"sim_phase_seconds\": {\"decode\": 0.1, \"compile\": 0.1, \
-     \"execute\": 1.3}, \"tvalid_seconds\": {\"cse\": 0.2}, "
+  List.iter
+    (fun (machine, pipeline_sched) ->
+      let profit_mode =
+        if pipeline_sched then Some Mac_core.Profitability.Pipelined else None
+      in
+      let rows jobs =
+        List.concat_map cells
+          (Tables.table ~size:8 ~assume_layout:true ~pipeline_sched
+             ?profit_mode ~jobs ~machine ())
+      in
+      if rows 1 <> rows 4 then
+        Alcotest.failf "%s%s: rows differ between 1 and 4 jobs"
+          machine.Machine.name
+          (if pipeline_sched then " -Osched" else ""))
+    [
+      (Machine.alpha, false); (Machine.mc88100, false);
+      (Machine.mc68030, false); (Machine.mc88100, true);
+      (Machine.mc68030, true);
+    ];
+  let full jobs =
+    List.map
+      (fun ((b : W.t), level, (o : W.outcome)) ->
+        (b.W.name, level, o.W.value, o.W.metrics, o.W.correct))
+      (Tables.full ~size:8 ~jobs ())
   in
-  reject "a v6 document (engine could be \"fast\")"
-    ("{\"schema\": \"mac-bench-sim/6\", \"compiler_fingerprint\": \"f\", \
-      \"engine\": \"jit\", " ^ header ^ "\"cells\": []}");
-  let doc ~engine rest =
-    "{\"schema\": \"mac-bench-sim/7\", \"compiler_fingerprint\": \"f\", \
-     \"engine\": \"" ^ engine ^ "\", " ^ rest ^ "}"
-  in
-  let v7 = doc ~engine:"jit" in
-  reject "a document without a fingerprint"
-    ("{\"schema\": \"mac-bench-sim/7\", \"engine\": \"jit\", " ^ header
-   ^ "\"cells\": []}");
-  reject "engine \"fast\"" (doc ~engine:"fast" (header ^ "\"cells\": []"));
-  reject "a document without an engine"
-    ("{\"schema\": \"mac-bench-sim/7\", \"compiler_fingerprint\": \"f\", "
-   ^ header ^ "\"cells\": []}");
-  reject "a document without compile_seconds" (v7 "\"cells\": []");
-  reject "compile_seconds = 0"
-    (v7 "\"compile_seconds\": 0.0, \"cells\": []");
-  reject "a document without sim_seconds"
-    (v7 "\"compile_seconds\": 1.5, \"jobs_requested\": 4, \
-         \"jobs_effective\": 4, \"cells\": []");
-  reject "a document without jobs_requested/jobs_effective"
-    (v7 "\"compile_seconds\": 1.5, \"sim_seconds\": 1.5, \"cells\": []");
-  reject "a document without sim_phase_seconds"
-    (v7 "\"compile_seconds\": 1.5, \"sim_seconds\": 1.5, \
-         \"jobs_requested\": 4, \"jobs_effective\": 4, \"cells\": []");
-  reject "sim_phase_seconds without an execute entry"
-    (v7 "\"compile_seconds\": 1.5, \"sim_seconds\": 1.5, \
-         \"jobs_requested\": 4, \"jobs_effective\": 4, \
-         \"sim_phase_seconds\": {\"decode\": 0.1, \"compile\": 0.1}, \
-         \"cells\": []");
-  reject "a document without tvalid_seconds"
-    (v7 "\"compile_seconds\": 1.5, \"sim_seconds\": 1.5, \
-         \"jobs_requested\": 4, \"jobs_effective\": 4, \
-         \"sim_phase_seconds\": {\"decode\": 0.1, \"compile\": 0.1, \
-         \"execute\": 1.3}, \"cells\": []");
-  reject "an empty tvalid_seconds"
-    (v7 "\"compile_seconds\": 1.5, \"sim_seconds\": 1.5, \
-         \"jobs_requested\": 4, \"jobs_effective\": 4, \
-         \"sim_phase_seconds\": {\"decode\": 0.1, \"compile\": 0.1, \
-         \"execute\": 1.3}, \"tvalid_seconds\": {}, \"cells\": []");
-  reject "a well-formed header but no cells" (v7 (header ^ "\"cells\": []"));
-  reject "a cell without guard counters"
-    (v7
-       (header
-      ^ "\"cells\": [{\"section\":\"TAB2\",\"bench\":\"dotproduct\",\
-         \"level\":\"O1\",\"correct\":true}]"));
-  reject "a cell without sched counters"
-    (v7
-       (header
-      ^ "\"cells\": [{\"section\":\"TAB2\",\"bench\":\"dotproduct\",\
-         \"level\":\"O1\",\"correct\":true,\
-         \"guards_emitted\":0,\"guards_elided\":0}]"))
+  if full 1 <> full 4 then
+    Alcotest.fail "FULL: outcomes differ between 1 and 4 jobs"
 
 let () =
   Alcotest.run "engine"
@@ -554,10 +508,10 @@ let () =
             `Quick test_cmp_branch_final;
           Alcotest.test_case "fused load takes the misaligned slow path"
             `Quick test_fused_load_misaligned;
+          Alcotest.test_case "out of fuel traps alike on both engines"
+            `Quick test_out_of_fuel;
         ] );
-      ( "sweep",
-        [ Alcotest.test_case "cells JSON independent of worker count"
-            `Quick test_sweep_determinism;
-          Alcotest.test_case "v7 validator rejects malformed documents"
-            `Quick test_validate_v7 ] );
+      ( "tables",
+        [ Alcotest.test_case "rows independent of worker count" `Quick
+            test_tables_determinism ] );
     ]

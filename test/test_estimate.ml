@@ -3,7 +3,7 @@
    kernel (Jsonio) pinned by an emit/parse round trip, the
    whole-function estimator pinned against the simulator on random
    affine kernels, and the estimation sweep with its accuracy contract
-   (Estcells / BENCH_est.json). *)
+   (Estcells). *)
 
 open Mac_rtl
 module Reuse = Mac_dataflow.Reuse
@@ -360,10 +360,9 @@ let test_estimate_key () =
 
 (* --- the estimation sweep and its accuracy contract ------------------ *)
 
-(* One full grid, estimated and simulated, shared by the tests below.
-   Size 32 keeps the simulations fast while exercising every paper-table
-   cell at every level. *)
-let cells = lazy (Estcells.run ~size:32 ())
+(* One full grid, estimated and simulated, shared by the tests below:
+   every paper-table cell at every level, at size 48. *)
+let cells = lazy (Estcells.run ~size:48 ())
 
 let grid_size =
   List.length Estcells.sections * List.length Mac_workloads.Workloads.all
@@ -416,49 +415,6 @@ let test_tab2_miss_accuracy () =
             (Printf.sprintf "TAB2/%s/%s miss err %.4f" c.bench c.level e)
             true (e <= 0.05))
     cells
-
-let test_json_document () =
-  let cells = Lazy.force cells in
-  let doc = Estcells.to_json ~size:32 cells in
-  (match Estcells.validate doc with
-  | Ok n -> Alcotest.(check int) "validates with every cell" grid_size n
-  | Error e -> Alcotest.failf "validation failed: %s" e);
-  (* The validator refuses a wrong schema... *)
-  let replace ~sub ~by s =
-    let n = String.length sub in
-    let buf = Buffer.create (String.length s) in
-    let i = ref 0 in
-    while !i <= String.length s - n do
-      if String.sub s !i n = sub then begin
-        Buffer.add_string buf by;
-        i := !i + n
-      end
-      else begin
-        Buffer.add_char buf s.[!i];
-        incr i
-      end
-    done;
-    Buffer.add_string buf (String.sub s !i (String.length s - !i));
-    Buffer.contents buf
-  in
-  let bad_schema = replace ~sub:"mac-bench-est/1" ~by:"mac-bench-est/0" doc in
-  Alcotest.(check bool) "wrong schema rejected" true
-    (match Estcells.validate bad_schema with Error _ -> true | Ok _ -> false);
-  (* ...an incomplete grid... *)
-  let partial = Estcells.to_json ~size:32 (List.tl cells) in
-  Alcotest.(check bool) "missing cell rejected" true
-    (match Estcells.validate partial with Error _ -> true | Ok _ -> false);
-  (* ...and a sweep whose median error exceeds the tolerance. *)
-  let inflated =
-    List.map
-      (fun (c : Estcells.ecell) ->
-        { c with Estcells.pred_cycles = c.pred_cycles * 10 })
-      cells
-  in
-  Alcotest.(check bool) "exceeded tolerance rejected" true
-    (match Estcells.validate (Estcells.to_json ~size:32 inflated) with
-    | Error _ -> true
-    | Ok _ -> false)
 
 (* --- triage ---------------------------------------------------------- *)
 
@@ -527,8 +483,6 @@ let () =
           Alcotest.test_case "accuracy contract" `Quick test_accuracy_contract;
           Alcotest.test_case "TAB2 miss accuracy" `Quick
             test_tab2_miss_accuracy;
-          Alcotest.test_case "JSON document + validator" `Quick
-            test_json_document;
         ] );
       ( "triage",
         [

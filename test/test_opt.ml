@@ -1110,7 +1110,8 @@ let test_regalloc_too_few () =
   in
   Alcotest.check_raises "3 params cannot fit 6 registers"
     (Mac_opt.Regalloc.Too_few_registers "6 registers for 3 parameters")
-    (fun () -> ignore (Mac_opt.Regalloc.run f ~num_regs:6))
+    (fun () ->
+      ignore (Mac_opt.Regalloc.run f ~machine:Machine.test32 ~num_regs:6))
 
 let test_regalloc_frame_recorded () =
   let module W = Mac_workloads.Workloads in
@@ -1123,6 +1124,59 @@ let test_regalloc_frame_recorded () =
   Alcotest.(check bool) "spilling recorded a frame" true
     (f.Func.frame_bytes > 0);
   Alcotest.(check bool) "frame pointer set" true (f.Func.fp_reg <> None)
+
+(* On a machine without 64-bit loads and stores a spilled register
+   travels as two W32 halves and comes back exact: both a 64-bit value
+   and a zero-extended word with bit 31 set, whose logical shift would
+   change if the reload sign-extended it. *)
+let test_regalloc_split_spill_exact () =
+  let word = { Rtl.base = reg 0; disp = 0L; width = Width.W32;
+               aligned = true } in
+  let build () =
+    let f = Func.create ~name:"t" ~params:[ reg 0 ] in
+    List.iter (Func.append f)
+      [
+        Rtl.Load { dst = reg 1; src = word; sign = Rtl.Unsigned };
+        Rtl.Binop (Rtl.Shl, reg 2, Rtl.Reg (reg 1), Rtl.Imm 32L);
+        Rtl.Binop (Rtl.Or, reg 2, Rtl.Reg (reg 2), Rtl.Reg (reg 1));
+        Rtl.Binop (Rtl.Add, reg 3, Rtl.Reg (reg 2), Rtl.Imm 3L);
+        Rtl.Binop (Rtl.Mul, reg 4, Rtl.Reg (reg 3), Rtl.Imm 5L);
+        Rtl.Binop (Rtl.Xor, reg 5, Rtl.Reg (reg 4), Rtl.Reg (reg 3));
+        Rtl.Binop (Rtl.Lshr, reg 6, Rtl.Reg (reg 2), Rtl.Imm 7L);
+        Rtl.Binop (Rtl.Add, reg 6, Rtl.Reg (reg 6), Rtl.Reg (reg 5));
+        Rtl.Binop (Rtl.Xor, reg 6, Rtl.Reg (reg 6), Rtl.Reg (reg 4));
+        Rtl.Binop (Rtl.Sub, reg 6, Rtl.Reg (reg 6), Rtl.Reg (reg 3));
+        Rtl.Binop (Rtl.Lshr, reg 7, Rtl.Reg (reg 1), Rtl.Imm 4L);
+        Rtl.Binop (Rtl.Xor, reg 6, Rtl.Reg (reg 6), Rtl.Reg (reg 7));
+        Rtl.Ret (Some (Rtl.Reg (reg 6)));
+      ];
+    f
+  in
+  let run f =
+    let memory = Memory.create ~size:512 in
+    Memory.store memory ~addr:256L ~width:Width.W32 0xF000_0001L;
+    (Interp.run ~machine:Machine.mc88100 ~memory [ f ] ~entry:"t"
+       ~args:[ 256L ] ())
+      .value
+  in
+  let f = build () in
+  let r =
+    Mac_opt.Regalloc.run f ~machine:Machine.mc88100
+      ~num_regs:(List.length f.params + 4)
+  in
+  Alcotest.(check bool) "values spilled" true (r.spilled >= 2);
+  List.iter
+    (fun (i : Rtl.inst) ->
+      match i.kind with
+      | Rtl.Load { src = m; _ } | Rtl.Store { dst = m; _ } ->
+        Alcotest.(check bool)
+          (Fmt.str "%a legal on mc88100" Width.pp m.width)
+          true
+          (Machine.legal_load Machine.mc88100 m.width ~aligned:m.aligned
+          && Machine.legal_store Machine.mc88100 m.width ~aligned:m.aligned)
+      | _ -> ())
+    f.body;
+  Alcotest.(check int64) "allocated result" (run (build ())) (run f)
 
 (* Property: optimization pipeline preserves semantics of small functions. *)
 let random_linear_func =
@@ -1258,7 +1312,13 @@ let prop_pass_semantics =
     per_pass_property "dce" Mac_opt.Dce.run;
     per_pass_property "strength" (fun f -> ignore (Mac_opt.Strength.run f));
     per_pass_property "regalloc8"
-      (fun f -> ignore (Mac_opt.Regalloc.run f ~num_regs:8));
+      (fun f ->
+        ignore (Mac_opt.Regalloc.run f ~machine:Machine.test32 ~num_regs:8));
+    (* the three parameters fill every allocatable register, so the
+       other values spill as two W32 halves *)
+    per_pass_property "regalloc7 on mc88100"
+      (fun f ->
+        ignore (Mac_opt.Regalloc.run f ~machine:Machine.mc88100 ~num_regs:7));
   ]
 
 (* Scheduler: any reordering it produces leaves execution results
@@ -1589,6 +1649,8 @@ let () =
           Alcotest.test_case "suite with 9 regs" `Quick
             test_regalloc_spills_across_suite;
           Alcotest.test_case "too few" `Quick test_regalloc_too_few;
+          Alcotest.test_case "split spill exact on mc88100" `Quick
+            test_regalloc_split_spill_exact;
           Alcotest.test_case "frame recorded" `Quick
             test_regalloc_frame_recorded;
         ] );

@@ -542,6 +542,24 @@ let test_tvalid_grid_clean () =
   Alcotest.(check int) "regions over the grid" 63 !regions;
   Alcotest.(check int) "fallbacks over the grid" 0 !fallbacks
 
+(* The O4-full configuration (strength reduction, list scheduling,
+   software pipelining and 32-register allocation) compiles clean at
+   Vfull for every program on every paper machine, and the allocated
+   code computes the right answer. Machines without a 64-bit store spill
+   each register as two W32 halves: a single W64 spill made
+   convolution's 88100 compile fail Rtlcheck. *)
+let test_o4_full_grid () =
+  List.iter
+    (fun machine ->
+      List.iter
+        (fun (b : W.t) ->
+          ignore
+            (W.run_exn ~size:16 ~strength_reduce:true ~schedule:true
+               ~pipeline_sched:true ~regalloc:32 ~verify:Pipeline.Vfull
+               ~machine ~level:Pipeline.O4 b))
+        (W.dotproduct :: W.all))
+    [ Machine.alpha; Machine.mc88100; Machine.mc68030 ]
+
 (* A miscompiling classic pass is still blamed by name: the store-dropping
    mutant injected after [cse] makes the composite reject, and the
    pass-by-pass replay names [cse] and the function, not the composite. *)
@@ -968,6 +986,8 @@ let () =
             test_tvalid_composite_blames_pass;
           Alcotest.test_case "grid clean at Vfull" `Slow
             test_tvalid_grid_clean;
+          Alcotest.test_case "O4-full grid compiles at Vfull" `Slow
+            test_o4_full_grid;
           Alcotest.test_case "mutation adversary rejects all mutants" `Slow
             test_tvalid_mutation_adversary;
         ] );

@@ -214,6 +214,22 @@ let test_tables_gated_vs_forced () =
   Alcotest.(check bool) "gated at least breaks even" true
     (Tables.savings_all gated >= 0.0)
 
+(* The SCHED headline cell: forced coalescing of image_add16 at O4 on
+   the 88100 at size 64 takes 94231 cycles, and the -Osched software
+   pipeliner with the Pipelined profitability oracle brings it to 79895.
+   Simulated cycles are deterministic, so both are pinned exactly. *)
+let test_tables_sched_cell () =
+  let bench = Option.get (W.find "image_add16") in
+  let plain = Tables.row ~size:64 ~machine:Machine.mc88100 bench in
+  let sched =
+    Tables.row ~size:64 ~pipeline_sched:true
+      ~profit_mode:Mac_core.Profitability.Pipelined ~machine:Machine.mc88100
+      bench
+  in
+  Alcotest.(check int) "unscheduled O4 cycles" 94231 plain.loads_stores;
+  Alcotest.(check int) "-Osched O4 cycles" 79895 sched.loads_stores;
+  Alcotest.(check bool) "verified" true (plain.verified && sched.verified)
+
 (* --- static disambiguation ------------------------------------------- *)
 
 let forced_coalesce =
@@ -320,6 +336,8 @@ let () =
           Alcotest.test_case "row" `Quick test_tables_row;
           Alcotest.test_case "gated vs forced" `Quick
             test_tables_gated_vs_forced;
+          Alcotest.test_case "SCHED image_add16 cell" `Quick
+            test_tables_sched_cell;
         ] );
       ( "disambiguation",
         [
