@@ -196,16 +196,16 @@ let coherent t =
   match t.cfg with
   | None -> Ok ()
   | Some c ->
-    let viewed =
-      Array.to_list c.Cfg.blocks
-      |> List.concat_map (fun (b : Cfg.block) -> b.Cfg.insts)
-    in
-    let rec cmp i (xs : Rtl.inst list) (ys : Rtl.inst list) =
+    (* walk the view's blocks against the body; a record a pass kept is
+       equal to itself without a look at its kind *)
+    let rec cmp i (xs : Rtl.inst list) (ys : Rtl.inst list) b =
       match (xs, ys) with
+      | _, [] when b < Array.length c.Cfg.blocks ->
+        cmp i xs c.Cfg.blocks.(b).Cfg.insts (b + 1)
       | [], [] -> Ok ()
       | x :: xs, y :: ys ->
-        if x.Rtl.uid = y.Rtl.uid && x.Rtl.kind = y.Rtl.kind then
-          cmp (i + 1) xs ys
+        if x == y || (x.Rtl.uid = y.Rtl.uid && x.Rtl.kind = y.Rtl.kind) then
+          cmp (i + 1) xs ys b
         else
           Error
             (Printf.sprintf
@@ -218,4 +218,4 @@ let coherent t =
              "cached CFG has %s instructions than the function body"
              (if ys = [] then "fewer" else "more"))
     in
-    cmp 0 t.func.Func.body viewed)
+    cmp 0 t.func.Func.body [] 0)

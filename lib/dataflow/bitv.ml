@@ -96,6 +96,19 @@ let iter_set f t =
       done
   done
 
+let for_all_set p t =
+  let rec word w =
+    w >= Array.length t.words
+    ||
+    let bits = t.words.(w) in
+    let rec bit b =
+      b >= bpw
+      || (((bits lsr b) land 1 = 0 || p ((w * bpw) + b)) && bit (b + 1))
+    in
+    (bits = 0 || bit 0) && word (w + 1)
+  in
+  word 0
+
 let fold_set f t acc =
   let acc = ref acc in
   iter_set (fun i -> acc := f i !acc) t;

@@ -32,4 +32,8 @@ val blit : into:t -> t -> unit
 val iter_set : (int -> unit) -> t -> unit
 (** Iterate the set indices in ascending order. *)
 
+val for_all_set : (int -> bool) -> t -> bool
+(** Whether [p] holds for every set index, asked in ascending order and
+    stopping at the first that fails. *)
+
 val fold_set : (int -> 'a -> 'a) -> t -> 'a -> 'a

@@ -209,17 +209,39 @@ let state_set st r v =
     { st with map = Reg.Map.remove r st.map }
   else { st with map = Reg.Map.add r v st.map }
 
-let state_equal a b = Reg.Map.equal value_equal a.map b.map
-
-let state_join a b =
-  let keys =
-    Reg.Map.fold (fun r _ acc -> Reg.Set.add r acc) a.map
-      (Reg.Map.fold (fun r _ acc -> Reg.Set.add r acc) b.map Reg.Set.empty)
+let entry_state ?(consts = []) () =
+  let default r =
+    match List.find_opt (fun (s, _) -> Reg.equal s r) consts with
+    | Some (_, c) -> const c
+    | None -> entry r
   in
-  Reg.Set.fold
-    (fun r acc -> state_set acc r (join (value_of a r) (value_of b r)))
-    keys
-    { a with map = Reg.Map.empty }
+  { map = Reg.Map.empty; default }
+
+let state_bindings st = Reg.Map.bindings st.map
+
+let state_equal a b = a.map == b.map || Reg.Map.equal value_equal a.map b.map
+
+(* Both states come from one solve, so they share [default]. Joins are
+   idempotent and a bound value never equals its default, so a state or
+   a binding joined with itself is itself. *)
+let state_join a b =
+  if a.map == b.map then a
+  else
+    let map =
+      Reg.Map.merge
+        (fun r va vb ->
+          match (va, vb) with
+          | Some x, Some y when x == y -> va
+          | _ ->
+            let v =
+              join
+                (match va with Some v -> v | None -> a.default r)
+                (match vb with Some v -> v | None -> b.default r)
+            in
+            if value_equal v (a.default r) then None else Some v)
+        a.map b.map
+    in
+    { a with map }
 
 let eval_operand st = function
   | Imm c -> const c
@@ -309,15 +331,10 @@ let pp_state ppf st =
 
 type t = { ins : state array; outs : state array }
 
-let solve ?(consts = []) cfg =
+let solve ?consts cfg =
   let open Mac_cfg in
-  let default r =
-    match List.find_opt (fun (s, _) -> Reg.equal s r) consts with
-    | Some (_, c) -> const c
-    | None -> entry r
-  in
   let n = Array.length cfg.Cfg.blocks in
-  let initial = { map = Reg.Map.empty; default } in
+  let initial = entry_state ?consts () in
   let ins = Array.make n initial and outs = Array.make n initial in
   (* a block not yet visited contributes nothing to a join (bottom) —
      joining its placeholder state instead would fold the entry-value
@@ -331,42 +348,48 @@ let solve ?(consts = []) cfg =
   in
   let order = Cfg.rpo cfg in
   let entry_b = Cfg.entry cfg in
-  (* initial pass to seed outs, then iterate to fixpoint *)
-  let changed = ref true in
+  (* Sweeps in reverse postorder until nothing changes, re-transferring
+     a block only when a predecessor was first reached or its out-state
+     changed since the block's last transfer: a skipped block would
+     recompute the state it already holds, so every sweep ends in the
+     state a full round-robin sweep would. *)
+  let dirty = Array.make n true and ndirty = ref n in
   let rounds = ref 0 in
-  while !changed && !rounds < 1000 do
-    changed := false;
+  while !ndirty > 0 && !rounds < 1000 do
     incr rounds;
     Array.iter
       (fun b ->
-        let in_st =
-          let preds = cfg.Cfg.pred.(b) in
-          let joined =
-            List.fold_left
-              (fun acc p ->
-                if not reached.(p) then acc
-                else
-                  match acc with
-                  | None -> Some outs.(p)
-                  | Some st -> Some (state_join st outs.(p)))
-              None preds
+        if dirty.(b) then begin
+          dirty.(b) <- false;
+          decr ndirty;
+          let in_st =
+            let joined =
+              List.fold_left
+                (fun acc p ->
+                  if not reached.(p) then acc
+                  else
+                    match acc with
+                    | None -> Some outs.(p)
+                    | Some st -> Some (state_join st outs.(p)))
+                None cfg.Cfg.pred.(b)
+            in
+            match joined with
+            | None -> initial
+            | Some st -> if b = entry_b then state_join initial st else st
           in
-          match joined with
-          | None -> initial
-          | Some st -> if b = entry_b then state_join initial st else st
-        in
-        let out_st = transfer_block b in_st in
-        if not reached.(b) then begin
-          reached.(b) <- true;
-          changed := true
-        end;
-        if not (state_equal in_st ins.(b)) then begin
+          let out_st = transfer_block b in_st in
           ins.(b) <- in_st;
-          changed := true
-        end;
-        if not (state_equal out_st outs.(b)) then begin
-          outs.(b) <- out_st;
-          changed := true
+          if (not reached.(b)) || not (state_equal out_st outs.(b)) then begin
+            reached.(b) <- true;
+            outs.(b) <- out_st;
+            List.iter
+              (fun s ->
+                if not dirty.(s) then begin
+                  dirty.(s) <- true;
+                  incr ndirty
+                end)
+              cfg.Cfg.succ.(b)
+          end
         end)
       order
   done;

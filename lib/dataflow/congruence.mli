@@ -78,7 +78,20 @@ type state
     was never redefined on any path from entry, so it still holds its
     entry value: lookups default to {!entry} (or the seeded constant). *)
 
+val entry_state : ?consts:(Reg.t * int64) list -> unit -> state
+(** The state at function entry: every register holds its entry value,
+    or its seeded constant from [consts]. *)
+
 val value_of : state -> Reg.t -> value
+
+val state_bindings : state -> (Reg.t * value) list
+(** The registers whose value differs from their entry value, in
+    ascending register order. *)
+
+val state_equal : state -> state -> bool
+(** Same value for every register; the states must come from one
+    {!entry_state}. *)
+
 val state_set : state -> Reg.t -> value -> state
 val step : state -> Rtl.kind -> state
 (** One-instruction transfer function (exposed so the audit can replay a
@@ -89,7 +102,10 @@ type t
 
 val solve : ?consts:(Reg.t * int64) list -> Mac_cfg.Cfg.t -> t
 (** [consts] seeds function-entry registers with known constant values
-    (so [σ(r)] collapses to the constant everywhere). *)
+    (so [σ(r)] collapses to the constant everywhere). Sweeps the blocks
+    in reverse postorder until nothing changes, re-transferring a block
+    only when a predecessor was first reached or changed its out-state;
+    the result is the state round-robin sweeps reach. *)
 
 val block_in : t -> int -> state
 val block_out : t -> int -> state

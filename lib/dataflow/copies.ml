@@ -91,47 +91,66 @@ let compute (cfg : Mac_cfg.Cfg.t) =
   in
   { cfg; sol; fact_dst; fact_op; facts_of_reg; fact_index }
 
+(* A lookup scans only the facts that mention the queried register, so
+   no per-instruction [Reg.Map] is ever built. [None] is Top: no copy is
+   reported. *)
+let look t = function
+  | None -> fun _ -> None
+  | Some bv ->
+    fun r -> (
+      match Reg.Tbl.find_opt t.facts_of_reg r with
+      | None -> None
+      | Some mask ->
+        Bitv.fold_set
+          (fun fi acc ->
+            match acc with
+            | Some _ -> acc
+            | None ->
+              if Bitv.get bv fi && Reg.equal t.fact_dst.(fi) r then
+                Some t.fact_op.(fi)
+              else None)
+          mask None)
+
+(* The per-instruction transfer, in place. *)
+let step t bv (i : Rtl.inst) =
+  List.iter
+    (fun r ->
+      match Reg.Tbl.find_opt t.facts_of_reg r with
+      | Some m -> ignore (Bitv.diff_into ~into:bv m)
+      | None -> ())
+    (Rtl.defs i.kind);
+  match copy_of_inst i with
+  | Some (d, op) -> Bitv.set bv (Hashtbl.find t.fact_index (Reg.id d, op))
+  | None -> ()
+
 (* Each instruction is paired with a lookup closure over its own
-   snapshot of the copies available before it. A lookup scans only the
-   facts that mention the queried register, so no per-instruction
-   [Reg.Map] is ever built. *)
+   snapshot of the copies available before it. *)
 let copies_query t b =
-  let look = function
-    | None -> fun _ -> None (* Top: no copy is reported *)
-    | Some bv ->
-      fun r -> (
-        match Reg.Tbl.find_opt t.facts_of_reg r with
-        | None -> None
-        | Some mask ->
-          Bitv.fold_set
-            (fun fi acc ->
-              match acc with
-              | Some _ -> acc
-              | None ->
-                if Bitv.get bv fi && Reg.equal t.fact_dst.(fi) r then
-                  Some t.fact_op.(fi)
-                else None)
-            mask None)
-  in
-  let transfer (i : Rtl.inst) = function
-    | None -> None (* Top is a transfer fixed point *)
-    | Some bv ->
-      let bv = Bitv.copy bv in
-      List.iter
-        (fun r ->
-          match Reg.Tbl.find_opt t.facts_of_reg r with
-          | Some m -> ignore (Bitv.diff_into ~into:bv m)
-          | None -> ())
-        (Rtl.defs i.kind);
-      (match copy_of_inst i with
-      | Some (d, op) -> Bitv.set bv (Hashtbl.find t.fact_index (Reg.id d, op))
-      | None -> ());
-      Some bv
-  in
   let _, acc =
     List.fold_left
-      (fun (v, acc) i -> (transfer i v, (i, look v) :: acc))
+      (fun (v, acc) i ->
+        let v' =
+          Option.map
+            (fun bv ->
+              let bv = Bitv.copy bv in
+              step t bv i;
+              bv)
+            v
+        in
+        (v', (i, look t v) :: acc))
       (t.sol.Dataflow.inb.(b), [])
       t.cfg.blocks.(b).insts
   in
   List.rev acc
+
+(* One working vector for the whole block, transferred in place after
+   each call. *)
+let fold_block t b ~init ~f =
+  let v = Option.map Bitv.copy t.sol.Dataflow.inb.(b) in
+  let lookup = look t v in
+  List.fold_left
+    (fun acc i ->
+      let acc = f acc i lookup in
+      Option.iter (fun bv -> step t bv i) v;
+      acc)
+    init t.cfg.blocks.(b).insts

@@ -14,3 +14,14 @@ val copies_query : t -> int -> (Rtl.inst * (Reg.t -> Rtl.operand option)) list
     available {e before} it: [look r] is [Some src] when the copy
     [r <- src] holds there. In a block no path from the entry reaches,
     every lookup answers [None]. *)
+
+val fold_block :
+  t ->
+  int ->
+  init:'a ->
+  f:('a -> Rtl.inst -> (Reg.t -> Rtl.operand option) -> 'a) ->
+  'a
+(** {!copies_query} as one walk: visits block [b]'s instructions in body
+    order, calling [f acc i look] where [look] answers for the point
+    before [i] {e only for the duration of that call} (one working
+    vector is transferred in place afterwards). *)

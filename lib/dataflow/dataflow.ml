@@ -3,25 +3,31 @@ type direction = Forward | Backward
 type 'a solution = { inb : 'a array; outb : 'a array }
 
 (* Every analysis here is gen/kill ([out = gen ∪ (in − kill)] per block),
-   so one solver covers liveness, reaching definitions and available
-   copies. Values are [Bitv.t option]; [None] is the must-analysis Top
-   ("unreached: everything holds vacuously"), which is the meet identity
-   and a transfer fixed point. May-analyses ([Union]) never see [None]
-   in the result.
+   so one solver covers liveness, reaching definitions, available copies
+   and the validator's available expressions. Values are
+   [Bitv.t option]; [None] is the must-analysis Top ("unreached:
+   everything holds vacuously"), which is the meet identity and a
+   transfer fixed point. May-analyses ([Union]) never see [None] in the
+   result. A must-analysis given [~universe] has no such Top: every
+   block starts at the universe and transfers it like any other value.
 
    Iteration sweeps the blocks in reverse postorder (postorder of the
-   forward graph for backward problems) until a sweep changes nothing;
-   on reducible flow graphs that is 2–3 sweeps, where a round-robin over
-   block indices can take a pass per loop level. *)
+   forward graph for backward problems), re-transferring a block only
+   when the value of one of its flow predecessors changed since the
+   block was last transferred. A skipped block would recompute exactly
+   the value it holds, so each sweep leaves the same state a full sweep
+   would; on reducible flow graphs most blocks are transferred once or
+   twice. *)
 
 type meet_op = Union | Inter
 
-let solve_bits (cfg : Mac_cfg.Cfg.t) ~direction ~meet ~gen ~kill ~boundary =
+let solve_bits ?universe (cfg : Mac_cfg.Cfg.t) ~direction ~meet ~gen ~kill
+    ~boundary =
   let n = Array.length cfg.blocks in
-  let preds, is_boundary =
+  let preds, succs, is_boundary =
     match direction with
-    | Forward -> (cfg.pred, fun b -> b = 0)
-    | Backward -> (cfg.succ, fun b -> cfg.succ.(b) = [])
+    | Forward -> (cfg.pred, cfg.succ, fun b -> b = 0)
+    | Backward -> (cfg.succ, cfg.pred, fun b -> cfg.succ.(b) = [])
   in
   let order =
     let rpo = Mac_cfg.Cfg.rpo cfg in
@@ -35,7 +41,9 @@ let solve_bits (cfg : Mac_cfg.Cfg.t) ~direction ~meet ~gen ~kill ~boundary =
      for forward analyses, block exit for backward ones); fout.(b) the
      transferred value. For [Inter], [None] is Top; for [Union], [None]
      is "not yet computed" and reads as the empty set. *)
-  let fin = Array.make n None and fout = Array.make n None in
+  let start () = Option.map Bitv.copy universe in
+  let fin = Array.init n (fun _ -> start ())
+  and fout = Array.init n (fun _ -> start ()) in
   let transfer b v =
     let r = Bitv.copy v in
     ignore (Bitv.diff_into ~into:r kill.(b));
@@ -77,17 +85,27 @@ let solve_bits (cfg : Mac_cfg.Cfg.t) ~direction ~meet ~gen ~kill ~boundary =
     | Some a, Some b -> Bitv.equal a b
     | _ -> false
   in
-  let changed = ref true in
-  while !changed do
-    changed := false;
+  (* every block is transferred at least once *)
+  let dirty = Array.make n true and ndirty = ref n in
+  while !ndirty > 0 do
     Array.iter
       (fun b ->
-        let v_in = flow_in b in
-        let v_out = Option.map (transfer b) v_in in
-        if not (opt_equal v_in fin.(b) && opt_equal v_out fout.(b)) then begin
+        if dirty.(b) then begin
+          dirty.(b) <- false;
+          decr ndirty;
+          let v_in = flow_in b in
+          let v_out = Option.map (transfer b) v_in in
           fin.(b) <- v_in;
-          fout.(b) <- v_out;
-          changed := true
+          if not (opt_equal v_out fout.(b)) then begin
+            fout.(b) <- v_out;
+            List.iter
+              (fun s ->
+                if not dirty.(s) then begin
+                  dirty.(s) <- true;
+                  incr ndirty
+                end)
+              succs.(b)
+          end
         end)
       order
   done;

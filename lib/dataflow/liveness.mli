@@ -13,6 +13,14 @@ val live_in : t -> int -> Reg.Set.t
 val live_out : t -> int -> Reg.Set.t
 (** Registers live on exit from a block. *)
 
+val for_all_in : t -> int -> (Reg.t -> bool) -> bool
+(** [for_all_in t b p]: whether [p] holds for every register live on
+    entry to block [b], asked in ascending {!Reg.compare} order and
+    stopping at the first that fails; no set is built. *)
+
+val for_all_out : t -> int -> (Reg.t -> bool) -> bool
+(** {!for_all_in} over the registers live on exit from block [b]. *)
+
 val live_after_each : t -> int -> (Rtl.inst * Reg.Set.t) list
 (** For block [b], each instruction paired with the set of registers live
     {e after} it — what register allocation consults. *)

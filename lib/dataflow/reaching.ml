@@ -30,15 +30,13 @@ let compute (cfg : Mac_cfg.Cfg.t) =
 
 (* A definition inside the block before the use always reaches it;
    without one, the use is reached exactly when its register may be
-   defined at the block entry. *)
+   defined at the block entry. One working vector holds both: the entry
+   set, plus each definition as the walk passes it. *)
 let iter_undefined_uses t ~block k =
-  let entry = t.entry.(block) in
-  let at_entry r = Reg.id r < t.nbits && Bitv.get entry (Reg.id r) in
-  ignore
-    (List.fold_left
-       (fun defined (i : Rtl.inst) ->
-         List.iter
-           (fun r -> if not (Reg.Set.mem r defined || at_entry r) then k i r)
-           (Rtl.uses i.kind);
-         List.fold_left (fun d r -> Reg.Set.add r d) defined (Rtl.defs i.kind))
-       Reg.Set.empty t.cfg.blocks.(block).insts)
+  let defined = Bitv.copy t.entry.(block) in
+  let is_defined r = Reg.id r < t.nbits && Bitv.get defined (Reg.id r) in
+  List.iter
+    (fun (i : Rtl.inst) ->
+      List.iter (fun r -> if not (is_defined r) then k i r) (Rtl.uses i.kind);
+      List.iter (fun r -> Bitv.set defined (Reg.id r)) (Rtl.defs i.kind))
+    t.cfg.blocks.(block).insts

@@ -58,49 +58,43 @@ let once am (f : Func.t) =
    whose only definition is the register itself; all such instructions can
    go at once. *)
 let remove_faint (f : Func.t) =
-  let params = Reg.Set.of_list f.params in
-  let used_by : Rtl.inst list Reg.Tbl.t = Reg.Tbl.create 16 in
+  (* per register id: 0 never mentioned, 1 faint so far, 2 not faint *)
+  let state = Array.make f.next_reg 0 in
+  let mention r = if state.(Reg.id r) = 0 then state.(Reg.id r) <- 1 in
+  let not_faint r = state.(Reg.id r) <- 2 in
+  let only_def (i : Rtl.inst) defs =
+    if Rtl.has_side_effect i.kind then None
+    else match defs with [ d ] -> Some d | _ -> None
+  in
   List.iter
     (fun (i : Rtl.inst) ->
+      let defs = Rtl.defs i.kind in
+      List.iter mention defs;
+      let d = only_def i defs in
       List.iter
         (fun r ->
-          Reg.Tbl.replace used_by r
-            (i :: Option.value (Reg.Tbl.find_opt used_by r) ~default:[]))
+          match d with
+          | Some d when Reg.equal d r -> mention r
+          | _ -> not_faint r)
         (Rtl.uses i.kind))
     f.body;
-  let faint r =
-    (not (Reg.Set.mem r params))
-    && List.for_all
-         (fun (i : Rtl.inst) ->
-           (not (Rtl.has_side_effect i.kind))
-           && match Rtl.defs i.kind with
-              | [ d ] -> Reg.equal d r
-              | _ -> false)
-         (Option.value (Reg.Tbl.find_opt used_by r) ~default:[])
+  (* a parameter no instruction mentions may lie beyond [next_reg] *)
+  List.iter (fun r -> if Reg.id r < f.next_reg then not_faint r) f.params;
+  (* only a faint register's own single definitions can go, and a faint
+     register may have none (a call's result nobody reads) *)
+  Array.exists (fun s -> s = 1) state
+  &&
+  let is_dead_inst (i : Rtl.inst) =
+    match only_def i (Rtl.defs i.kind) with
+    | Some d -> state.(Reg.id d) = 1
+    | None -> false
   in
-  let all_regs =
-    List.concat_map
-      (fun (i : Rtl.inst) -> Rtl.defs i.kind @ Rtl.uses i.kind)
-      f.body
-    |> List.sort_uniq Reg.compare
-  in
-  let dead_regs = List.filter faint all_regs in
-  if dead_regs = [] then false
-  else begin
-    let is_dead_inst (i : Rtl.inst) =
-      (not (Rtl.has_side_effect i.kind))
-      &&
-      match Rtl.defs i.kind with
-      | [ d ] -> List.exists (Reg.equal d) dead_regs
-      | _ -> false
-    in
-    let body' = List.filter (fun i -> not (is_dead_inst i)) f.body in
-    if List.length body' <> List.length f.body then begin
-      Func.set_body f body';
-      true
-    end
-    else false
-  end
+  let body = List.filter (fun i -> not (is_dead_inst i)) f.body in
+  List.compare_lengths body f.body <> 0
+  && begin
+       Func.set_body f body;
+       true
+     end
 
 let run ?am (f : Func.t) =
   let am =

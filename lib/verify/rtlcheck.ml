@@ -115,12 +115,19 @@ let flow_checks am ~pass (f : Func.t) =
         add (Diagnostic.warningf ~pass "%s is unreachable" name))
     cfg.blocks;
   (* Registers with at least one definition anywhere (parameters and the
-     frame pointer count: the caller and the simulator supply them). *)
-  let ever_defined = Hashtbl.create 64 in
-  let mark r = Hashtbl.replace ever_defined (Reg.id r) () in
-  List.iter mark f.params;
-  Option.iter mark f.fp_reg;
-  List.iter (fun (i : Rtl.inst) -> List.iter mark (Rtl.defs i.kind)) f.body;
+     frame pointer count: the caller and the simulator supply them),
+     gathered only once some other register is live into the entry. *)
+  let ever_defined =
+    lazy
+      (let tbl = Hashtbl.create 64 in
+       let mark r = Hashtbl.replace tbl (Reg.id r) () in
+       List.iter mark f.params;
+       Option.iter mark f.fp_reg;
+       List.iter
+         (fun (i : Rtl.inst) -> List.iter mark (Rtl.defs i.kind))
+         f.body;
+       tbl)
+  in
   let entry_ok r =
     List.exists (Reg.equal r) f.params
     || (match f.fp_reg with Some fp -> Reg.equal r fp | None -> false)
@@ -145,7 +152,8 @@ let flow_checks am ~pass (f : Func.t) =
   let live = Analysis.liveness am in
   Reg.Set.iter
     (fun r ->
-      if (not (entry_ok r)) && Hashtbl.mem ever_defined (Reg.id r) then
+      if (not (entry_ok r)) && Hashtbl.mem (Lazy.force ever_defined) (Reg.id r)
+      then
         add
           (Diagnostic.warningf ~pass
              "register %s may be read before it is written on some path"

@@ -2,6 +2,7 @@ open Mac_rtl
 module Cfg = Mac_cfg.Cfg
 module Congruence = Mac_dataflow.Congruence
 module Liveness = Mac_dataflow.Liveness
+module Avail = Mac_dataflow.Avail
 module Disambig = Mac_core.Disambig
 module Coalesce = Mac_core.Coalesce
 module Ps = Mac_opt.Pipeline_sched
@@ -33,130 +34,11 @@ type result = {
 let snapshot (f : Func.t) = { f with Func.name = f.Func.name }
 
 (* ------------------------------------------------------------------ *)
-(* Available equalities at block entry of the old function. A fact
-   [(d, rhs)] at a block's entry means the register [d] currently holds
-   the value of [rhs] over the {e current} values of its operand
-   registers — exactly the justification CSE and copy propagation use
-   when they reuse a value across a block boundary. Facts die when the
-   defined register or an operand is redefined; load facts die at every
-   store; calls kill everything. *)
-
-type akey =
-  | AMove of Rtl.operand
-  | ABin of Rtl.binop * Rtl.operand * Rtl.operand
-  | AUn of Rtl.unop * Rtl.operand
-  | ALoad of Rtl.mem * Rtl.signedness
-  | AExt of Reg.t * Rtl.operand * Width.t * Rtl.signedness
-
-module FactSet = Set.Make (struct
-  type t = int * akey
-
-  let compare = Stdlib.compare
-end)
-
-let akey_regs = function
-  | AMove (Rtl.Reg r) -> [ r ]
-  | AMove (Rtl.Imm _) -> []
-  | ABin (_, a, b) ->
-    List.filter_map (function Rtl.Reg r -> Some r | _ -> None) [ a; b ]
-  | AUn (_, Rtl.Reg r) -> [ r ]
-  | AUn (_, Rtl.Imm _) -> []
-  | ALoad (m, _) -> [ m.Rtl.base ]
-  | AExt (src, pos, _, _) -> (
-    src :: (match pos with Rtl.Reg r -> [ r ] | Rtl.Imm _ -> []))
-
-let is_load_key = function ALoad _ -> true | _ -> false
-
-let gen_fact (i : Rtl.inst) =
-  let ok d key = not (List.exists (Reg.equal d) (akey_regs key)) in
-  match i.kind with
-  | Rtl.Move (d, o) ->
-    let k = AMove o in
-    if ok d k then Some (d, k) else None
-  | Rtl.Binop (op, d, a, b) ->
-    let k = ABin (op, a, b) in
-    if ok d k then Some (d, k) else None
-  | Rtl.Unop (op, d, a) ->
-    let k = AUn (op, a) in
-    if ok d k then Some (d, k) else None
-  | Rtl.Load { dst; src; sign } ->
-    let k = ALoad (src, sign) in
-    if ok dst k then Some (dst, k) else None
-  | Rtl.Extract { dst; src; pos; width; sign } ->
-    let k = AExt (src, pos, width, sign) in
-    if ok dst k then Some (dst, k) else None
-  | _ -> None
-
-let fact_step s (i : Rtl.inst) =
-  let s =
-    match i.kind with
-    | Rtl.Store _ -> FactSet.filter (fun (_, k) -> not (is_load_key k)) s
-    | Rtl.Call _ -> FactSet.empty
-    | _ -> s
-  in
-  let ds = Rtl.defs i.kind in
-  let s =
-    if ds = [] then s
-    else
-      FactSet.filter
-        (fun (d, k) ->
-          not
-            (List.exists
-               (fun r ->
-                 Reg.id r = d || List.exists (Reg.equal r) (akey_regs k))
-               ds))
-        s
-  in
-  match gen_fact i with
-  | Some (d, k) -> FactSet.add (Reg.id d, k) s
-  | None -> s
-
-(* forward must-analysis: in = ∩ preds out, out = transfer (in) *)
-let solve_avail (cfg : Cfg.t) =
-  let n = Array.length cfg.blocks in
-  let universe =
-    List.fold_left
-      (fun s i ->
-        match gen_fact i with
-        | Some (d, k) -> FactSet.add (Reg.id d, k) s
-        | None -> s)
-      FactSet.empty cfg.func.Func.body
-  in
-  let inb = Array.make n FactSet.empty in
-  let outb = Array.make n universe in
-  let entry = Cfg.entry cfg in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    Array.iter
-      (fun (b : Cfg.block) ->
-        let i = b.index in
-        let in_ =
-          if i = entry then FactSet.empty
-          else
-            match cfg.pred.(i) with
-            | [] -> FactSet.empty
-            | p :: ps ->
-              List.fold_left
-                (fun acc q -> FactSet.inter acc outb.(q))
-                outb.(p) ps
-        in
-        let out = List.fold_left fact_step in_ b.insts in
-        if
-          (not (FactSet.equal in_ inb.(i)))
-          || not (FactSet.equal out outb.(i))
-        then begin
-          inb.(i) <- in_;
-          outb.(i) <- out;
-          changed := true
-        end)
-      cfg.blocks
-  done;
-  inb
-
-(* ------------------------------------------------------------------ *)
 (* Entry-environment seeding. For the old block's entry we know (a) the
-   available equalities above and (b) the congruence solution: exact
+   available equalities ({!Avail}: a fact [d = key] means [d] holds the
+   value of [key] over the {e current} values of its registers, exactly
+   the justification CSE and copy propagation use when they reuse a value
+   across a block boundary) and (b) the congruence solution: exact
    constants, and registers still holding [entry q + off]. Each fact is
    expanded into a term over entry symbols; every register's candidates
    collapse to one canonical choice (smallest term), and both sides are
@@ -165,10 +47,10 @@ let solve_avail (cfg : Cfg.t) =
 
 let seed_env ctx ~avail ~cong_st ~regs =
   let facts_of = Hashtbl.create 16 in
-  FactSet.iter
+  List.iter
     (fun (d, k) ->
-      Hashtbl.replace facts_of d
-        (k :: Option.value (Hashtbl.find_opt facts_of d) ~default:[]))
+      Hashtbl.replace facts_of (Reg.id d)
+        (k :: Option.value (Hashtbl.find_opt facts_of (Reg.id d)) ~default:[]))
     avail;
   let memo = Hashtbl.create 16 in
   let rec term_of seen r =
@@ -183,10 +65,10 @@ let seed_env ctx ~avail ~cong_st ~regs =
           | Rtl.Imm i -> Sx.Con i
         in
         let of_key = function
-          | AMove o -> operand o
-          | ABin (op, a, b) -> Sx.bin ctx op (operand a) (operand b)
-          | AUn (op, a) -> Sx.un ctx op (operand a)
-          | ALoad (m, sign) ->
+          | Avail.Move o -> operand o
+          | Avail.Bin (op, a, b) -> Sx.bin ctx op (operand a) (operand b)
+          | Avail.Un (op, a) -> Sx.un ctx op (operand a)
+          | Avail.Load (m, sign) ->
             let a =
               Sx.bin ctx Rtl.Add (term_of seen m.Rtl.base)
                 (Sx.Con m.Rtl.disp)
@@ -198,7 +80,7 @@ let seed_env ctx ~avail ~cong_st ~regs =
                   (Sx.Con (Int64.of_int (-Width.bytes m.Rtl.width)))
             in
             Sx.read ctx (Sx.MSym Sx.MEntry) a m.Rtl.width sign
-          | AExt (src, pos, w, sign) ->
+          | Avail.Ext (src, pos, w, sign) ->
             Sx.ext ctx (term_of seen src) (operand pos) w sign
         in
         let cands =
@@ -485,7 +367,7 @@ let find_continuation (ocfg : Cfg.t) (ncfg : Cfg.t) oc =
      in-degrees, and — lazily, only when some pair needs a full check —
      the congruence solution, the available-expression facts and
      liveness), keyed by the body content itself (function name plus the
-     (uid, kind) instruction list) and the facts record.
+     uid and kind of every instruction) and the facts record.
    - [xfers] memoise a block's {e generic transfer}: its symbolic
      environment and exit descriptor executed from the empty environment
      (every register at its entry symbol), keyed by the machine word and
@@ -507,12 +389,12 @@ module Analysis = Mac_dataflow.Analysis
 
 type side_summary = {
   s_name : string;
-  s_body : (int * Rtl.kind) list;  (* the key: (uid, kind) per inst *)
+  s_body : Rtl.inst list;  (* the key, compared by uid and kind *)
   s_facts : Disambig.facts;  (* compared physically; per-compile value *)
   s_cfg : Cfg.t;
   s_deg : int array;
   s_cong : Congruence.t Lazy.t;
-  s_avail : FactSet.t array Lazy.t;
+  s_avail : Avail.t Lazy.t;
   s_live : Liveness.t Lazy.t;
 }
 
@@ -549,8 +431,10 @@ let create_cache () =
     xfer_count = 0;
   }
 
-let body_content (f : Func.t) =
-  List.map (fun (i : Rtl.inst) -> (i.Rtl.uid, i.Rtl.kind)) f.Func.body
+(* An instruction record is immutable, so a record a pass kept is equal
+   to itself without a look at its kind. *)
+let same_inst (x : Rtl.inst) (y : Rtl.inst) =
+  x == y || (x.uid = y.uid && x.kind = y.kind)
 
 (* bounded-prefix hash: collisions are resolved by the structural compare
    at each lookup, so the bound trades hash quality for speed only *)
@@ -558,14 +442,14 @@ let summary_hash name content = Hashtbl.hash_param 128 512 (name, content)
 let xfer_hash word kinds = Hashtbl.hash_param 128 512 (word, kinds)
 
 let side_of cache ~(facts : Disambig.facts) (f : Func.t) =
-  let content = body_content f in
+  let content = f.Func.body in
   let name = f.Func.name in
   let h = summary_hash name content in
   match
     List.find_opt
       (fun s ->
         s.s_facts == facts && String.equal s.s_name name
-        && s.s_body = content)
+        && List.equal same_inst s.s_body content)
       (Hashtbl.find_all cache.summaries h)
   with
   | Some s -> s
@@ -582,7 +466,7 @@ let side_of cache ~(facts : Disambig.facts) (f : Func.t) =
         s_cfg = cfg;
         s_deg = effective_indegree cfg;
         s_cong = lazy (Congruence.solve ~consts:facts.Disambig.values cfg);
-        s_avail = lazy (solve_avail cfg);
+        s_avail = lazy (Avail.compute cfg);
         s_live = lazy (Liveness.compute cfg);
       }
     in
@@ -597,7 +481,9 @@ let xfer_of cache (ctx : Sx.ctx) (blk : Cfg.block) =
   let h = xfer_hash word kinds in
   match
     List.find_opt
-      (fun x -> x.x_word = word && x.x_kinds = kinds)
+      (fun x ->
+        x.x_word = word
+        && List.equal (fun a b -> a == b || a = b) x.x_kinds kinds)
       (Hashtbl.find_all cache.xfers h)
   with
   | Some x -> x
@@ -631,13 +517,24 @@ let cache_audit cache =
            "summary for %s is filed under a key its content does not hash to"
            s.s_name)
     else
-      let viewed =
-        Array.to_list s.s_cfg.Cfg.blocks
-        |> List.concat_map (fun (b : Cfg.block) -> b.Cfg.insts)
-        |> List.map (fun (i : Rtl.inst) -> (i.Rtl.uid, i.Rtl.kind))
+      (* walk the view's blocks against the body, building no list *)
+      let rest =
+        Array.fold_left
+          (fun rest (b : Cfg.block) ->
+            match rest with
+            | None -> None
+            | Some body ->
+              List.fold_left
+                (fun rest i ->
+                  match rest with
+                  | Some (j :: body) when same_inst i j -> Some body
+                  | _ -> None)
+                (Some body) b.Cfg.insts)
+          (Some s.s_body) s.s_cfg.Cfg.blocks
       in
-      if viewed = s.s_body then Ok ()
-      else
+      match rest with
+      | Some [] -> Ok ()
+      | _ ->
         Error
           (Printf.sprintf
              "summary for %s holds a CFG view that diverges from the body \
@@ -771,12 +668,11 @@ let validate ?cache ~machine ~(facts : Disambig.facts) ~pass ?(reports = [])
          equality is entry-symbol-for-entry-symbol substitutable. Such a
          pair is discharged without seeding or unit execution, and its
          successor pairs are enqueued, never assumed. Identical blocks
-         hit the same [xfers] entry, so the common unchanged-block case
-         costs one hash + one physical equality. *)
+         hit the same [xfers] entry, so an unchanged block costs one hash
+         and one physical equality; a block the pass did not touch at
+         all (the same instruction records) is discharged from its exit
+         alone, or with a single lookup when it ends in a branch. *)
       let try_skip ob nb =
-        let ox = xfer_of cache gctx ocfg.blocks.(ob)
-        and nx = xfer_of cache gctx ncfg.blocks.(nb) in
-        let structural = ox == nx in
         let pair_jump l =
           match (Cfg.block_of_label ocfg l, Cfg.block_of_label ncfg l) with
           | Some ot, Some nt -> Some (chase ocfg ot, chase ncfg nt)
@@ -790,57 +686,77 @@ let validate ?cache ~machine ~(facts : Disambig.facts) ~pass ?(reports = [])
           | p -> Some p
           | exception Stuck _ -> None
         in
-        let succs =
-          match (ox.x_exit, nx.x_exit) with
-          | TRet a, TRet b ->
-            if
-              match (a, b) with
-              | None, None -> true
-              | Some ta, Some tb -> Sx.equal ta tb
-              | _ -> false
-            then Some []
-            else None
-          | TJump l1, TJump l2 when String.equal l1 l2 ->
-            Option.map (fun p -> [ p ]) (pair_jump l1)
-          | TBranch (c1, t1), TBranch (c2, t2)
-            when Sx.equal c1 c2 && String.equal t1 t2 -> (
-            (* constant-folded conditions enqueue only the live edge,
-               like run_unit does *)
-            match c1 with
-            | Sx.Con 0L -> Option.map (fun p -> [ p ]) (fall ())
-            | Sx.Con _ -> Option.map (fun p -> [ p ]) (pair_jump t1)
-            | _ -> (
-              match (pair_jump t1, fall ()) with
-              | Some p1, Some p2 -> Some [ p1; p2 ]
-              | _ -> None))
-          | TFall, TFall -> fall () |> Option.map (fun p -> [ p ])
-          | _ -> None
+        let generic ~shared =
+          let ox = xfer_of cache gctx ocfg.blocks.(ob) in
+          let nx =
+            if shared then ox else xfer_of cache gctx ncfg.blocks.(nb)
+          in
+          let structural = ox == nx in
+          let succs =
+            match (ox.x_exit, nx.x_exit) with
+            | TRet a, TRet b ->
+              if
+                match (a, b) with
+                | None, None -> true
+                | Some ta, Some tb -> Sx.equal ta tb
+                | _ -> false
+              then Some []
+              else None
+            | TJump l1, TJump l2 when String.equal l1 l2 ->
+              Option.map (fun p -> [ p ]) (pair_jump l1)
+            | TBranch (c1, t1), TBranch (c2, t2)
+              when Sx.equal c1 c2 && String.equal t1 t2 -> (
+              (* constant-folded conditions enqueue only the live edge,
+                 like run_unit does *)
+              match c1 with
+              | Sx.Con 0L -> Option.map (fun p -> [ p ]) (fall ())
+              | Sx.Con _ -> Option.map (fun p -> [ p ]) (pair_jump t1)
+              | _ -> (
+                match (pair_jump t1, fall ()) with
+                | Some p1, Some p2 -> Some [ p1; p2 ]
+                | _ -> None))
+            | TFall, TFall -> fall () |> Option.map (fun p -> [ p ])
+            | _ -> None
+          in
+          match succs with
+          | None -> None
+          | Some ps ->
+            let events_ok =
+              structural
+              ||
+              let oe = List.rev ox.x_env.Sx.events
+              and ne = List.rev nx.x_env.Sx.events in
+              List.length oe = List.length ne
+              && List.for_all2
+                   (fun (o : Sx.event) (n : Sx.event) ->
+                     String.equal o.Sx.ev_func n.Sx.ev_func
+                     && List.length o.Sx.ev_args = List.length n.Sx.ev_args
+                     && List.for_all2 Sx.equal o.Sx.ev_args n.Sx.ev_args)
+                   oe ne
+            in
+            let state_ok =
+              structural
+              || Sx.equal_mem ox.x_env.Sx.mem nx.x_env.Sx.mem
+                 && Liveness.for_all_out (Lazy.force nsum.s_live) nb (fun r ->
+                        Sx.equal (Sx.lookup ox.x_env r) (Sx.lookup nx.x_env r))
+            in
+            if events_ok && state_ok then Some ps else None
         in
-        match succs with
-        | None -> None
-        | Some ps ->
-          let events_ok =
-            structural
-            ||
-            let oe = List.rev ox.x_env.Sx.events
-            and ne = List.rev nx.x_env.Sx.events in
-            List.length oe = List.length ne
-            && List.for_all2
-                 (fun (o : Sx.event) (n : Sx.event) ->
-                   String.equal o.Sx.ev_func n.Sx.ev_func
-                   && List.length o.Sx.ev_args = List.length n.Sx.ev_args
-                   && List.for_all2 Sx.equal o.Sx.ev_args n.Sx.ev_args)
-                 oe ne
-          in
-          let state_ok =
-            structural
-            || Sx.equal_mem ox.x_env.Sx.mem nx.x_env.Sx.mem
-               && Reg.Set.for_all
-                    (fun r ->
-                      Sx.equal (Sx.lookup ox.x_env r) (Sx.lookup nx.x_env r))
-                    (Liveness.live_out (Lazy.force nsum.s_live) nb)
-          in
-          if events_ok && state_ok then Some ps else None
+        let oinsts = ocfg.blocks.(ob).insts
+        and ninsts = ncfg.blocks.(nb).insts in
+        (* The same instruction records, one by one: the pass left the
+           block alone, so both generic transfers are one [xfers] entry
+           and only the exit decides the successor pairs. A branch still
+           needs that transfer, whose condition may fold to a constant
+           and leave one live edge, but it is looked up once. *)
+        if not (List.equal ( == ) oinsts ninsts) then generic ~shared:false
+        else
+          match List.rev oinsts with
+          | { Rtl.kind = Rtl.Branch _; _ } :: _ -> generic ~shared:true
+          | { Rtl.kind = Rtl.Ret _; _ } :: _ -> Some []
+          | { Rtl.kind = Rtl.Jump l; _ } :: _ ->
+            Option.map (fun p -> [ p ]) (pair_jump l)
+          | _ -> Option.map (fun p -> [ p ]) (fall ())
       in
       let mismatch where a b =
         let da, db = Sx.first_diff a b in
@@ -921,7 +837,8 @@ let validate ?cache ~machine ~(facts : Disambig.facts) ~pass ?(reports = [])
                   machine.Mac_machine.Machine.word
               in
               let env0 =
-                seed_env ctx ~avail:(Lazy.force osum.s_avail).(ob)
+                seed_env ctx
+                  ~avail:(Avail.facts_in (Lazy.force osum.s_avail) ob)
                   ~cong_st:st ~regs:(Lazy.force reg_universe)
               in
               match
@@ -986,26 +903,25 @@ let validate ?cache ~machine ~(facts : Disambig.facts) ~pass ?(reports = [])
                 if !result = None then
                   (* live registers must agree along every matched edge *)
                   let check_edge osucc nsucc =
-                    let live =
-                      Liveness.live_in (Lazy.force nsum.s_live) nsucc
-                    in
-                    (match
-                       Reg.Set.fold
-                         (fun r acc ->
-                           match acc with
-                           | Some _ -> acc
-                           | None ->
-                             let a = Sx.lookup oenv r
-                             and b = Sx.lookup nenv r in
-                             if Sx.equal a b then None else Some (r, a, b))
-                         live None
-                     with
-                    | Some (r, a, b) ->
-                      fail
-                        (mismatch
-                           (Printf.sprintf "values of %s" (Reg.to_string r))
-                           a b)
-                    | None -> enqueue osucc nsucc)
+                    let diff = ref None in
+                    if
+                      Liveness.for_all_in (Lazy.force nsum.s_live) nsucc
+                        (fun r ->
+                          let a = Sx.lookup oenv r and b = Sx.lookup nenv r in
+                          Sx.equal a b
+                          || begin
+                               diff := Some (r, a, b);
+                               false
+                             end)
+                    then enqueue osucc nsucc
+                    else
+                      Option.iter
+                        (fun (r, a, b) ->
+                          fail
+                            (mismatch
+                               (Printf.sprintf "values of %s" (Reg.to_string r))
+                               a b))
+                        !diff
                   in
                   match (oexit, nexit) with
                   | XRet a, XRet b -> (

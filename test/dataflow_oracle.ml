@@ -211,3 +211,237 @@ module Copies = struct
     in
     List.rev acc
 end
+
+(* Available expressions: forward, must, over sets of [(reg id, key)]
+   facts. Every block starts at the universe of facts and the transfer
+   filters the set instruction by instruction, so a block no path from
+   the entry reaches keeps the greatest fixed point. Iterated round-robin
+   over block indices. *)
+module Avail = struct
+  module A = Mac_dataflow.Avail
+
+  module FactSet = Set.Make (struct
+    type t = int * A.key
+
+    let compare = Stdlib.compare
+  end)
+
+  let key_regs = function
+    | A.Move (Rtl.Reg r) -> [ r ]
+    | A.Move (Rtl.Imm _) -> []
+    | A.Bin (_, a, b) ->
+      List.filter_map (function Rtl.Reg r -> Some r | _ -> None) [ a; b ]
+    | A.Un (_, Rtl.Reg r) -> [ r ]
+    | A.Un (_, Rtl.Imm _) -> []
+    | A.Load (m, _) -> [ m.Rtl.base ]
+    | A.Ext (src, pos, _, _) -> (
+      src :: (match pos with Rtl.Reg r -> [ r ] | Rtl.Imm _ -> []))
+
+  let is_load_key = function A.Load _ -> true | _ -> false
+
+  let gen_fact (i : Rtl.inst) =
+    let ok d key = not (List.exists (Reg.equal d) (key_regs key)) in
+    match i.kind with
+    | Rtl.Move (d, o) ->
+      let k = A.Move o in
+      if ok d k then Some (d, k) else None
+    | Rtl.Binop (op, d, a, b) ->
+      let k = A.Bin (op, a, b) in
+      if ok d k then Some (d, k) else None
+    | Rtl.Unop (op, d, a) ->
+      let k = A.Un (op, a) in
+      if ok d k then Some (d, k) else None
+    | Rtl.Load { dst; src; sign } ->
+      let k = A.Load (src, sign) in
+      if ok dst k then Some (dst, k) else None
+    | Rtl.Extract { dst; src; pos; width; sign } ->
+      let k = A.Ext (src, pos, width, sign) in
+      if ok dst k then Some (dst, k) else None
+    | _ -> None
+
+  let fact_step s (i : Rtl.inst) =
+    let s =
+      match i.kind with
+      | Rtl.Store _ -> FactSet.filter (fun (_, k) -> not (is_load_key k)) s
+      | Rtl.Call _ -> FactSet.empty
+      | _ -> s
+    in
+    let ds = Rtl.defs i.kind in
+    let s =
+      if ds = [] then s
+      else
+        FactSet.filter
+          (fun (d, k) ->
+            not
+              (List.exists
+                 (fun r ->
+                   Reg.id r = d || List.exists (Reg.equal r) (key_regs k))
+                 ds))
+          s
+    in
+    match gen_fact i with
+    | Some (d, k) -> FactSet.add (Reg.id d, k) s
+    | None -> s
+
+  (* in = ∩ preds out (empty at the entry and without preds) *)
+  let facts_in (cfg : Cfg.t) =
+    let n = Array.length cfg.blocks in
+    let universe =
+      List.fold_left
+        (fun s i ->
+          match gen_fact i with
+          | Some (d, k) -> FactSet.add (Reg.id d, k) s
+          | None -> s)
+        FactSet.empty cfg.func.Func.body
+    in
+    let inb = Array.make n FactSet.empty in
+    let outb = Array.make n universe in
+    let entry = Cfg.entry cfg in
+    let changed = ref true in
+    while !changed do
+      changed := false;
+      Array.iter
+        (fun (b : Cfg.block) ->
+          let i = b.index in
+          let in_ =
+            if i = entry then FactSet.empty
+            else
+              match cfg.pred.(i) with
+              | [] -> FactSet.empty
+              | p :: ps ->
+                List.fold_left
+                  (fun acc q -> FactSet.inter acc outb.(q))
+                  outb.(p) ps
+          in
+          let out = List.fold_left fact_step in_ b.insts in
+          if
+            (not (FactSet.equal in_ inb.(i)))
+            || not (FactSet.equal out outb.(i))
+          then begin
+            inb.(i) <- in_;
+            outb.(i) <- out;
+            changed := true
+          end)
+        cfg.blocks
+    done;
+    inb
+end
+
+(* Congruence: the round-robin solve, sweeping every block in reverse
+   postorder until a sweep changes nothing, with the join folded over the
+   union of both states' keys. *)
+module Congruence = struct
+  module C = Mac_dataflow.Congruence
+
+  (* [initial] is the solve's entry state: no bindings, the defaults
+     every state of the solve shares *)
+  let state_join initial a b =
+    let keys =
+      List.fold_left
+        (fun acc (r, _) -> Reg.Set.add r acc)
+        Reg.Set.empty
+        (C.state_bindings a @ C.state_bindings b)
+    in
+    Reg.Set.fold
+      (fun r acc ->
+        C.state_set acc r (C.join (C.value_of a r) (C.value_of b r)))
+      keys initial
+
+  let solve ?consts (cfg : Cfg.t) =
+    let n = Array.length cfg.blocks in
+    let initial = C.entry_state ?consts () in
+    let ins = Array.make n initial and outs = Array.make n initial in
+    let reached = Array.make n false in
+    let transfer_block b st =
+      List.fold_left (fun st (i : Rtl.inst) -> C.step st i.kind) st
+        cfg.blocks.(b).insts
+    in
+    let order = Cfg.rpo cfg in
+    let entry_b = Cfg.entry cfg in
+    let changed = ref true in
+    let rounds = ref 0 in
+    while !changed && !rounds < 1000 do
+      changed := false;
+      incr rounds;
+      Array.iter
+        (fun b ->
+          let in_st =
+            let joined =
+              List.fold_left
+                (fun acc p ->
+                  if not reached.(p) then acc
+                  else
+                    match acc with
+                    | None -> Some outs.(p)
+                    | Some st -> Some (state_join initial st outs.(p)))
+                None cfg.pred.(b)
+            in
+            match joined with
+            | None -> initial
+            | Some st ->
+              if b = entry_b then state_join initial initial st else st
+          in
+          let out_st = transfer_block b in_st in
+          if not reached.(b) then begin
+            reached.(b) <- true;
+            changed := true
+          end;
+          if not (C.state_equal in_st ins.(b)) then begin
+            ins.(b) <- in_st;
+            changed := true
+          end;
+          if not (C.state_equal out_st outs.(b)) then begin
+            outs.(b) <- out_st;
+            changed := true
+          end)
+        order
+    done;
+    (ins, outs)
+end
+
+(* Dead-code elimination's faint-register sweep, with a per-register
+   list of using instructions and a sorted register universe. *)
+let remove_faint (f : Func.t) =
+  let params = Reg.Set.of_list f.params in
+  let used_by : Rtl.inst list Reg.Tbl.t = Reg.Tbl.create 16 in
+  List.iter
+    (fun (i : Rtl.inst) ->
+      List.iter
+        (fun r ->
+          Reg.Tbl.replace used_by r
+            (i :: Option.value (Reg.Tbl.find_opt used_by r) ~default:[]))
+        (Rtl.uses i.kind))
+    f.body;
+  let faint r =
+    (not (Reg.Set.mem r params))
+    && List.for_all
+         (fun (i : Rtl.inst) ->
+           (not (Rtl.has_side_effect i.kind))
+           && match Rtl.defs i.kind with
+              | [ d ] -> Reg.equal d r
+              | _ -> false)
+         (Option.value (Reg.Tbl.find_opt used_by r) ~default:[])
+  in
+  let all_regs =
+    List.concat_map
+      (fun (i : Rtl.inst) -> Rtl.defs i.kind @ Rtl.uses i.kind)
+      f.body
+    |> List.sort_uniq Reg.compare
+  in
+  let dead_regs = List.filter faint all_regs in
+  if dead_regs = [] then false
+  else begin
+    let is_dead_inst (i : Rtl.inst) =
+      (not (Rtl.has_side_effect i.kind))
+      &&
+      match Rtl.defs i.kind with
+      | [ d ] -> List.exists (Reg.equal d) dead_regs
+      | _ -> false
+    in
+    let body' = List.filter (fun i -> not (is_dead_inst i)) f.body in
+    if List.length body' <> List.length f.body then begin
+      Func.set_body f body';
+      true
+    end
+    else false
+  end

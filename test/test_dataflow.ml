@@ -6,6 +6,7 @@ module Cfg = Mac_cfg.Cfg
 module Liveness = Mac_dataflow.Liveness
 module Reaching = Mac_dataflow.Reaching
 module Copies = Mac_dataflow.Copies
+module Congruence = Mac_dataflow.Congruence
 module Oracle = Dataflow_oracle
 
 let reg = Reg.make
@@ -275,7 +276,10 @@ let test_copies_available_at_join_when_on_both_paths () =
    register. *)
 
 type rand_block = {
-  rb_insts : Rtl.kind list;  (* interior: moves and binops over r0..r7 *)
+  rb_insts : Rtl.kind list;
+      (* interior over r0..r7: moves, add/mul/shl/and, loads, stores and
+         calls, so the store and call kills and the congruence multiply
+         and mask transfers all come up *)
   rb_term : int option option;
       (* None: fall through; Some None: ret; Some (Some k): jump/branch *)
   rb_branchy : bool;  (* branch (falls through) vs jump when targeted *)
@@ -291,14 +295,38 @@ let gen_func =
         map (fun v -> Rtl.Imm (Int64.of_int v)) (int_bound 99);
       ]
   in
+  let gen_reg = map Reg.make (int_bound (nregs - 1)) in
+  let gen_mem =
+    let* base = gen_reg in
+    let* disp = int_bound 3 in
+    let* width = oneofl [ Width.W8; Width.W32 ] in
+    return { Rtl.base; disp = Int64.of_int (4 * disp); width; aligned = true }
+  in
   let gen_inst =
     let* dst = int_bound (nregs - 1) in
-    oneof
+    let dst = Reg.make dst in
+    let binop op = map2 (fun a b -> Rtl.Binop (op, dst, a, b)) gen_operand in
+    frequency
       [
-        map (fun s -> Rtl.Move (Reg.make dst, s)) gen_operand;
-        map2
-          (fun a b -> Rtl.Binop (Rtl.Add, Reg.make dst, a, b))
-          gen_operand gen_operand;
+        (3, map (fun s -> Rtl.Move (dst, s)) gen_operand);
+        (3, binop Rtl.Add gen_operand);
+        (1, binop Rtl.Mul gen_operand);
+        ( 1,
+          binop Rtl.Shl (map (fun k -> Rtl.Imm (Int64.of_int k)) (int_bound 3))
+        );
+        (1, binop Rtl.And (oneofl [ Rtl.Imm (-8L); Rtl.Imm 7L ]));
+        ( 2,
+          map2
+            (fun src sign -> Rtl.Load { dst; src; sign })
+            gen_mem (oneofl [ Rtl.Signed; Rtl.Unsigned ]) );
+        (1, map2 (fun src d -> Rtl.Store { src; dst = d }) gen_operand gen_mem);
+        ( 1,
+          map2
+            (fun with_dst arg ->
+              Rtl.Call
+                { dst = (if with_dst then Some dst else None); func = "g";
+                  args = [ arg ] })
+            bool gen_operand );
       ]
   in
   let gen_block nblocks =
@@ -438,6 +466,68 @@ let check_copies_equal f cfg =
         (Copies.copies_query copies b))
     cfg.Cfg.blocks
 
+(* The remaining production walks against the oracle's: available
+   expressions, congruence, dead code's faint sweep, and the in-place
+   copies walk against the per-instruction snapshots. *)
+let check_avail_equal _f cfg =
+  let avail = Mac_dataflow.Avail.compute cfg in
+  let oracle = Oracle.Avail.facts_in cfg in
+  Array.iteri
+    (fun b want ->
+      let got =
+        List.map
+          (fun (d, k) -> (Reg.id d, k))
+          (Mac_dataflow.Avail.facts_in avail b)
+      in
+      if got <> Oracle.Avail.FactSet.elements want then
+        QCheck.Test.fail_reportf "available facts differ at block %d" b)
+    oracle
+
+let check_congruence_equal _f cfg =
+  List.iter
+    (fun consts ->
+      let t = Congruence.solve ~consts cfg in
+      let ins, outs = Oracle.Congruence.solve ~consts cfg in
+      Array.iteri
+        (fun b _ ->
+          if not (Congruence.state_equal (Congruence.block_in t b) ins.(b))
+          then
+            QCheck.Test.fail_reportf "congruence in-state differs at block %d" b;
+          if not (Congruence.state_equal (Congruence.block_out t b) outs.(b))
+          then
+            QCheck.Test.fail_reportf "congruence out-state differs at block %d"
+              b)
+        cfg.Cfg.blocks)
+    [ []; [ (reg 1, 16L) ] ]
+
+let check_faint_equal f _cfg =
+  let copy () = Func.create ~name:f.Func.name ~params:f.Func.params in
+  let f1 = copy () and f2 = copy () in
+  Func.set_body f1 f.Func.body;
+  Func.set_body f2 f.Func.body;
+  let got = Mac_opt.Dce.remove_faint f1 and want = Oracle.remove_faint f2 in
+  let uids (g : Func.t) = List.map (fun (i : Rtl.inst) -> i.uid) g.body in
+  if got <> want || uids f1 <> uids f2 then
+    QCheck.Test.fail_reportf "faint sweep differs (removed %b vs %b)" got want
+
+let check_copies_fold_equal f cfg =
+  let copies = Copies.compute cfg in
+  let regs = all_regs f in
+  Array.iteri
+    (fun b _ ->
+      (* the lookup is only valid during the call: snapshot its answers *)
+      let folded =
+        Copies.fold_block copies b ~init:[] ~f:(fun acc i look ->
+            let answers = List.map (fun r -> (r, look r)) regs in
+            (i, fun r -> List.assoc r answers) :: acc)
+        |> List.rev
+      in
+      check_each ~what:"fold_block" ~b ~regs
+        ~expect:(fun look r -> look r)
+        (Copies.copies_query copies b)
+        folded)
+    cfg.Cfg.blocks
+
 let engine_equivalence_tests =
   let mk name check =
     QCheck.Test.make ~count:300 ~name arbitrary_func (fun rand ->
@@ -450,6 +540,12 @@ let engine_equivalence_tests =
     mk "liveness: bitvec = reference on random CFGs" check_liveness_equal;
     mk "reaching: bitvec = reference on random CFGs" check_reaching_equal;
     mk "copies: bitvec = reference on random CFGs" check_copies_equal;
+    mk "avail: bitvec = reference on random CFGs" check_avail_equal;
+    mk "congruence: dirty sweeps = round robin on random CFGs"
+      check_congruence_equal;
+    mk "dce: faint sweep = reference on random CFGs" check_faint_equal;
+    mk "copies: fold_block = copies_query on random CFGs"
+      check_copies_fold_equal;
   ]
 
 (* --- the analysis manager ------------------------------------------- *)
@@ -594,8 +690,6 @@ let manager_tests =
   ]
 
 (* --- congruence ----------------------------------------------------- *)
-
-module Congruence = Mac_dataflow.Congruence
 
 let value = Alcotest.testable Congruence.pp_value Congruence.value_equal
 

@@ -924,6 +924,60 @@ let test_tvalid_poisoned_cache_caught () =
   check_flags "checkpoint reports the poisoned cache" ds
     "analysis cache incoherent"
 
+(* A block the pass left alone (the same instruction records on both
+   sides) is skipped on its exit alone, except a branch: its condition
+   here folds to a constant, the new side deleted the dead fall-through
+   successor, and only the live edge may be paired. The verdict and
+   counters must equal those of the generic path, which sees the same
+   blocks as fresh records; a corrupted live successor must still be
+   rejected. *)
+let test_tvalid_shared_branch_block () =
+  let old_f = Func.create ~name:"fold" ~params:[ reg 0 ] in
+  List.iter (Func.append old_f)
+    [
+      Rtl.Move (reg 2, Rtl.Imm 5L);
+      Rtl.Branch
+        { cmp = Rtl.Gt; l = Rtl.Reg (reg 2); r = Rtl.Imm 0L; target = "Llive" };
+      Rtl.Move (reg 3, Rtl.Imm 7L);
+      Rtl.Ret (Some (Rtl.Reg (reg 3)));
+      Rtl.Label "Llive";
+      Rtl.Binop (Rtl.Add, reg 3, Rtl.Reg (reg 0), Rtl.Imm 1L);
+      Rtl.Ret (Some (Rtl.Reg (reg 3)));
+    ];
+  let body = Array.of_list old_f.Func.body in
+  let with_body insts =
+    let f = Func.create ~name:"fold" ~params:[ reg 0 ] in
+    Func.set_body f insts;
+    f
+  in
+  (* the dead block (indices 2-3) is gone; everything else is shared *)
+  let live = [ body.(0); body.(1); body.(4); body.(5); body.(6) ] in
+  let shared = with_body live in
+  let fresh =
+    with_body (List.map (fun (i : Rtl.inst) -> { i with uid = i.uid }) live)
+  in
+  Alcotest.(check bool) "shared records are the old ones" true
+    (List.nth shared.Func.body 1 == body.(1));
+  Alcotest.(check bool) "fresh records are copies" false
+    (List.nth fresh.Func.body 1 == body.(1));
+  let run new_f =
+    summarize_verdict
+      (Tvalid.validate ~machine:Machine.alpha ~facts:Disambig.empty ~pass:"dce"
+         ~old_f ~new_f ())
+  in
+  Alcotest.(check string) "shared branch block: live edge only"
+    "ok checked=0 skipped=2 regions=0 fallback=- warnings=0" (run shared);
+  Alcotest.(check string) "generic path agrees" (run fresh) (run shared);
+  let corrupt =
+    with_body
+      [ body.(0); body.(1); body.(4);
+        { (body.(5)) with
+          kind = Rtl.Binop (Rtl.Add, reg 3, Rtl.Reg (reg 0), Rtl.Imm 2L) };
+        body.(6) ]
+  in
+  Alcotest.(check string) "corrupted live successor rejected" "rejected"
+    (run corrupt)
+
 let () =
   Alcotest.run "verify"
     [
@@ -996,6 +1050,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_tvalid_memo_verdict_identical;
           Alcotest.test_case "poisoned cache caught by coherence audit"
             `Quick test_tvalid_poisoned_cache_caught;
+          Alcotest.test_case "shared branch block skipped on its live edge"
+            `Quick test_tvalid_shared_branch_block;
           Alcotest.test_case "memoized mutation adversary rejects all" `Slow
             test_tvalid_mutation_adversary_memoized;
         ] );
