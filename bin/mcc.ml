@@ -116,21 +116,6 @@ let remainder_arg =
        & info [ "remainder" ]
            ~doc:"Handle non-divisible trip counts with the Fig. 5 remainder                  epilogue instead of bailing to the safe loop.")
 
-let engine_conv =
-  let parse s =
-    match String.lowercase_ascii s with
-    | "jit" -> Ok `Jit
-    | "reference" | "ref" -> Ok `Reference
-    | _ -> Error (`Msg (Printf.sprintf "unknown engine %S (jit|reference)" s))
-  in
-  Arg.conv
-    (parse, fun ppf e -> Fmt.string ppf (Mac_sim.Interp.engine_name e))
-
-let engine_arg =
-  Arg.(value & opt engine_conv Mac_sim.Interp.default_engine
-       & info [ "engine" ] ~docv:"ENGINE"
-           ~doc:"Simulator engine: $(b,jit) (the default: pre-decoded,                  then superblock closure compilation with fused                  superinstructions, an inlined cache fast path and a                  per-leader block cache) or $(b,reference) (alias                  $(b,ref): the original tree-walking evaluator the jit is                  pinned against).")
-
 let jobs_arg =
   Arg.(value & opt (some int) None
        & info [ "j"; "jobs" ] ~docv:"N"
@@ -278,16 +263,6 @@ let of_outcome (o : W.outcome) =
     tvalid_stats = o.tvalid_stats; pass_seconds = o.pass_seconds;
     compile_seconds = o.compile_seconds; sim_phases = o.sim_phases }
 
-let add_agg (a : Mac_verify.Tvalid.agg) (b : Mac_verify.Tvalid.agg) :
-    Mac_verify.Tvalid.agg =
-  { runs = a.runs + b.runs; blocks = a.blocks + b.blocks;
-    skipped = a.skipped + b.skipped; regions = a.regions + b.regions;
-    fallbacks = a.fallbacks + b.fallbacks;
-    fallback_reason =
-      (match a.fallback_reason with None -> b.fallback_reason | r -> r);
-    replays = a.replays + b.replays;
-    seconds = a.seconds +. b.seconds }
-
 (* Two compilations as one: per-function reports side by side, per-name
    counters and timings summed (first-seen name order kept, so the
    simulator phases stay in pipeline order). *)
@@ -303,7 +278,8 @@ let merge a b =
   in
   { reports = a.reports @ b.reports;
     sched_reports = a.sched_reports @ b.sched_reports;
-    tvalid_stats = sum add_agg a.tvalid_stats b.tvalid_stats;
+    tvalid_stats =
+      sum Mac_verify.Tvalid.agg_add a.tvalid_stats b.tvalid_stats;
     pass_seconds = sum ( +. ) a.pass_seconds b.pass_seconds;
     compile_seconds = a.compile_seconds +. b.compile_seconds;
     sim_phases = sum ( +. ) a.sim_phases b.sim_phases }
@@ -367,7 +343,7 @@ let print_tvalid (stats : (string * Mac_verify.Tvalid.agg) list) =
   Fmt.pr "  %-14s %6s %8s %8s %8s %10s %8s %10s@." "pass" "runs" "checked"
     "skipped" "regions" "fallbacks" "replays" "ms";
   let total =
-    List.fold_left (fun t (_, a) -> add_agg t a) (agg_zero ()) stats
+    List.fold_left (fun t (_, a) -> agg_add t a) (agg_zero ()) stats
   in
   List.iter
     (fun (name, a) ->
@@ -451,8 +427,8 @@ let print_estimate ~machine (s : Mac_dataflow.Reuse.summary)
      dcache-misses=%d@."
     m.cycles m.insts m.loads m.stores m.dcache_misses
 
-let print_triage ?jobs ~engine ~size () =
-  let t = Mac_workloads.Estcells.run_triage ?jobs ~engine ~size () in
+let print_triage ?jobs ~size () =
+  let t = Mac_workloads.Estcells.run_triage ?jobs ~size () in
   Fmt.pr
     "triage: simulated %d, skipped %d, order agreement %.2f (est %.4fs \
      vs sim %.4fs)@."
@@ -515,7 +491,7 @@ let print_artifact ~dump_rtl ~chosen body =
 
 let main source bench machine level dump_rtl chosen run args run_bench size
     mem_size strength_reduce schedule sched regalloc remainder force
-    profit_mode force_guards assume_layout verify verify_level engine jobs
+    profit_mode force_guards assume_layout verify verify_level jobs
     table estimate triage remote verbose =
   if verbose then begin
     Logs.set_reporter (Logs.format_reporter ());
@@ -601,7 +577,7 @@ let main source bench machine level dump_rtl chosen run args run_bench size
     else begin
       let d =
         W.differential ~size ~coalesce ~strength_reduce ~schedule
-          ~pipeline_sched ~verify:vlevel ~engine ~machine ~level b
+          ~pipeline_sched ~verify:vlevel ~machine ~level b
       in
       match d.detail with
       | None ->
@@ -658,7 +634,7 @@ let main source bench machine level dump_rtl chosen run args run_bench size
     | None, Some sock -> remote_compile sock
     | None, None ->
     if triage then begin
-      print_triage ?jobs ~engine ~size ();
+      print_triage ?jobs ~size ();
       0
     end
     else if estimate then begin
@@ -674,7 +650,7 @@ let main source bench machine level dump_rtl chosen run args run_bench size
         in
         let o =
           W.run ~size ~coalesce ~strength_reduce ~schedule ~pipeline_sched
-            ?regalloc ~assume_layout ~engine ~machine ~level b
+            ?regalloc ~assume_layout ~machine ~level b
         in
         print_estimate ~machine p.W.summary o.W.metrics;
         Fmt.pr "estimate %.4fs vs simulation %.4fs@." p.W.est_seconds
@@ -684,8 +660,8 @@ let main source bench machine level dump_rtl chosen run args run_bench size
     else if table then begin
       let rows =
         Mac_workloads.Tables.table ~size
-          ~respect_profitability:(not force) ~assume_layout ~engine
-          ?profit_mode ~pipeline_sched ?jobs ~machine ()
+          ~respect_profitability:(not force) ~assume_layout ?profit_mode
+          ~pipeline_sched ?jobs ~machine ()
       in
       Mac_workloads.Tables.pp_table Format.std_formatter machine rows;
       Format.pp_print_flush Format.std_formatter ();
@@ -703,7 +679,7 @@ let main source bench machine level dump_rtl chosen run args run_bench size
       let b = find_bench name in
       let o =
         W.run ~size ~coalesce ~strength_reduce ~schedule ~pipeline_sched
-          ?regalloc ~verify:vlevel ~assume_layout ~engine ~machine ~level b
+          ?regalloc ~verify:vlevel ~assume_layout ~machine ~level b
       in
       explain chosen (of_outcome o);
       if verifying then print_diags o.diags;
@@ -735,7 +711,7 @@ let main source bench machine level dump_rtl chosen run args run_bench size
           (fun entry ->
             let memory = Mac_sim.Memory.create ~size:mem_size in
             Mac_sim.Interp.run ~machine ~memory compiled.funcs ~entry
-              ~args:(List.map Int64.of_int args) ~engine ())
+              ~args:(List.map Int64.of_int args) ())
           run
       in
       explain chosen
@@ -787,7 +763,7 @@ let cmd =
       $ size_arg $ mem_arg $ strength_arg $ schedule_arg $ sched_arg
       $ regalloc_arg $ remainder_arg $ force_arg $ profit_mode_arg
       $ force_guards_arg $ assume_layout_arg $ verify_arg $ verify_level_arg
-      $ engine_arg $ jobs_arg $ table_arg $ estimate_arg $ triage_arg
+      $ jobs_arg $ table_arg $ estimate_arg $ triage_arg
       $ remote_arg $ verbose_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -123,26 +123,6 @@ let step t bv (i : Rtl.inst) =
   | Some (d, op) -> Bitv.set bv (Hashtbl.find t.fact_index (Reg.id d, op))
   | None -> ()
 
-(* Each instruction is paired with a lookup closure over its own
-   snapshot of the copies available before it. *)
-let copies_query t b =
-  let _, acc =
-    List.fold_left
-      (fun (v, acc) i ->
-        let v' =
-          Option.map
-            (fun bv ->
-              let bv = Bitv.copy bv in
-              step t bv i;
-              bv)
-            v
-        in
-        (v', (i, look t v) :: acc))
-      (t.sol.Dataflow.inb.(b), [])
-      t.cfg.blocks.(b).insts
-  in
-  List.rev acc
-
 (* One working vector for the whole block, transferred in place after
    each call. *)
 let fold_block t b ~init ~f =

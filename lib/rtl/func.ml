@@ -82,81 +82,6 @@ let find_label t l =
       match i.kind with Rtl.Label l' -> String.equal l l' | _ -> false)
     t.body
 
-let validate t =
-  let ( let* ) r f = Result.bind r f in
-  let err fmt = Format.kasprintf (fun s -> Error s) fmt in
-  (* Unique labels and uids. *)
-  let labels = Hashtbl.create 16 in
-  let uids = Hashtbl.create 64 in
-  let* () =
-    List.fold_left
-      (fun acc (i : Rtl.inst) ->
-        let* () = acc in
-        let* () =
-          if Hashtbl.mem uids i.uid then err "duplicate uid %d" i.uid
-          else Ok (Hashtbl.add uids i.uid ())
-        in
-        match i.kind with
-        | Rtl.Label l ->
-          if Hashtbl.mem labels l then err "duplicate label %s" l
-          else Ok (Hashtbl.add labels l ())
-        | _ -> Ok ())
-      (Ok ()) t.body
-  in
-  (* Branch targets defined. *)
-  let* () =
-    List.fold_left
-      (fun acc (i : Rtl.inst) ->
-        let* () = acc in
-        List.fold_left
-          (fun acc l ->
-            let* () = acc in
-            if Hashtbl.mem labels l then Ok ()
-            else err "undefined label %s in %s" l (Rtl.to_string i.kind))
-          (Ok ())
-          (Rtl.branch_targets i.kind))
-      (Ok ()) t.body
-  in
-  (* Ends with a terminator (the body must not fall off the end). *)
-  let* () =
-    match List.rev t.body with
-    | last :: _ when Rtl.is_terminator last.kind -> Ok ()
-    | [] -> err "empty body"
-    | last :: _ -> err "body does not end in a terminator: %s"
-                     (Rtl.to_string last.kind)
-  in
-  (* No use of an undefined register along the straight-line prefix:
-     parameters (and the frame pointer, which the simulator initialises)
-     count as defined; the scan stops at the first label or terminator,
-     beyond which other paths may supply definitions. *)
-  let* () =
-    let defined = Hashtbl.create 16 in
-    List.iter (fun r -> Hashtbl.replace defined (Reg.id r) ()) t.params;
-    Option.iter (fun r -> Hashtbl.replace defined (Reg.id r) ()) t.fp_reg;
-    let rec go = function
-      | [] -> Ok ()
-      | (i : Rtl.inst) :: rest -> (
-        match i.kind with
-        | Rtl.Label _ -> Ok ()
-        | k -> (
-          match
-            List.find_opt
-              (fun r -> not (Hashtbl.mem defined (Reg.id r)))
-              (Rtl.uses k)
-          with
-          | Some r ->
-            err "use of undefined register %s in %s" (Reg.to_string r)
-              (Rtl.to_string k)
-          | None ->
-            List.iter
-              (fun r -> Hashtbl.replace defined (Reg.id r) ())
-              (Rtl.defs k);
-            if Rtl.is_terminator k then Ok () else go rest))
-    in
-    go t.body
-  in
-  Ok ()
-
 let pp ppf t =
   Format.fprintf ppf "@[<v>%s(%a):@," t.name
     (Format.pp_print_list

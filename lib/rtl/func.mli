@@ -41,10 +41,5 @@ val refresh_uids : t -> Rtl.inst list -> Rtl.inst list
 
 val find_label : t -> Rtl.label -> bool
 
-val validate : t -> (unit, string) result
-(** Structural well-formedness: labels unique and branch targets defined,
-    body ends with a terminator, no use of undefined registers along any
-    straight-line prefix (parameters count as defined), uids unique. *)
-
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

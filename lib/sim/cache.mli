@@ -15,7 +15,7 @@ type t = {
   mutable hits : int;
   mutable misses : int;
 }
-(** The representation is exposed so the jit engine can specialize the
+(** The representation is exposed so the jit can specialize the
     power-of-two hit check straight into its fused load/store closures
     (same index computation as {!access}); this module remains the slow
     path for wild addresses and odd geometries, and the metrics oracle —

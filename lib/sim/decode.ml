@@ -96,8 +96,9 @@ let access (m : Machine.t) (mem : Rtl.mem) ~is_load =
     atolerate = List.exists (Width.equal mem.width) m.unaligned_widths;
   }
 
-(* Same frame-sizing rule as the reference engine: registers actually
-   mentioned, not just the function's gensym counter. *)
+(* Frame size from the registers actually mentioned, not just the
+   function's gensym counter (hand-assembled functions may not maintain
+   [next_reg]). *)
 let frame_size (f : Func.t) =
   let max_reg = ref (f.next_reg - 1) in
   let see r = if Reg.id r > !max_reg then max_reg := Reg.id r in
@@ -114,8 +115,8 @@ let decode_fn t (f : Func.t) =
   let c = t.costs in
   let body = Array.of_list f.body in
   let n = Array.length body in
-  (* pass 1: label -> pc (of the Label instruction itself, as the
-     reference engine's jump table does) and dense counter slots *)
+  (* pass 1: label -> pc (of the Label instruction itself) and dense
+     counter slots *)
   let label_pc = Hashtbl.create 16 in
   let label_names = ref [] in
   let nlabels = ref 0 in
@@ -135,8 +136,8 @@ let decode_fn t (f : Func.t) =
   let target l =
     match Hashtbl.find_opt label_pc l with Some i -> i | None -> -1
   in
-  (* synthetic code layout, one base per function in decode order — the
-     same first-call order the reference engine assigns bases in *)
+  (* synthetic code layout, one base per function in decode order, which
+     is first-call order *)
   let base = t.inext in
   t.inext <-
     Int64.add base (Int64.of_int ((n + 16) * m.bytes_per_inst));
@@ -231,8 +232,7 @@ let find t name =
 let seconds t = float_of_int t.decode_ns *. 1e-9
 
 (* Total executed-label counts across every function decoded (and hence
-   possibly executed) in this run, merged by label name exactly as the
-   reference engine's global hashtable does. *)
+   possibly executed) in this run, merged by label name. *)
 let label_totals t =
   let totals = Hashtbl.create 32 in
   Hashtbl.iter

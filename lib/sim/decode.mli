@@ -17,8 +17,7 @@
     - memory-access legality, width-in-bytes and misalignment tolerance
       are precomputed (only the address check stays dynamic);
     - each non-pseudo instruction gets its synthetic instruction-fetch
-      address (bases handed out in decode = first-call order, matching
-      the reference engine's lazy assignment);
+      address (bases handed out in decode = first-call order);
     - labels get dense visit-counter slots, replacing the per-executed
       label hashtable.
 
@@ -77,7 +76,7 @@ type slot = {
 type fn = {
   fname : string;
   code : slot array;
-  nregs : int;  (** activation frame size (same rule as the reference) *)
+  nregs : int;  (** activation frame size: the registers mentioned *)
   params : int array;
   frame_bytes : int;
   fp : int;  (** frame-pointer register id, -1 if none *)
@@ -96,8 +95,7 @@ val find : t -> string -> fn option
 
 val label_totals : t -> (Rtl.label, int) Hashtbl.t
 (** Executed-label visit counts summed across all decoded functions,
-    merged by label name (identical to the reference engine's global
-    label hashtable). *)
+    merged by label name. *)
 
 val seconds : t -> float
 (** Seconds spent decoding so far, on the monotonic clock — the "decode"

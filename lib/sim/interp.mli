@@ -1,4 +1,4 @@
-(** RTL interpreter with cycle accounting.
+(** RTL simulator with cycle accounting.
 
     Executes an RTL program against a {!Memory} image and a machine
     description, producing deterministic metrics: dynamic instructions,
@@ -11,7 +11,16 @@
     address is not width-aligned traps — unless the machine supports
     unaligned accesses of that width (MC68030), in which case it proceeds
     with a cycle penalty. [aligned = false] (Alpha LDQ_U/STQ_U) accesses
-    the enclosing naturally-aligned word. *)
+    the enclosing naturally-aligned word.
+
+    There is one engine: {!Decode} resolves each called function once
+    per run (branch targets, costs, latencies, stall sets, access
+    legality and fetch addresses), then {!Jit} compiles it into a chain
+    of OCaml closures with fused superinstructions, an inlined
+    data-cache fast path and a per-leader block cache. The test suite
+    pins it to a tree-walking oracle ([test/sim_oracle.ml]): same
+    return value, same heap contents, same metrics (including
+    [label_counts] and [icache_misses]) and same trap strings. *)
 
 open Mac_rtl
 
@@ -20,24 +29,6 @@ exception Trap of string
     zero, undefined function, or fuel exhaustion. *)
 
 type program = Func.t list
-
-type engine = [ `Reference | `Jit ]
-(** [`Jit] (the default, and the one production engine) decodes each
-    called function once per run with {!Decode} — branch targets, costs,
-    latencies, stall sets, access legality and fetch addresses all
-    resolved up front — then compiles it into a chain of OCaml closures
-    with fused superinstructions, an inlined data-cache fast path and a
-    per-leader block cache (see {!Jit}). [`Reference] is the original
-    tree-walking evaluator, kept only as the oracle. The two are
-    bit-identical — same return value, same heap contents, same metrics
-    (including [label_counts] and [icache_misses]) and same trap strings
-    on every program; [test_engine] pins the jit to the reference. *)
-
-val default_engine : engine
-(** [`Jit]: what {!run} uses when [?engine] is omitted. *)
-
-val engine_name : engine -> string
-(** ["reference"] or ["jit"], the spelling [mcc --engine] accepts. *)
 
 type metrics = {
   insts : int;
@@ -57,8 +48,7 @@ type result = {
   phases : (string * float) list;
       (** wall-clock seconds per simulator phase, in order:
           [("decode", _); ("compile", _); ("execute", _)], read off
-          the monotonic clock. The reference engine reports 0 for
-          decode and compile. Timing-only — excluded from metric
+          the monotonic clock. Timing-only — excluded from metric
           comparisons and from deterministic JSON output. *)
 }
 
@@ -70,7 +60,6 @@ val run :
   args:int64 list ->
   ?fuel:int ->
   ?model_icache:bool ->
-  ?engine:engine ->
   unit ->
   result
 (** [fuel] bounds dynamic instructions (default 2_000_000_000). The entry

@@ -1,7 +1,7 @@
 open Mac_rtl
 module Machine = Mac_machine.Machine
 
-(* Superblock closure compilation: the third simulator engine.
+(* Superblock closure compilation: the simulator's execution engine.
 
    Each decoded function is compiled once per run into a chain of OCaml
    closures (threaded code): one closure per instruction — or per fused
@@ -44,7 +44,7 @@ module Machine = Mac_machine.Machine
    host; a big-endian host takes the generic byte-by-byte path on every
    access — slower but bit-identical.)
 
-   Bit-identity with the reference engine is non-negotiable: every
+   Bit-identity with the test oracle is non-negotiable: every
    closure performs exactly the bookkeeping sequence of the decoded
    interpreter — instruction count, fuel check (a trap mid-superblock
    must fire between the two halves of a fused pair, never before or

@@ -1,4 +1,4 @@
-(** Superblock closure compilation: the [`Jit] simulator engine.
+(** Superblock closure compilation: the simulator's execution engine.
 
     Compiles each decoded function ({!Decode.fn}) once per run into a
     chain of OCaml closures — threaded code — and executes by indirect
@@ -19,8 +19,9 @@
     - {b block cache}: a direct-mapped array of compiled closures
       indexed by leader pc, so back edges chain without re-dispatch.
 
-    Execution is bit-identical to the reference engine: values, memory,
-    every metric counter, label counts, and trap strings. When an
+    Execution is bit-identical to the test suite's tree-walking oracle:
+    values, memory, every metric counter, label counts, and trap
+    strings. When an
     i-cache is modelled, fusion is disabled (each instruction performs
     its own fetch access) but the closure-threaded control flow is
     kept. *)

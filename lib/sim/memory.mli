@@ -18,7 +18,7 @@ val create : size:int -> t
 val size : t -> int
 
 val bytes : t -> Bytes.t
-(** The backing store, little-endian, for engines that inline the access
+(** The backing store, little-endian, for the jit's inlined access
     path. {!check} still owns the address policy (addresses below 8
     fault): callers must re-implement it exactly or fall back to
     {!load}/{!store} for the faulting cases. *)

@@ -1,4 +1,4 @@
-(* Unboxed register file shared by both engines.
+(* Unboxed register file.
 
    An [int64 array] stores one pointer per element: every register write
    allocates a fresh box and pays the [caml_modify] write barrier, and

@@ -1,11 +1,12 @@
 (** Unboxed register file: one activation's register values, stored flat
     in a [Bytes] buffer (8 bytes per register, indexed by {!Mac_rtl.Reg}
-    id). Both interpreter engines go through this accessor layer, so
-    a register write costs an unboxed 64-bit store — no box allocation,
-    no [caml_modify] — where an [int64 array] would pay both.
+    id). The jit (and the test suite's oracle) go through this accessor
+    layer, so a register write costs an unboxed 64-bit store — no box
+    allocation, no [caml_modify] — where an [int64 array] would pay
+    both.
 
-    Indices are bounds-checked by the underlying bytes primitives; the
-    engines size the file from the registers the function actually
+    Indices are bounds-checked by the underlying bytes primitives;
+    callers size the file from the registers the function actually
     mentions, so in-range access is guaranteed by decode. *)
 
 type t

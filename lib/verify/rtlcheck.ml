@@ -5,7 +5,7 @@ module Reaching = Mac_dataflow.Reaching
 module Liveness = Mac_dataflow.Liveness
 module Machine = Mac_machine.Machine
 
-(* --- structure: labels, uids, targets, terminator ------------------- *)
+(* --- structure: labels, uids, targets, terminator, prefix uses ------ *)
 
 let structural_checks ~pass (f : Func.t) =
   let diags = ref [] in
@@ -42,7 +42,33 @@ let structural_checks ~pass (f : Func.t) =
       (Diagnostic.errorf ~pass ~uid:last.uid
          "body can fall through its last instruction: %s"
          (Rtl.to_string last.kind)));
-  List.rev !diags
+  (* Along the straight-line prefix every use needs an earlier
+     definition: no other path can supply one before the first label or
+     terminator. Parameters and the frame pointer (which the simulator
+     initialises) count as defined. *)
+  let defined = Hashtbl.create 16 in
+  let define r = Hashtbl.replace defined (Reg.id r) () in
+  List.iter define f.params;
+  Option.iter define f.fp_reg;
+  let rec prefix = function
+    | [] -> ()
+    | (i : Rtl.inst) :: rest -> (
+      match i.kind with
+      | Rtl.Label _ -> ()
+      | k ->
+        List.iter
+          (fun r ->
+            if not (Hashtbl.mem defined (Reg.id r)) then
+              add
+                (Diagnostic.errorf ~pass ~uid:i.uid
+                   "use of undefined register %s in %s" (Reg.to_string r)
+                   (Rtl.to_string k)))
+          (Rtl.uses k);
+        List.iter define (Rtl.defs k);
+        if not (Rtl.is_terminator k) then prefix rest)
+  in
+  prefix f.body;
+  List.rev_map (Diagnostic.with_func f.name) !diags
 
 (* --- operand sanity: field positions, shift amounts, widths --------- *)
 

@@ -6,7 +6,8 @@
     no code with the passes it checks:
 
     - structure: unique labels and uids, defined branch targets, a body
-      that cannot fall off the end;
+      that cannot fall off the end, and no use of an undefined register
+      along the straight-line prefix;
     - operand sanity: [Extract]/[Insert] byte positions inside the 64-bit
       register, shift amounts inside the operand width, memory access
       widths the target machine can actually issue (checked only once
@@ -20,6 +21,16 @@
 
 open Mac_rtl
 
+val structural_checks : pass:string -> Func.t -> Diagnostic.t list
+(** The structural layer alone, every diagnostic an error tagged with
+    [pass] and the function's name: duplicate uids and labels, undefined
+    branch targets, an empty body or one that can fall through its last
+    instruction, and a use of a register that is neither a parameter,
+    the frame pointer nor defined earlier in the straight-line prefix
+    (the instructions before the first label or terminator). It builds
+    no CFG and runs no dataflow, so it is what the pipeline checks
+    between passes at [Vnone]. *)
+
 val check_func :
   ?machine:Mac_machine.Machine.t ->
   ?analysis:Mac_dataflow.Analysis.t ->
@@ -28,9 +39,10 @@ val check_func :
   Diagnostic.t list
 (** All diagnostics for [f], tagged with [pass]. When [?machine] is given
     the memory widths of every load/store must be legal for it — only
-    meaningful after {!Mac_opt.Legalize} has run. Structural errors
-    (duplicate labels, undefined targets, missing terminator) suppress the
-    CFG- and dataflow-based layers, which assume a buildable graph.
+    meaningful after {!Mac_opt.Legalize} has run. Errors from
+    {!structural_checks} suppress the CFG- and dataflow-based layers,
+    which assume a buildable graph (so a prefix use of an undefined
+    register is reported once, by the structural layer).
 
     When [?analysis] is given, the checker first audits the manager
     itself: a memoised CFG view that no longer matches the body

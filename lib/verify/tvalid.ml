@@ -1000,6 +1000,19 @@ let agg_zero () =
     seconds = 0.;
   }
 
+let agg_add a b =
+  {
+    runs = a.runs + b.runs;
+    replays = a.replays + b.replays;
+    blocks = a.blocks + b.blocks;
+    skipped = a.skipped + b.skipped;
+    regions = a.regions + b.regions;
+    fallbacks = a.fallbacks + b.fallbacks;
+    fallback_reason =
+      (match a.fallback_reason with None -> b.fallback_reason | r -> r);
+    seconds = a.seconds +. b.seconds;
+  }
+
 let pp_result ppf r =
   Format.fprintf ppf
     "%d block pair(s) checked, %d skipped, %d region(s) carved%s"

@@ -114,4 +114,9 @@ type agg = {
 }
 
 val agg_zero : unit -> agg
+
+val agg_add : agg -> agg -> agg
+(** A fresh sum of two aggregates, field by field. The fallback reason
+    is the first one seen: [a]'s when it has one, else [b]'s. *)
+
 val pp_result : Format.formatter -> result -> unit

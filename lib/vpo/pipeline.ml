@@ -310,23 +310,21 @@ let compile_func cfg timings tvalid_tbl (f : Func.t) =
       end
     end
   in
-  (* Every pass must leave a function {!Func.validate} accepts; with
-     [verify <> Vnone] it must also satisfy the independent Rtlcheck
-     invariants, and the pipeline stops at the first error-severity
-     diagnostic, named after the offending pass. Rtlcheck is handed the
-     analysis manager so it (a) audits the cache's coherence — catching a
-     pass that lied about what it preserves — and (b) reuses the cached
-     CFG/reaching/liveness facts instead of recomputing them. *)
+  (* Every pass must leave a function Rtlcheck's structural layer
+     accepts; with [verify <> Vnone] it must also satisfy the rest of the
+     independent Rtlcheck invariants. The pipeline stops at the first
+     error-severity diagnostic, named after the offending pass and
+     function. Rtlcheck is handed the analysis manager so it (a) audits
+     the cache's coherence — catching a pass that lied about what it
+     preserves — and (b) reuses the cached CFG/reaching/liveness facts
+     instead of recomputing them. *)
   let checkpoint ?machine name =
     time "verify" (fun () ->
-        (match Func.validate f with
-        | Ok () -> ()
-        | Error msg ->
-          Fmt.failwith "pass %s produced an invalid function %s: %s" name
-            f.name msg);
-        if cfg.verify <> Vnone then
-          fail_on_errors
-            (Mac_verify.Rtlcheck.check_func ?machine ~analysis:am ~pass:name
+        fail_on_errors
+          (if cfg.verify = Vnone then
+             Mac_verify.Rtlcheck.structural_checks ~pass:name f
+           else
+             Mac_verify.Rtlcheck.check_func ?machine ~analysis:am ~pass:name
                f))
   in
   checkpoint "input";
@@ -497,26 +495,11 @@ let compile_funcs cfg funcs =
     (fun (_, _, tm, tv) ->
       Hashtbl.iter (fun name dt -> add_time timings name dt) tm;
       Hashtbl.iter
-        (fun name (a : Tvalid.agg) ->
-          let g =
-            match Hashtbl.find_opt tvalid_tbl name with
-            | Some g -> g
-            | None ->
-              let g = Tvalid.agg_zero () in
-              Hashtbl.add tvalid_tbl name g;
-              g
-          in
-          let open Tvalid in
-          g.runs <- g.runs + a.runs;
-          g.replays <- g.replays + a.replays;
-          g.blocks <- g.blocks + a.blocks;
-          g.skipped <- g.skipped + a.skipped;
-          g.regions <- g.regions + a.regions;
-          g.fallbacks <- g.fallbacks + a.fallbacks;
-          (match a.fallback_reason with
-          | Some r -> g.fallback_reason <- Some r
-          | None -> ());
-          g.seconds <- g.seconds +. a.seconds)
+        (fun name a ->
+          Hashtbl.replace tvalid_tbl name
+            (match Hashtbl.find_opt tvalid_tbl name with
+            | Some g -> Tvalid.agg_add g a
+            | None -> a))
         tv)
     per_func;
   let per_func = List.map (fun (n, r, _, _) -> (n, r)) per_func in

@@ -23,8 +23,8 @@ val level_of_string : string -> level option
 val level_to_string : level -> string
 
 (** How much of {!Mac_verify} runs between passes: [Vnone] only the cheap
-    {!Mac_rtl.Func.validate}; [Vir] the full Rtlcheck well-formedness
-    suite after every pass; [Vfull] additionally translation
+    structural layer ({!Mac_verify.Rtlcheck.structural_checks}); [Vir]
+    the full Rtlcheck well-formedness suite after every pass; [Vfull] additionally translation
     validation ({!Mac_verify.Tvalid} — symbolic block-by-block
     equivalence after every structure-preserving pass, with each call's
     classic rounds checked as one composite, and region cut-points over
@@ -74,9 +74,10 @@ type config = {
           register-pressure ceiling is fed from [regalloc]'s machine
           register count when allocation is on. *)
   verify : verify_level;
-      (** run Rtlcheck (and at [Vfull] the coalescing audit) after every
-          pass; the first error-severity diagnostic raises
-          {!Verification_failed} naming the pass *)
+      (** how much of Rtlcheck (and at [Vfull] the coalescing audit)
+          runs after every pass; at every level the first error-severity
+          diagnostic raises {!Verification_failed} naming the pass and
+          the function *)
   facts : (string * Mac_core.Disambig.facts) list;
       (** static disambiguation facts per function name, fed to the
           coalescer's oracle and the audit. {!compile_source} merges in
@@ -150,7 +151,9 @@ type compiled = {
 
 exception Verification_failed of Mac_verify.Diagnostic.t
 (** Raised by compilation when a verification layer reports an
-    error-severity diagnostic; the diagnostic names the pass. *)
+    error-severity diagnostic; the diagnostic names the pass and the
+    function. At [Vnone] that layer is Rtlcheck's structural one, so an
+    ill-formed input is reported this way too, with pass [input]. *)
 
 val compile_funcs : config -> Func.t list -> compiled
 (** Optimize already-lowered functions in place. *)

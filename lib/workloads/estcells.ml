@@ -77,10 +77,9 @@ let grid =
         Workloads.all)
     sections
 
-let simulate ~(machine : Machine.t) ~size ?engine (b : Workloads.t) level c =
+let simulate ~(machine : Machine.t) ~size (b : Workloads.t) level c =
   let o =
-    Workloads.run ~size ~coalesce ~assume_layout:true ?engine ~machine
-      ~level b
+    Workloads.run ~size ~coalesce ~assume_layout:true ~machine ~level b
   in
   {
     c with
@@ -97,12 +96,12 @@ let predictions ~size () =
 (* Every cell estimated AND simulated — what the accuracy contract is
    checked on. The simulations fan over domains; the estimates are cheap
    enough to run serially. *)
-let run ?jobs ?engine ~size () =
+let run ?jobs ~size () =
   let preds = predictions ~size () in
   let sims =
     Mac_parallel.Pool.map ?jobs
       (fun ((_, machine, b, level), c) ->
-        simulate ~machine ~size ?engine b level c)
+        simulate ~machine ~size b level c)
       (List.combine grid preds)
   in
   sims
@@ -172,7 +171,7 @@ let concordance pairs =
 (* Rank every (section, bench) by predicted savings, simulate only the
    top half (both its O2 and O4 cells), and report how well the
    predicted order agrees with the simulated one on that subset. *)
-let run_triage ?jobs ?engine ~size () =
+let run_triage ?jobs ~size () =
   let preds = predictions ~size () in
   let t_est_seconds =
     List.fold_left (fun acc c -> acc +. c.est_seconds) 0.0 preds
@@ -209,8 +208,7 @@ let run_triage ?jobs ?engine ~size () =
   let outs =
     Mac_parallel.Pool.map ?jobs
       (fun (_, (b : Workloads.t), machine, level, _) ->
-        Workloads.run ~size ~coalesce ~assume_layout:true ?engine ~machine
-          ~level b)
+        Workloads.run ~size ~coalesce ~assume_layout:true ~machine ~level b)
       jobs_cells
   in
   let t_sim_seconds =

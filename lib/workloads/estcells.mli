@@ -43,9 +43,7 @@ val miss_err : ecell -> float option
 
 val median_cycle_err : ecell list -> float
 
-val run :
-  ?jobs:int -> ?engine:Mac_sim.Interp.engine -> size:int -> unit ->
-  ecell list
+val run : ?jobs:int -> size:int -> unit -> ecell list
 (** Estimate {e and} simulate every grid cell (simulations fan over
     domains like the simulation sweep). *)
 
@@ -73,8 +71,7 @@ type triage = {
   t_sim_seconds : float;
 }
 
-val run_triage :
-  ?jobs:int -> ?engine:Mac_sim.Interp.engine -> size:int -> unit -> triage
+val run_triage : ?jobs:int -> size:int -> unit -> triage
 
 val concordance : (float * float) list -> float
 (** Exposed for the test suite. *)

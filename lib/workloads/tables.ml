@@ -52,7 +52,7 @@ let coalesce_options ~respect_profitability =
     icache_guard = respect_profitability;
   }
 
-let cell ~size ~respect_profitability ?(assume_layout = false) ?engine
+let cell ~size ~respect_profitability ?(assume_layout = false)
     ?profit_mode ?pipeline_sched ~machine bench level =
   let coalesce = coalesce_options ~respect_profitability in
   let coalesce =
@@ -60,7 +60,7 @@ let cell ~size ~respect_profitability ?(assume_layout = false) ?engine
     | None -> coalesce
     | Some m -> { coalesce with Mac_core.Coalesce.profit_mode = m }
   in
-  Workloads.run ~size ~coalesce ~assume_layout ?engine ?pipeline_sched
+  Workloads.run ~size ~coalesce ~assume_layout ?pipeline_sched
     ~machine ~level bench
 
 let row_of_outcomes bench outcomes =
@@ -76,12 +76,12 @@ let row_of_outcomes bench outcomes =
     outcomes;
   }
 
-let row ?(size = 100) ?(respect_profitability = false) ?assume_layout ?engine
+let row ?(size = 100) ?(respect_profitability = false) ?assume_layout
     ?profit_mode ?pipeline_sched ~machine bench =
   row_of_outcomes bench
     (List.map
        (fun l ->
-         (l, cell ~size ~respect_profitability ?assume_layout ?engine
+         (l, cell ~size ~respect_profitability ?assume_layout
               ?profit_mode ?pipeline_sched ~machine bench l))
        levels)
 
@@ -89,7 +89,7 @@ let row ?(size = 100) ?(respect_profitability = false) ?assume_layout ?engine
    default {!Mac_parallel.Pool.jobs}); results come back in canonical
    order, so the rendered table is identical to a serial run. *)
 let table ?(size = 100) ?(respect_profitability = false) ?assume_layout
-    ?engine ?profit_mode ?pipeline_sched ?jobs ~machine () =
+    ?profit_mode ?pipeline_sched ?jobs ~machine () =
   let cells =
     List.concat_map
       (fun b -> List.map (fun l -> (b, l)) levels)
@@ -98,7 +98,7 @@ let table ?(size = 100) ?(respect_profitability = false) ?assume_layout
   let outcomes =
     Mac_parallel.Pool.map ?jobs
       (fun (b, l) ->
-        cell ~size ~respect_profitability ?assume_layout ?engine ?profit_mode
+        cell ~size ~respect_profitability ?assume_layout ?profit_mode
           ?pipeline_sched ~machine b l)
       cells
   in

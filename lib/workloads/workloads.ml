@@ -670,7 +670,7 @@ let mem_size_for ~size =
 
 let run_mem ?(layout = default_layout) ?(size = 100) ?coalesce
     ?legalize_first ?strength_reduce ?regalloc ?schedule ?pipeline_sched
-    ?verify:vlevel ?model_icache ?engine ?(assume_layout = false)
+    ?verify:vlevel ?model_icache ?(assume_layout = false)
     ?(force_guards = false) ~machine ~level bench =
   let coalesce =
     if force_guards then
@@ -695,7 +695,7 @@ let run_mem ?(layout = default_layout) ?(size = 100) ?coalesce
   let instance = bench.prepare layout ~size mem in
   let result =
     Interp.run ~machine ~memory:mem compiled.funcs ~entry:bench.entry
-      ~args:instance.args ?model_icache ?engine ()
+      ~args:instance.args ?model_icache ()
   in
   let error = verify mem instance result.value in
   ( {
@@ -716,19 +716,19 @@ let run_mem ?(layout = default_layout) ?(size = 100) ?coalesce
     mem )
 
 let run ?layout ?size ?coalesce ?legalize_first ?strength_reduce ?regalloc
-    ?schedule ?pipeline_sched ?verify ?model_icache ?engine ?assume_layout
+    ?schedule ?pipeline_sched ?verify ?model_icache ?assume_layout
     ?force_guards ~machine ~level bench =
   fst
     (run_mem ?layout ?size ?coalesce ?legalize_first ?strength_reduce
-       ?regalloc ?schedule ?pipeline_sched ?verify ?model_icache ?engine
+       ?regalloc ?schedule ?pipeline_sched ?verify ?model_icache
        ?assume_layout ?force_guards ~machine ~level bench)
 
 let run_exn ?layout ?size ?coalesce ?legalize_first ?strength_reduce
-    ?regalloc ?schedule ?pipeline_sched ?verify ?model_icache ?engine
+    ?regalloc ?schedule ?pipeline_sched ?verify ?model_icache
     ?assume_layout ?force_guards ~machine ~level bench =
   let o =
     run ?layout ?size ?coalesce ?legalize_first ?strength_reduce ?regalloc
-      ?schedule ?pipeline_sched ?verify ?model_icache ?engine
+      ?schedule ?pipeline_sched ?verify ?model_icache
       ?assume_layout ?force_guards ~machine ~level bench
   in
   (match o.error with
@@ -834,11 +834,11 @@ type differential = {
    differential configuration: spill frames live in memory and would
    differ between levels without being observable program state. *)
 let differential ?layout ?size ?coalesce ?legalize_first ?strength_reduce
-    ?schedule ?pipeline_sched ?verify ?engine ?assume_layout ?force_guards
+    ?schedule ?pipeline_sched ?verify ?assume_layout ?force_guards
     ~machine ~level bench =
   let go level =
     run_mem ?layout ?size ?coalesce ?legalize_first ?strength_reduce
-      ?schedule ?pipeline_sched ?verify ?engine ?assume_layout
+      ?schedule ?pipeline_sched ?verify ?assume_layout
       ?force_guards ~machine ~level bench
   in
   let base, mem_base = go Mac_vpo.Pipeline.O0 in

@@ -108,7 +108,6 @@ val run :
   ?pipeline_sched:bool ->
   ?verify:Mac_vpo.Pipeline.verify_level ->
   ?model_icache:bool ->
-  ?engine:Mac_sim.Interp.engine ->
   ?assume_layout:bool ->
   ?force_guards:bool ->
   machine:Mac_machine.Machine.t ->
@@ -137,7 +136,6 @@ val run_exn :
   ?pipeline_sched:bool ->
   ?verify:Mac_vpo.Pipeline.verify_level ->
   ?model_icache:bool ->
-  ?engine:Mac_sim.Interp.engine ->
   ?assume_layout:bool ->
   ?force_guards:bool ->
   machine:Mac_machine.Machine.t ->
@@ -180,8 +178,8 @@ val estimate :
   level:Mac_vpo.Pipeline.level ->
   t ->
   prediction
-(** Same configuration surface as {!run} (minus [?engine] and
-    [?verify], which only exist once code executes). The estimate is
+(** Same configuration surface as {!run} minus [?pipeline_sched] and
+    [?verify]. The estimate is
     memoised through the function's analysis manager
     ({!Mac_vpo.Pipeline.compiled.ams}). *)
 
@@ -208,7 +206,6 @@ val differential :
   ?schedule:bool ->
   ?pipeline_sched:bool ->
   ?verify:Mac_vpo.Pipeline.verify_level ->
-  ?engine:Mac_sim.Interp.engine ->
   ?assume_layout:bool ->
   ?force_guards:bool ->
   machine:Mac_machine.Machine.t ->

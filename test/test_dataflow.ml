@@ -178,6 +178,14 @@ let test_undefined_uses () =
     "r2 in its own increment, then r4" [ (uid 0, 2); (uid 1, 4) ]
     (List.rev !got)
 
+(* [Copies.fold_block]'s answers for [regs] before each instruction of
+   block [b], snapshotted: its lookup is only valid during the call. *)
+let copies_before copies b regs =
+  Copies.fold_block copies b ~init:[] ~f:(fun acc i look ->
+      let answers = List.map (fun r -> (r, look r)) regs in
+      (i, fun r -> List.assoc r answers) :: acc)
+  |> List.rev
+
 let test_copies_straightline () =
   let f =
     func_of
@@ -190,7 +198,7 @@ let test_copies_straightline () =
   in
   let cfg = Cfg.build f in
   let copies = Copies.compute cfg in
-  match Copies.copies_query copies 0 with
+  match copies_before copies 0 [ reg 2; reg 3 ] with
   | [ _; _; (_, before_add); _ ] ->
     (match before_add (reg 2) with
     | Some (Rtl.Reg s) -> Alcotest.(check int) "r2 copies r0" 0 (Reg.id s)
@@ -211,7 +219,7 @@ let test_copies_killed_by_redef () =
   in
   let cfg = Cfg.build f in
   let copies = Copies.compute cfg in
-  match List.rev (Copies.copies_query copies 0) with
+  match List.rev (copies_before copies 0 [ reg 2 ]) with
   | (_, before_ret) :: _ ->
     Alcotest.(check bool) "copy killed when source redefined" true
       (before_ret (reg 2) = None)
@@ -233,7 +241,7 @@ let test_copies_meet_is_intersection () =
   let cfg = Cfg.build f in
   let copies = Copies.compute cfg in
   let join = Option.get (Cfg.block_of_label cfg "Lj") in
-  match Copies.copies_query copies join with
+  match copies_before copies join [ reg 2 ] with
   | (_, before) :: _ ->
     Alcotest.(check bool) "copy not available at join" true
       (before (reg 2) = None)
@@ -257,7 +265,7 @@ let test_copies_available_at_join_when_on_both_paths () =
   let cfg = Cfg.build f in
   let copies = Copies.compute cfg in
   let join = Option.get (Cfg.block_of_label cfg "Lj") in
-  match Copies.copies_query copies join with
+  match copies_before copies join [ reg 2 ] with
   | (_, before) :: _ -> (
     match before (reg 2) with
     | Some (Rtl.Imm 5L) -> ()
@@ -455,20 +463,23 @@ let check_reaching_equal _f cfg =
         QCheck.Test.fail_reportf "undefined uses differ at block %d" b)
     cfg.Cfg.blocks
 
+(* The solver alone: the copies available on entry to each block, read
+   before its first instruction. *)
 let check_copies_equal f cfg =
   let copies = Copies.compute cfg and oracle = Oracle.Copies.compute cfg in
   let regs = all_regs f in
+  let first = function [] -> [] | x :: _ -> [ x ] in
   Array.iteri
     (fun b _ ->
-      check_each ~what:"copies_query" ~b ~regs
+      check_each ~what:"block-entry copies" ~b ~regs
         ~expect:(fun map r -> Reg.Map.find_opt r map)
-        (Oracle.Copies.copies_before_each oracle b)
-        (Copies.copies_query copies b))
+        (first (Oracle.Copies.copies_before_each oracle b))
+        (first (copies_before copies b regs)))
     cfg.Cfg.blocks
 
 (* The remaining production walks against the oracle's: available
    expressions, congruence, dead code's faint sweep, and the in-place
-   copies walk against the per-instruction snapshots. *)
+   copies walk at every instruction. *)
 let check_avail_equal _f cfg =
   let avail = Mac_dataflow.Avail.compute cfg in
   let oracle = Oracle.Avail.facts_in cfg in
@@ -511,21 +522,14 @@ let check_faint_equal f _cfg =
     QCheck.Test.fail_reportf "faint sweep differs (removed %b vs %b)" got want
 
 let check_copies_fold_equal f cfg =
-  let copies = Copies.compute cfg in
+  let copies = Copies.compute cfg and oracle = Oracle.Copies.compute cfg in
   let regs = all_regs f in
   Array.iteri
     (fun b _ ->
-      (* the lookup is only valid during the call: snapshot its answers *)
-      let folded =
-        Copies.fold_block copies b ~init:[] ~f:(fun acc i look ->
-            let answers = List.map (fun r -> (r, look r)) regs in
-            (i, fun r -> List.assoc r answers) :: acc)
-        |> List.rev
-      in
       check_each ~what:"fold_block" ~b ~regs
-        ~expect:(fun look r -> look r)
-        (Copies.copies_query copies b)
-        folded)
+        ~expect:(fun map r -> Reg.Map.find_opt r map)
+        (Oracle.Copies.copies_before_each oracle b)
+        (copies_before copies b regs))
     cfg.Cfg.blocks
 
 let engine_equivalence_tests =
@@ -544,7 +548,7 @@ let engine_equivalence_tests =
     mk "congruence: dirty sweeps = round robin on random CFGs"
       check_congruence_equal;
     mk "dce: faint sweep = reference on random CFGs" check_faint_equal;
-    mk "copies: fold_block = copies_query on random CFGs"
+    mk "copies: fold_block = reference on random CFGs"
       check_copies_fold_equal;
   ]
 

@@ -321,7 +321,7 @@ let check_kernel machine k =
   let summary = Estimate.func ~machine ~args f in
   let memory = Memory.create ~size:8192 in
   let r =
-    Interp.run ~machine ~memory [ f ] ~entry:"k" ~args ~engine:`Jit ()
+    Interp.run ~machine ~memory [ f ] ~entry:"k" ~args ()
   in
   let m = r.Interp.metrics in
   let close ~slack what pred sim =

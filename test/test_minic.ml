@@ -186,9 +186,10 @@ let exec ?(machine = Machine.test32) ?(mem_size = 8192) ?(args = []) ~entry src
   let funcs = Lower.compile src in
   List.iter
     (fun f ->
-      match Func.validate f with
-      | Ok () -> ()
-      | Error e -> Alcotest.failf "invalid lowering of %s: %s" f.Func.name e)
+      match Mac_verify.Rtlcheck.structural_checks ~pass:"lower" f with
+      | [] -> ()
+      | d :: _ ->
+        Alcotest.failf "invalid lowering: %s" (Mac_verify.Diagnostic.to_string d))
     funcs;
   let memory = Memory.create ~size:mem_size in
   (Interp.run ~machine ~memory funcs ~entry ~args ()).value

@@ -382,9 +382,10 @@ let test_unroll_semantics_divisible () =
     Option.get (Mac_opt.Unroll.run f ~machine:Machine.test32 ~factor:4 s)
   in
   Alcotest.(check int) "factor" 4 u.factor;
-  (match Func.validate f with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "invalid after unroll: %s" e);
+  (match Mac_verify.Rtlcheck.structural_checks ~pass:"unroll" f with
+  | [] -> ()
+  | d :: _ ->
+    Alcotest.failf "invalid after unroll: %s" (Mac_verify.Diagnostic.to_string d));
   Alcotest.(check int64) "divisible trip count" 28L (sum_with_loop f 8L)
 
 let test_unroll_semantics_indivisible_falls_back () =
@@ -1496,33 +1497,48 @@ let prop_steady_ii_bounded =
       in
       Ps.steady_ii deep32 body <= Mac_opt.Sched.block_cycles deep32 body)
 
-(* A genuinely pipelined loop (S >= 2 on the deep-latency machine) is
-   bit-identical under the jit and the reference engine — same return
-   value, same metrics, correct output. *)
-let test_pipeline_sched_engines_identical () =
+(* A genuinely pipelined loop (S >= 2 on the deep-latency machine) runs
+   correctly on the jit and bit-identically on the simulator oracle —
+   same return value, same metrics, same final heap. *)
+let test_pipeline_sched_matches_oracle () =
   let module W = Mac_workloads.Workloads in
-  let outs =
-    List.map
-      (fun engine ->
-        W.run ~size:64 ~engine ~pipeline_sched:true ~machine:deep32
-          ~level:Mac_vpo.Pipeline.O1 W.dotproduct)
-      [ `Reference; `Jit ]
+  let module P = Mac_vpo.Pipeline in
+  let j =
+    W.run ~size:64 ~pipeline_sched:true ~machine:deep32 ~level:P.O1
+      W.dotproduct
   in
-  let r, j = match outs with [ r; j ] -> (r, j) | _ -> assert false in
+  Alcotest.(check bool) "jit output correct" true j.W.correct;
+  let compiled =
+    P.compile_source
+      (P.config ~level:P.O1 ~pipeline_sched:true deep32)
+      W.dotproduct.W.source
+  in
+  let run ~oracle =
+    let mem = Memory.create ~size:(1 lsl 17) in
+    let inst = W.dotproduct.W.prepare W.default_layout ~size:64 mem in
+    let r =
+      (if oracle then Sim_oracle.run else Interp.run)
+        ~machine:deep32 ~memory:mem compiled.funcs
+        ~entry:W.dotproduct.W.entry ~args:inst.W.args ()
+    in
+    (r, Memory.load_bytes mem ~addr:8L ~len:((1 lsl 17) - 9))
+  in
+  let (rj : Interp.result), hj = run ~oracle:false in
+  let (ro : Interp.result), ho = run ~oracle:true in
   List.iter
-    (fun (name, (o : W.outcome)) ->
-      Alcotest.(check bool) (name ^ " correct") true o.W.correct;
-      Alcotest.(check int64) (name ^ " value") r.W.value o.W.value;
+    (fun (name, (r : Interp.result)) ->
+      Alcotest.(check int64) (name ^ " value") j.W.value r.value;
       Alcotest.(check bool) (name ^ " metrics identical") true
-        (o.W.metrics = r.W.metrics))
-    [ ("reference", r); ("jit", j) ];
+        (r.metrics = j.W.metrics))
+    [ ("jit", rj); ("oracle", ro) ];
+  Alcotest.(check bool) "oracle heap identical" true (Bytes.equal hj ho);
   let pipelined =
     List.exists
       (fun (_, rs) ->
         List.exists
           (fun ((rep : Ps.report), _) -> rep.Ps.status = Ps.Pipelined)
           rs)
-      r.W.sched_reports
+      j.W.sched_reports
   in
   Alcotest.(check bool) "dotproduct software-pipelined on deep32" true
     pipelined
@@ -1665,8 +1681,8 @@ let () =
             test_sched_disjoint_mem_can_reorder;
         ] );
       ( "pipeline-sched",
-        Alcotest.test_case "pipelined loop identical on both engines" `Quick
-          test_pipeline_sched_engines_identical
+        Alcotest.test_case "pipelined loop identical on the oracle" `Quick
+          test_pipeline_sched_matches_oracle
         :: List.map QCheck_alcotest.to_alcotest
              [ prop_pipeline_sched_cert; prop_steady_ii_bounded ] );
       ( "properties",

@@ -156,26 +156,6 @@ let test_func_gensym () =
   let i0 = Func.inst f Rtl.Nop and i1 = Func.inst f Rtl.Nop in
   Alcotest.(check bool) "uids distinct" true (i0.uid <> i1.uid)
 
-let test_func_validate () =
-  let f = Func.create ~name:"f" ~params:[] in
-  Func.append f (Rtl.Label "L0");
-  Func.append f (Rtl.Jump "L0");
-  Alcotest.(check bool) "valid loop" true (Func.validate f = Ok ());
-  let g = Func.create ~name:"g" ~params:[] in
-  Func.append g (Rtl.Jump "Lmissing");
-  Alcotest.(check bool) "undefined label rejected" true
-    (Result.is_error (Func.validate g));
-  let h = Func.create ~name:"h" ~params:[] in
-  Func.append h (Rtl.Move (reg 0, Rtl.Imm 1L));
-  Alcotest.(check bool) "missing terminator rejected" true
-    (Result.is_error (Func.validate h));
-  let k = Func.create ~name:"k" ~params:[] in
-  Func.append k (Rtl.Label "A");
-  Func.append k (Rtl.Label "A");
-  Func.append k (Rtl.Ret None);
-  Alcotest.(check bool) "duplicate label rejected" true
-    (Result.is_error (Func.validate k))
-
 let test_refresh_uids () =
   let f = Func.create ~name:"f" ~params:[] in
   Func.append f (Rtl.Move (reg 0, Rtl.Imm 1L));
@@ -279,7 +259,6 @@ let () =
       ( "func",
         [
           Alcotest.test_case "gensym" `Quick test_func_gensym;
-          Alcotest.test_case "validate" `Quick test_func_validate;
           Alcotest.test_case "refresh_uids" `Quick test_refresh_uids;
         ] );
       ( "properties",

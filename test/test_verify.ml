@@ -160,11 +160,72 @@ let test_pipeline_names_failing_pass () =
   let cfg = Pipeline.config ~level:Pipeline.O0 Machine.alpha in
   match Pipeline.compile_funcs cfg [ f ] with
   | _ -> Alcotest.fail "expected compilation to fail"
-  | exception Failure msg ->
-    Alcotest.(check bool)
-      (Printf.sprintf "failure names the pass (%s)" msg)
-      true
-      (contains msg "pass input")
+  | exception Pipeline.Verification_failed d ->
+    Alcotest.(check string) "names the pass" "input" d.pass;
+    Alcotest.(check (option string)) "names the function" (Some "bad") d.func
+
+(* One structural checker at every verify level: each ill-formed input
+   fails the [input] checkpoint with a [Verification_failed] naming the
+   pass and the function, at [Vnone] as at [Vir] and [Vfull]. *)
+let ill_formed =
+  let mk name kinds =
+    let f = Func.create ~name ~params:[ reg 0 ] in
+    List.iter (Func.append f) kinds;
+    f
+  in
+  [
+    ( "duplicate uid",
+      (fun () ->
+        let f = mk "dup_uid" [] in
+        f.body <-
+          [ { Rtl.uid = 0; kind = Rtl.Move (reg 1, Rtl.Imm 0L) };
+            { Rtl.uid = 0; kind = Rtl.Ret (Some (Rtl.Reg (reg 1))) } ];
+        f),
+      "duplicate uid 0" );
+    ( "duplicate label",
+      (fun () ->
+        mk "dup_label" [ Rtl.Label "A"; Rtl.Label "A"; Rtl.Ret None ]),
+      "duplicate label A" );
+    ( "undefined target",
+      (fun () -> mk "no_target" [ Rtl.Jump "nowhere" ]),
+      "undefined branch target nowhere" );
+    ( "missing terminator",
+      (fun () -> mk "no_ret" [ Rtl.Move (reg 1, Rtl.Reg (reg 0)) ]),
+      "fall through" );
+    ( "prefix use of undefined register",
+      (fun () ->
+        mk "undef_use"
+          [ Rtl.Move (reg 1, Rtl.Reg (reg 2));
+            Rtl.Ret (Some (Rtl.Reg (reg 1))) ]),
+      "use of undefined register" );
+  ]
+
+let test_single_checker_every_level () =
+  List.iter
+    (fun verify ->
+      let level = Pipeline.verify_level_to_string verify in
+      List.iter
+        (fun (what, make, message) ->
+          let f = make () in
+          let cfg = Pipeline.config ~level:Pipeline.O1 ~verify Machine.alpha in
+          match Pipeline.compile_funcs cfg [ f ] with
+          | _ -> Alcotest.failf "%s at %s: compiled" what level
+          | exception Pipeline.Verification_failed d ->
+            let ctx = Printf.sprintf "%s at %s" what level in
+            Alcotest.(check string) (ctx ^ ": pass") "input" d.pass;
+            Alcotest.(check (option string))
+              (ctx ^ ": function") (Some f.name) d.func;
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: message (%s)" ctx d.message)
+              true (contains d.message message))
+        ill_formed)
+    Pipeline.[ Vnone; Vir; Vfull ];
+  (* and a well-formed loop passes the structural layer *)
+  let f = Func.create ~name:"loop" ~params:[] in
+  Func.append f (Rtl.Label "L0");
+  Func.append f (Rtl.Jump "L0");
+  Alcotest.(check int) "valid loop" 0
+    (List.length (Rtlcheck.structural_checks ~pass:"input" f))
 
 (* --- layer 2: mutating genuinely coalesced functions ----------------- *)
 
@@ -541,6 +602,24 @@ let test_tvalid_grid_clean () =
     [ Machine.alpha; Machine.mc88100; Machine.mc68030 ];
   Alcotest.(check int) "regions over the grid" 63 !regions;
   Alcotest.(check int) "fallbacks over the grid" 0 !fallbacks
+
+(* One merge for per-pass validator counters: every field summed, the
+   first-seen fallback reason kept, and neither operand mutated. *)
+let test_tvalid_agg_add () =
+  let agg runs reason =
+    { Tvalid.runs; blocks = 2 * runs; skipped = 3 * runs; regions = runs;
+      fallbacks = (if reason = None then 0 else 1); fallback_reason = reason;
+      replays = runs; seconds = float_of_int runs }
+  in
+  let a = agg 1 None and b = agg 2 (Some "first") and c = agg 4 (Some "last") in
+  let sum = Tvalid.agg_add (Tvalid.agg_add a b) c in
+  Alcotest.(check (list int)) "counters summed" [ 7; 14; 21; 7; 2; 7 ]
+    [ sum.runs; sum.blocks; sum.skipped; sum.regions; sum.fallbacks;
+      sum.replays ];
+  Alcotest.(check (float 0.)) "seconds summed" 7. sum.seconds;
+  Alcotest.(check (option string)) "first reason kept" (Some "first")
+    sum.fallback_reason;
+  Alcotest.(check int) "operand untouched" 1 a.runs
 
 (* The O4-full configuration (strength reduction, list scheduling,
    software pipelining and 32-register allocation) compiles clean at
@@ -999,6 +1078,8 @@ let () =
             test_unreachable_block;
           Alcotest.test_case "failing pass is named" `Quick
             test_pipeline_names_failing_pass;
+          Alcotest.test_case "one structural checker at every level" `Quick
+            test_single_checker_every_level;
           Alcotest.test_case "wrong preserves is caught" `Quick
             test_wrong_preserves_caught;
         ] );
@@ -1038,6 +1119,8 @@ let () =
             test_tvalid_pipeline_sched_regions;
           Alcotest.test_case "composite rejection blames the pass" `Quick
             test_tvalid_composite_blames_pass;
+          Alcotest.test_case "agg_add sums and keeps the first reason" `Quick
+            test_tvalid_agg_add;
           Alcotest.test_case "grid clean at Vfull" `Slow
             test_tvalid_grid_clean;
           Alcotest.test_case "O4-full grid compiles at Vfull" `Slow

@@ -38,12 +38,15 @@ let test_output_always_valid () =
           let compiled = compile ~level machine in
           List.iter
             (fun f ->
-              match Func.validate f with
-              | Ok () -> ()
-              | Error e ->
-                Alcotest.failf "%s at %s on %s: %s" f.Func.name
+              match
+                Mac_verify.Rtlcheck.structural_checks ~pass:"output" f
+              with
+              | [] -> ()
+              | d :: _ ->
+                Alcotest.failf "%s on %s: %s"
                   (Pipeline.level_to_string level)
-                  machine.Machine.name e)
+                  machine.Machine.name
+                  (Mac_verify.Diagnostic.to_string d))
             compiled.funcs)
         Pipeline.[ O0; O1; O2; O3; O4 ])
     (Machine.all @ [ Machine.test32 ])
