@@ -520,25 +520,6 @@ let main source bench machine level dump_rtl chosen run args run_bench size
     Pipeline.config ~level ~coalesce ~strength_reduce ~schedule
       ~pipeline_sched ?regalloc ~verify:vlevel ~facts machine
   in
-  (* What each mode can explain, and the options it would otherwise drop
-     without a word: --remote sends only level, verify level and
-     machine; --table takes only what [Tables.table] does. *)
-  let mode, fillable, dropped =
-    let all = List.map snd sections in
-    if remote <> None then
-      ( "--remote", [ Passes ],
-        [ "--force"; "--strength-reduce"; "--schedule"; "--sched";
-          "--regalloc"; "--remainder"; "--profit-mode"; "--force-guards";
-          "--assume-layout" ] )
-    else if triage then ("--triage", [], [])
-    else if estimate then ("--estimate", [], [])
-    else if table then
-      ( "--table", [ Passes; Sim ],
-        [ "--strength-reduce"; "--schedule"; "--regalloc"; "--remainder";
-          "--force-guards"; "--verify"; "--verify-level" ] )
-    else if run <> None || (run_bench && bench <> None) then ("a run", all, [])
-    else ("a compile without --run", List.filter (( <> ) Sim) all, [])
-  in
   let given =
     [ ("--force", force); ("--strength-reduce", strength_reduce);
       ("--schedule", schedule); ("--sched", sched);
@@ -546,6 +527,28 @@ let main source bench machine level dump_rtl chosen run args run_bench size
       ("--profit-mode", profit_mode <> None); ("--force-guards", force_guards);
       ("--assume-layout", assume_layout); ("--verify", verify);
       ("--verify-level", verify_level <> None) ]
+  in
+  (* What each mode can explain, and the options it would otherwise drop
+     without a word: --remote sends only level, verify level and
+     machine; --triage runs its fixed grid; --estimate compiles without
+     -Osched or verification; --table takes only what [Tables.table]
+     does. *)
+  let mode, fillable, dropped =
+    let all = List.map snd sections in
+    if remote <> None then
+      ( "--remote", [ Passes ],
+        [ "--force"; "--strength-reduce"; "--schedule"; "--sched";
+          "--regalloc"; "--remainder"; "--profit-mode"; "--force-guards";
+          "--assume-layout" ] )
+    else if triage then ("--triage", [], List.map fst given)
+    else if estimate then
+      ("--estimate", [], [ "--sched"; "--verify"; "--verify-level" ])
+    else if table then
+      ( "--table", [ Passes; Sim ],
+        [ "--strength-reduce"; "--schedule"; "--regalloc"; "--remainder";
+          "--force-guards"; "--verify"; "--verify-level" ] )
+    else if run <> None || (run_bench && bench <> None) then ("a run", all, [])
+    else ("a compile without --run", List.filter (( <> ) Sim) all, [])
   in
   let unusable =
     match List.find_opt (fun s -> not (List.mem s fillable)) chosen with
@@ -577,7 +580,7 @@ let main source bench machine level dump_rtl chosen run args run_bench size
     else begin
       let d =
         W.differential ~size ~coalesce ~strength_reduce ~schedule
-          ~pipeline_sched ~verify:vlevel ~machine ~level b
+          ~pipeline_sched ~verify:vlevel ~assume_layout ~machine ~level b
       in
       match d.detail with
       | None ->

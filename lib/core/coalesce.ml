@@ -19,7 +19,6 @@ type options = {
   profit_mode : Profitability.mode;
   icache_guard : bool;
   remainder_loop : bool;
-  max_factor : int;
   force_guards : bool;
 }
 
@@ -33,7 +32,6 @@ let default =
     profit_mode = Profitability.Schedule;
     icache_guard = true;
     remainder_loop = false;
-    max_factor = 8;
     force_guards = false;
   }
 
@@ -68,8 +66,10 @@ let report ?(factor = 1) ?main_label ?safe_label ?(load_groups = 0)
     guards_elided; elisions }
 
 (* Widening factor: widest word over the narrowest coalescable reference
-   width in the body. *)
-let widen_factor_of_body (m : Machine.t) body ~max_factor =
+   width in the body, capped at [max_factor]. *)
+let max_factor = 8
+
+let widen_factor_of_body (m : Machine.t) body =
   let narrowest =
     List.fold_left
       (fun acc (i : Rtl.inst) ->
@@ -267,7 +267,7 @@ let emit_checks f ~safe_label ~(trip_mega : Mac_opt.Induction.trip)
    re-processed. *)
 let process_loop am cache facts f (m : Machine.t) opts (s : Loop.simple) =
   let header = s.header_label in
-  match widen_factor_of_body m s.body ~max_factor:opts.max_factor with
+  match widen_factor_of_body m s.body with
   | None -> (report header No_narrow_refs, [])
   | Some factor when factor < 2 -> (report header No_narrow_refs, [])
   | Some factor -> (
@@ -295,8 +295,7 @@ let process_loop am cache facts f (m : Machine.t) opts (s : Loop.simple) =
     | Some u -> (
       (* The unroller rewrote the body: duplicated blocks, a dispatch
          chain, new labels. Nothing cached survives. *)
-      Mac_dataflow.Analysis.invalidate am
-        ~preserves:[ Mac_dataflow.Analysis.Tvalid ];
+      Mac_dataflow.Analysis.invalidate_all am;
       let created = [ u.Unroll.main_label; u.Unroll.safe_label ] in
       (* Every report below describes the unrolled shape; carry the created
          labels so the safety auditor can re-find both loop versions. *)
@@ -472,8 +471,7 @@ let process_loop am cache facts f (m : Machine.t) opts (s : Loop.simple) =
                 let checks = List.map (Func.inst f) check_kinds in
                 splice_main f ~main_label:u.main_label ~checks
                   ~new_body:(Some body_after);
-                Mac_dataflow.Analysis.invalidate am
-                  ~preserves:[ Mac_dataflow.Analysis.Tvalid ];
+                Mac_dataflow.Analysis.invalidate_all am;
                 let load_groups =
                   List.length (List.filter group_is_load safe_groups)
                 in

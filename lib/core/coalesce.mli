@@ -29,7 +29,6 @@ type options = {
       (** use the Fig. 5 remainder prologue instead of the divisibility
           bail-out: non-divisible trip counts keep the unrolled/coalesced
           main loop (default false — the paper's emitted code bails) *)
-  max_factor : int;
   force_guards : bool;
       (** when true, never consult the static disambiguation oracle: every
           guard is emitted even when provable (the [--force-guards]

@@ -222,18 +222,7 @@ let prove_alignment o ~terms ~window ~wide =
     Some
       { ac_terms = terms; ac_window = window; ac_wide = Width.bytes wide;
         ac_claims = claims }
-  else begin
-    if Sys.getenv_opt "MAC_DEBUG_DISAMBIG" <> None then
-      Format.eprintf "align FAIL window=%Ld wide=%d terms=[%a] claims=[%a]@."
-        window (Width.bytes wide)
-        (Format.pp_print_list ~pp_sep:Format.pp_print_space (fun ppf (s, c) ->
-             Format.fprintf ppf "%a*%Ld" Linform.pp_sym s c))
-        terms
-        (Format.pp_print_list ~pp_sep:Format.pp_print_space (fun ppf (r, v) ->
-             Format.fprintf ppf "%a=%a" Reg.pp r Congruence.pp_value v))
-        claims;
-    None
-  end
+  else None
 
 (* --- overlap -------------------------------------------------------- *)
 
@@ -268,28 +257,16 @@ let resolve_operand dout = function
   | Rtl.Imm c -> Some (Linform.const c)
   | Rtl.Reg r -> resolve_reg dout r
 
-let dbg fmt =
-  if Sys.getenv_opt "MAC_DEBUG_DISAMBIG" <> None then
-    Format.eprintf fmt
-  else Format.ifprintf Format.err_formatter fmt
-
 (* One partition's whole-loop footprint, as the symbolic counterpart of
    {!Checks.dynamic_bounds}: the same [dist]/[total]/[lo]/[hi] formulas
    evaluated over entry values instead of emitted as preheader code. The
    footprint must land inside the partition root's allocation. *)
 let side_of o ~(trip : Induction.trip) (e : Checks.extent) =
-  dbg "side: base=%a adv=%Ld lo=%Ld hi=%Ld trip(step=%Ld off=%Ld)@."
-    Linform.pp e.Checks.base e.Checks.advance e.Checks.lo_off e.Checks.hi_off
-    trip.iv.step trip.offset;
   match o.dispatch_out with
-  | None ->
-    dbg "side: no dispatch_out@.";
-    None
+  | None -> None
   | Some dout -> (
     match resolve_form dout e.Checks.base with
-    | None ->
-      dbg "side: base unresolved@.";
-      None
+    | None -> None
     | Some base -> (
       let roots =
         List.filter_map
@@ -309,11 +286,7 @@ let side_of o ~(trip : Induction.trip) (e : Checks.extent) =
         if
           Int64.equal step_abs 0L
           || not (Int64.equal (Int64.rem e.Checks.advance step_abs) 0L)
-        then begin
-          dbg "side: advance %Ld not multiple of step %Ld@." e.Checks.advance
-            step_abs;
-          None
-        end
+        then None
         else
           let kq =
             let q = Int64.div e.Checks.advance step_abs in
@@ -360,17 +333,9 @@ let side_of o ~(trip : Induction.trip) (e : Checks.extent) =
                   s_lo = lo;
                   s_hi = hi;
                 }
-            else begin
-              dbg "side: bounds fail off=%a lo=%a hi=%a size=%a@."
-                Linform.pp off Linform.pp lo Linform.pp hi Linform.pp size;
-              None
-            end
-          | _ ->
-            dbg "side: trip operands unresolved@.";
-            None)
-      | _ ->
-        dbg "side: roots<>1 (%d)@." (List.length roots);
-        None))
+            else None
+          | _ -> None)
+      | _ -> None))
 
 let prove_noalias o ~trip ~a ~b =
   match (side_of o ~trip a, side_of o ~trip b) with

@@ -15,7 +15,6 @@ module Machine = Mac_machine.Machine
 module Sched = Mac_opt.Sched
 module Linform = Mac_opt.Linform
 module Reuse = Mac_dataflow.Reuse
-module Analysis = Mac_dataflow.Analysis
 
 (* ------------------------------------------------------------------ *)
 (* Concrete-constant environment: registers with a known value are
@@ -901,9 +900,12 @@ and extrapolate ctx fi env tr loop ~header (t1, env1) (t2, env2) (t3, env3) =
    that re-reads what a previous construct left in the cache) and price
    the totals. *)
 
-let default_frame_base = Int64.of_int (1 lsl 40)
+(* The synthetic frame-pointer value bound when the function was
+   register-allocated: spill traffic is estimated against a region far
+   from any workload buffer. *)
+let frame_base = Int64.of_int (1 lsl 40)
 
-let func ?(model_icache = false) ?frame_base ?read ?resolve ~machine ~args
+let func ?(model_icache = false) ?read ?resolve ~machine ~args
     (f : Func.t) =
   let ctx =
     {
@@ -927,9 +929,8 @@ let func ?(model_icache = false) ?frame_base ?read ?resolve ~machine ~args
       | Some v -> env_set env r (Some v)
       | None -> ())
     f.Func.params;
-  let fb = Option.value frame_base ~default:default_frame_base in
   if f.Func.frame_bytes > 0 then
-    Option.iter (fun fp -> env_set env fp (Some fb)) f.Func.fp_reg;
+    Option.iter (fun fp -> env_set env fp (Some frame_base)) f.Func.fp_reg;
   let tr = mk_trace () in
   (try
      ignore
@@ -1018,14 +1019,6 @@ let func ?(model_icache = false) ?frame_base ?read ?resolve ~machine ~args
     s_loops = profiles;
     s_approx = ctx.approx;
   }
-
-let key ~machine ~args =
-  String.concat ":"
-    (machine.Machine.name :: List.map Int64.to_string args)
-
-let via am ?model_icache ?read ?resolve ~machine ~args () =
-  Analysis.reuse am ~key:(key ~machine ~args) ~compute:(fun f ->
-      func ?model_icache ?read ?resolve ~machine ~args f)
 
 (* ------------------------------------------------------------------ *)
 (* Per-iteration miss cycles of a loop body, from partition strides —

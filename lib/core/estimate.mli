@@ -28,7 +28,6 @@ module Reuse = Mac_dataflow.Reuse
 
 val func :
   ?model_icache:bool ->
-  ?frame_base:int64 ->
   ?read:(int64 -> int -> int64 option) ->
   ?resolve:(string -> Func.t option) ->
   machine:Mac_machine.Machine.t ->
@@ -42,28 +41,11 @@ val func :
     unknown, which still estimates plain array kernels but loses
     pointer-chasing ones. [resolve] maps callee names to bodies so calls
     are walked inline (unresolved calls make the result approximate).
-    [frame_base] is the synthetic frame-pointer value bound when the
-    function was register-allocated (spill traffic is then estimated
-    against that region); it defaults to an address far from any
-    workload buffer. With [model_icache] the simulator's
-    instruction-fetch model (32-byte lines) is approximated by the cold
-    code footprint. *)
-
-val key : machine:Mac_machine.Machine.t -> args:int64 list -> string
-(** The memo key {!via} stores summaries under: machine name plus the
-    argument vector (the summary depends on both). *)
-
-val via :
-  Mac_dataflow.Analysis.t ->
-  ?model_icache:bool ->
-  ?read:(int64 -> int -> int64 option) ->
-  ?resolve:(string -> Func.t option) ->
-  machine:Mac_machine.Machine.t ->
-  args:int64 list ->
-  unit ->
-  Reuse.summary
-(** {!func} memoised through the analysis manager's [Reuse] slot — the
-    profile is recomputed only when a pass invalidated it. *)
+    A register-allocated function's frame pointer is bound to a
+    synthetic address far from any workload buffer, so its spill
+    traffic is estimated against a region of its own. With
+    [model_icache] the simulator's instruction-fetch model (32-byte
+    lines) is approximated by the cold code footprint. *)
 
 val horizon : int
 (** The fixed iteration horizon {!body_miss_cycles} is expressed over. *)

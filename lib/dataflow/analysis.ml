@@ -20,7 +20,7 @@ module Cfg = Mac_cfg.Cfg
 module Dom = Mac_cfg.Dom
 module Loop = Mac_cfg.Loop
 
-type fact = Cfg | Dom | Loops | Live | Reach | Copies | Reuse | Tvalid
+type fact = Cfg | Dom | Loops | Live | Reach | Copies
 
 let fact_to_string = function
   | Cfg -> "cfg"
@@ -29,14 +29,6 @@ let fact_to_string = function
   | Live -> "live"
   | Reach -> "reach"
   | Copies -> "copies"
-  | Reuse -> "reuse"
-  | Tvalid -> "tvalid"
-
-(* The translation validator's cross-pass memo lives above this library
-   (lib/verify/tvalid.ml) — the manager stores it as an opaque extension
-   together with a self-audit the owner supplies, so {!coherent} can
-   probe it without a dependency inversion. *)
-type tvalid_cache = ..
 
 type t = {
   func : Func.t;
@@ -46,21 +38,6 @@ type t = {
   mutable live : Liveness.t option;
   mutable reach : Reaching.t option;
   mutable copies : Copies.t option;
-  (* Reuse summaries are keyed: the same body yields a different profile
-     per machine and per concrete argument binding, so the slot is a
-     small table rather than a single value. The computation itself
-     lives above this library (lib/core/estimate.ml) and is passed in as
-     a closure; the manager owns memoisation and invalidation only. *)
-  mutable reuse : (string, Reuse.summary) Hashtbl.t option;
-  (* The validator's term/summary cache plus its self-audit. Entries are
-     content-addressed (keyed by RTL digests recomputed from the live
-     body on every lookup), so unlike the facts above the slot has no
-     Cfg dependency: a pass may preserve [Tvalid] across any rewrite.
-     The audit closure re-derives every stored key from the stored
-     content — a poisoned or corrupted mapping is a verification error,
-     surfaced by {!coherent} like a stale CFG view. *)
-  mutable tvalid :
-    (tvalid_cache * (tvalid_cache -> (unit, string) result)) option;
   mutable hits : int;
   mutable misses : int;
 }
@@ -74,8 +51,6 @@ let create func =
     live = None;
     reach = None;
     copies = None;
-    reuse = None;
-    tvalid = None;
     hits = 0;
     misses = 0;
   }
@@ -135,28 +110,6 @@ let copies t =
     (fun t v -> t.copies <- v)
     (fun () -> Copies.compute c)
 
-let reuse t ~key ~compute =
-  let tbl =
-    match t.reuse with
-    | Some tbl -> tbl
-    | None ->
-      let tbl = Hashtbl.create 4 in
-      t.reuse <- Some tbl;
-      tbl
-  in
-  match Hashtbl.find_opt tbl key with
-  | Some s ->
-    t.hits <- t.hits + 1;
-    s
-  | None ->
-    t.misses <- t.misses + 1;
-    let s = compute t.func in
-    Hashtbl.add tbl key s;
-    s
-
-let tvalid_slot t = Option.map fst t.tvalid
-let set_tvalid t ~audit cache = t.tvalid <- Some (cache, audit)
-
 let invalidate t ~preserves =
   let keep f = List.mem f preserves in
   let cfg_kept = keep Cfg in
@@ -168,15 +121,7 @@ let invalidate t ~preserves =
   (* Dataflow facts embed the CFG view: preserved only alongside it. *)
   if not (cfg_kept && keep Live) then t.live <- None;
   if not (cfg_kept && keep Reach) then t.reach <- None;
-  if not (cfg_kept && keep Copies) then t.copies <- None;
-  (* Reuse profiles read strides straight off the body, so they are only
-     preserved alongside [Cfg] — which also means the {!coherent} audit
-     catches a pass that kept them while mutating instructions. *)
-  if not (cfg_kept && keep Reuse) then t.reuse <- None;
-  (* The validator cache is content-addressed (see the field comment):
-     preserving it needs no Cfg, but it still answers to {!coherent}'s
-     audit, which re-derives its keys from its contents. *)
-  if not (keep Tvalid) then t.tvalid <- None
+  if not (cfg_kept && keep Copies) then t.copies <- None
 
 let invalidate_all t = invalidate t ~preserves:[]
 let stats t = (t.hits, t.misses)
@@ -186,13 +131,6 @@ let stats t = (t.hits, t.misses)
    the same order. A stale view here means some pass declared a [preserves]
    set it did not honour. *)
 let coherent t =
-  match
-    match t.tvalid with
-    | None -> Ok ()
-    | Some (cache, audit) -> audit cache
-  with
-  | Error e -> Error ("translation-validation cache: " ^ e)
-  | Ok () -> (
   match t.cfg with
   | None -> Ok ()
   | Some c ->
@@ -218,4 +156,4 @@ let coherent t =
              "cached CFG has %s instructions than the function body"
              (if ys = [] then "fewer" else "more"))
     in
-    cmp 0 t.func.Func.body [] 0)
+    cmp 0 t.func.Func.body [] 0

@@ -16,19 +16,9 @@
 
 open Mac_rtl
 
-type fact = Cfg | Dom | Loops | Live | Reach | Copies | Reuse | Tvalid
+type fact = Cfg | Dom | Loops | Live | Reach | Copies
 
 val fact_to_string : fact -> string
-
-type tvalid_cache = ..
-(** The translation validator's cross-pass memo (per-block normalized
-    value-graph terms and per-body analysis summaries), declared
-    extensible so lib/verify can store its concrete cache here without a
-    dependency inversion. Entries are content-addressed — keyed by RTL
-    digests recomputed from the live body on every lookup — so the slot
-    carries no Cfg dependency: any pass may declare [Tvalid] preserved.
-    It remains under the {!coherent} audit via the self-audit closure
-    registered with {!set_tvalid}. *)
 
 type t
 
@@ -45,27 +35,6 @@ val liveness : t -> Liveness.t
 val reaching : t -> Reaching.t
 val copies : t -> Copies.t
 
-val reuse :
-  t -> key:string -> compute:(Func.t -> Reuse.summary) -> Reuse.summary
-(** The memoised reuse/estimate slot. Summaries depend on the machine and
-    on concrete argument bindings as well as on the body, so entries are
-    keyed by a caller-chosen [key] (lib/core/estimate.ml derives it from
-    the machine name and the argument vector). The computation lives
-    above this library and is supplied as [compute]; the manager caches
-    per key until a pass invalidates [Reuse] — like the other dataflow
-    facts, preserving [Reuse] requires preserving [Cfg], which puts the
-    cached profile under the {!coherent} audit. *)
-
-val tvalid_slot : t -> tvalid_cache option
-(** The validator cache, if registered and not invalidated since. *)
-
-val set_tvalid :
-  t -> audit:(tvalid_cache -> (unit, string) result) -> tvalid_cache -> unit
-(** Register the validator cache together with its self-audit. The audit
-    must re-derive every stored key from the stored content; {!coherent}
-    runs it alongside the CFG probe, so a corrupted or poisoned mapping
-    is reported exactly like a stale CFG view. *)
-
 val invalidate : t -> preserves:fact list -> unit
 (** Drop every memoised fact not listed in [preserves] (subject to the
     dependency closure above). Call after a pass changed the function. *)
@@ -77,8 +46,6 @@ val stats : t -> int * int
 
 val coherent : t -> (unit, string) result
 (** Check that the memoised CFG view still matches the function body
-    instruction for instruction (uid and kind), and that the registered
-    {!tvalid_cache} passes its self-audit. An [Error] means a pass
+    instruction for instruction (uid and kind). An [Error] means a pass
     mutated the function but declared a [preserves] set that kept a
-    stale CFG (or a cache entry whose key no longer matches its
-    content) — the verifier surfaces this as an error diagnostic. *)
+    stale CFG — the verifier surfaces this as an error diagnostic. *)

@@ -94,7 +94,6 @@ let run ?am (f : Func.t) =
        survive. *)
     Mac_dataflow.Analysis.invalidate am
       ~preserves:
-        [ Mac_dataflow.Analysis.Dom; Mac_dataflow.Analysis.Loops;
-          Mac_dataflow.Analysis.Tvalid ]
+        [ Mac_dataflow.Analysis.Dom; Mac_dataflow.Analysis.Loops ]
   end;
   !changed

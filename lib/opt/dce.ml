@@ -44,10 +44,8 @@ let once am (f : Func.t) =
        unreachable block went away (shifting the indices). *)
     Mac_dataflow.Analysis.invalidate am
       ~preserves:
-        (Mac_dataflow.Analysis.Tvalid
-        ::
         (if !dropped_block then []
-         else [ Mac_dataflow.Analysis.Dom; Mac_dataflow.Analysis.Loops ]))
+         else [ Mac_dataflow.Analysis.Dom; Mac_dataflow.Analysis.Loops ])
   end;
   !changed
 
@@ -116,8 +114,7 @@ let run ?am (f : Func.t) =
          instructions only, so block structure survives. *)
       Mac_dataflow.Analysis.invalidate am
         ~preserves:
-          [ Mac_dataflow.Analysis.Dom; Mac_dataflow.Analysis.Loops;
-            Mac_dataflow.Analysis.Tvalid ];
+          [ Mac_dataflow.Analysis.Dom; Mac_dataflow.Analysis.Loops ];
       changed := true;
       go ()
     end

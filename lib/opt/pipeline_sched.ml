@@ -802,7 +802,7 @@ let run ?am ?max_regs (f : Func.t) ~machine =
       | Rejected _ -> ()
       | Pipelined | Reordered ->
         changed := true;
-        Analysis.invalidate am ~preserves:[ Analysis.Tvalid ]);
+        Analysis.invalidate_all am);
       go ()
   in
   go ();

@@ -325,8 +325,7 @@ let run ?am (f : Func.t) =
            only the CFG view (and dataflow facts) must be rebuilt. *)
         Mac_dataflow.Analysis.invalidate am
           ~preserves:
-            [ Mac_dataflow.Analysis.Dom; Mac_dataflow.Analysis.Loops;
-              Mac_dataflow.Analysis.Tvalid ];
+            [ Mac_dataflow.Analysis.Dom; Mac_dataflow.Analysis.Loops ];
       iterate ()
   in
   iterate ();

@@ -381,11 +381,9 @@ let find_continuation (ocfg : Cfg.t) (ncfg : Cfg.t) oc =
    and confirm with a structural comparison, so a hash collision costs a
    recomputation, never a wrong hit. [cache_audit] re-derives every
    stored key from the stored content (and re-flattens each cached CFG
-   view against the body it claims to describe) — a poisoned mapping is
-   a verification error, surfaced through {!Mac_dataflow.Analysis}'s
-   [coherent] probe. *)
-
-module Analysis = Mac_dataflow.Analysis
+   view against the body it claims to describe); [validate] runs it on
+   the cache it is handed before the first lookup, so a poisoned mapping
+   is an error of the validation that would have read it. *)
 
 type side_summary = {
   s_name : string;
@@ -554,22 +552,6 @@ let cache_audit cache =
   | Error _ as e -> e
   | Ok () -> fold xfer_ok cache.xfers
 
-type Analysis.tvalid_cache += Cache of cache
-
-let audit_slot = function
-  | Cache c -> cache_audit c
-  | _ -> Error "slot holds a foreign payload"
-
-(* fetch the per-function cache from the analysis manager, creating (and
-   registering, with its audit) a fresh one when a pass invalidated it *)
-let cache_of_analysis am =
-  match Analysis.tvalid_slot am with
-  | Some (Cache c) -> c
-  | Some _ | None ->
-    let c = create_cache () in
-    Analysis.set_tvalid am ~audit:audit_slot (Cache c);
-    c
-
 (* test seam: corrupt one cached mapping in place, as a lying pass (or a
    stale-entry bug) would; returns false when there is nothing to poison *)
 let test_poison_cache cache =
@@ -606,9 +588,13 @@ let validate ?cache ~machine ~(facts : Disambig.facts) ~pass ?(reports = [])
         warnings = [];
       }
   | Exact | Region -> (
-    let cache =
-      match cache with Some c -> c | None -> create_cache ()
-    in
+    match
+      match cache with
+      | Some c -> Result.map (fun () -> c) (cache_audit c)
+      | None -> Ok (create_cache ())
+    with
+    | Error e -> err "translation-validation cache: %s" e
+    | Ok cache ->
     let regions = regions_of ~pass ~reports ~sched_reports in
     try
       let osum = side_of cache ~facts old_f

@@ -60,20 +60,14 @@ type cache
     on both sides and are skipped without re-execution. Keys are the
     content itself (hash-bucketed, confirmed structurally), so a stale
     hit is impossible by construction and a poisoned mapping is caught by
-    {!cache_audit}. *)
+    {!cache_audit}, which {!validate} runs before it reads the cache.
+    The pipeline creates one per function compile. *)
 
 val create_cache : unit -> cache
 
 val cache_audit : cache -> (unit, string) Stdlib.result
 (** Re-derive every stored key from the stored content and re-flatten
     every cached CFG view against the body it claims to describe. *)
-
-type Mac_dataflow.Analysis.tvalid_cache += Cache of cache
-
-val cache_of_analysis : Mac_dataflow.Analysis.t -> cache
-(** The cache registered in the manager's [Tvalid] slot, creating a
-    fresh one (with {!cache_audit} as its self-audit, so
-    [Analysis.coherent] covers it) if a pass invalidated the slot. *)
 
 val test_poison_cache : cache -> bool
 (** Corrupt one cached mapping in place (adversarial tests only);
@@ -95,7 +89,10 @@ val validate :
 (** [old_f] is the {!snapshot} taken before the pass, [new_f] the
     function it produced. [reports]/[sched_reports] name the loops the
     region passes transformed. An [Error] diagnostic carries the pass,
-    the function and a minimized mismatching term pair. *)
+    the function and a minimized mismatching term pair. A [cache] that
+    fails {!cache_audit} is an [Error] too ("translation-validation
+    cache: ..."), returned before any lookup; without [cache] the
+    validation runs on a fresh one. *)
 
 (** {1 Aggregated per-pass accounting (for [Pipeline.compiled])} *)
 

@@ -66,7 +66,6 @@ type compiled = {
       list)
     list;
   diags : (string * Diagnostic.t list) list;
-  ams : (string * Mac_dataflow.Analysis.t) list;
   pass_seconds : (string * float) list;
   compile_seconds : float;
   guards_emitted : int;
@@ -130,10 +129,7 @@ let classic_rounds ?(record = fun _name run -> run ()) am time (f : Func.t) =
        but not the cache invalidation; the per-pass timer sits inside so
        recording is never billed to the pass *)
     let changed = record name (fun () -> time name (fun () -> run f)) in
-    (* the validator memo is content-addressed, so every honest rewrite
-       preserves it; {!Analysis.coherent}'s audit polices the claim *)
-    if changed then
-      Analysis.invalidate am ~preserves:(Analysis.Tvalid :: preserves);
+    if changed then Analysis.invalidate am ~preserves;
     changed
   in
   let round () =
@@ -195,6 +191,10 @@ let compile_func cfg timings tvalid_tbl (f : Func.t) =
   in
   (* --- translation validation (the Vfull backbone) ------------------- *)
   let tvalid_on = cfg.verify = Vfull in
+  (* the validator's memo lives for this function compile: each
+     validation's new side is the next one's old side, so summaries and
+     block transfers carry over from pass to pass *)
+  let tv_cache = if tvalid_on then Some (Tvalid.create_cache ()) else None in
   let tv_agg name =
     match Hashtbl.find_opt tvalid_tbl name with
     | Some a -> a
@@ -225,13 +225,8 @@ let compile_func cfg timings tvalid_tbl (f : Func.t) =
   let tv_run ?reports ?sched_reports name ~old_f ~new_f =
     let t0 = now () in
     let res =
-      (* the cross-pass memo rides in the analysis manager's [Tvalid]
-         slot: passes that preserve it keep block skipping warm, a pass
-         that drops it only costs a cold revalidation, and its self-audit
-         runs with every checkpoint's coherence probe *)
-      Tvalid.validate ~cache:(Tvalid.cache_of_analysis am)
-        ~machine:cfg.machine ~facts ~pass:name ?reports ?sched_reports
-        ~old_f ~new_f ()
+      Tvalid.validate ?cache:tv_cache ~machine:cfg.machine ~facts ~pass:name
+        ?reports ?sched_reports ~old_f ~new_f ()
     in
     let dt = now () -. t0 in
     add_time timings "tvalid" dt;
@@ -357,8 +352,7 @@ let compile_func cfg timings tvalid_tbl (f : Func.t) =
                (* 1:1-or-expanding rewrite of plain instructions: the block
                   structure survives, the register facts do not. *)
                Analysis.invalidate am
-                 ~preserves:
-                   [ Analysis.Dom; Analysis.Loops; Analysis.Tvalid ];
+                 ~preserves:[ Analysis.Dom; Analysis.Loops ];
                changed)));
     checkpoint ~machine:cfg.machine "legalize-first"
   end;
@@ -396,7 +390,7 @@ let compile_func cfg timings tvalid_tbl (f : Func.t) =
          time "legalize" (fun () ->
              let changed = Mac_opt.Legalize.run f cfg.machine in
              Analysis.invalidate am
-               ~preserves:[ Analysis.Dom; Analysis.Loops; Analysis.Tvalid ];
+               ~preserves:[ Analysis.Dom; Analysis.Loops ];
              changed)));
   checkpoint ~machine:cfg.machine "legalize";
   if cfg.level <> O0 then begin
@@ -417,8 +411,7 @@ let compile_func cfg timings tvalid_tbl (f : Func.t) =
                Func.set_body f body';
                (* In-block reordering of plain instructions only. *)
                Analysis.invalidate am
-                 ~preserves:
-                   [ Analysis.Dom; Analysis.Loops; Analysis.Tvalid ];
+                 ~preserves:[ Analysis.Dom; Analysis.Loops ];
                true)));
     checkpoint ~machine:cfg.machine "schedule"
   end;
@@ -434,9 +427,8 @@ let compile_func cfg timings tvalid_tbl (f : Func.t) =
             Mac_opt.Pipeline_sched.run ~am ?max_regs:cfg.regalloc f
               ~machine:cfg.machine)
       in
-      (* loop-restructuring transformation: nothing survives except the
-         content-addressed validator memo *)
-      if changed then Analysis.invalidate am ~preserves:[ Analysis.Tvalid ];
+      (* loop-restructuring transformation: nothing survives *)
+      if changed then Analysis.invalidate_all am;
       (* pipelined kernels are regions justified by the schedule audit;
          in-place reorders and untouched loops are matched exactly *)
       (match tv_old with
@@ -463,7 +455,7 @@ let compile_func cfg timings tvalid_tbl (f : Func.t) =
     (* whole-function renaming onto machine registers: recorded fallback *)
     if tvalid_on then tv_check "regalloc" f
   | None -> ());
-  (reports, sched_reports, !diags, am)
+  (reports, sched_reports, !diags)
 
 let pass_seconds_of timings =
   Hashtbl.fold (fun name dt acc -> (name, dt) :: acc) timings []
@@ -503,7 +495,7 @@ let compile_funcs cfg funcs =
         tv)
     per_func;
   let per_func = List.map (fun (n, r, _, _) -> (n, r)) per_func in
-  let reports = List.map (fun (n, (r, _, _, _)) -> (n, r)) per_func in
+  let reports = List.map (fun (n, (r, _, _)) -> (n, r)) per_func in
   let all_reports = List.concat_map snd reports in
   let sum field =
     List.fold_left (fun acc r -> acc + field r) 0 all_reports
@@ -525,9 +517,8 @@ let compile_funcs cfg funcs =
   {
     funcs;
     reports;
-    sched_reports = List.map (fun (n, (_, sr, _, _)) -> (n, sr)) per_func;
-    diags = List.map (fun (n, (_, _, d, _)) -> (n, d)) per_func;
-    ams = List.map (fun (n, (_, _, _, am)) -> (n, am)) per_func;
+    sched_reports = List.map (fun (n, (_, sr, _)) -> (n, sr)) per_func;
+    diags = List.map (fun (n, (_, _, d)) -> (n, d)) per_func;
     pass_seconds = pass_seconds_of timings;
     compile_seconds = now () -. t0;
     guards_emitted = sum (fun r -> r.Coalesce.guards_emitted);

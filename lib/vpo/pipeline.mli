@@ -115,12 +115,6 @@ type compiled = {
       (** per function name; warnings and infos the verifier collected
           (empty unless {!config.verify} enables it — errors raise
           {!Verification_failed} instead of ending up here) *)
-  ams : (string * Mac_dataflow.Analysis.t) list;
-      (** per function name: the analysis manager each function was
-          compiled under, still holding whatever facts the final passes
-          left valid. Post-compile consumers (the static estimator's
-          {!Mac_core.Estimate.via}) memoise through it instead of
-          creating a fresh manager. *)
   pass_seconds : (string * float) list;
       (** wall-clock seconds per pass name, accumulated across fixpoint
           rounds and functions, sorted by name. Verification (Rtlcheck +

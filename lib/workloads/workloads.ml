@@ -668,31 +668,34 @@ let mem_size_for ~size =
   let rec pow2 n = if n >= want then n else pow2 (2 * n) in
   pow2 (1 lsl 16)
 
-let run_mem ?(layout = default_layout) ?(size = 100) ?coalesce
-    ?legalize_first ?strength_reduce ?regalloc ?schedule ?pipeline_sched
-    ?verify:vlevel ?model_icache ?(assume_layout = false)
-    ?(force_guards = false) ~machine ~level bench =
-  let coalesce =
-    if force_guards then
-      Some
-        {
-          (Option.value coalesce ~default:Mac_core.Coalesce.default) with
-          Mac_core.Coalesce.force_guards = true;
-        }
-    else coalesce
-  in
+(* Compile [bench] (asserting its layout facts when [assume_layout]) and
+   prepare its instance in a fresh memory image: the common first half
+   of a run and of an estimate. *)
+let compile_and_prepare ~layout ~size ?coalesce ?legalize_first
+    ?strength_reduce ?regalloc ?schedule ?pipeline_sched ?verify
+    ~assume_layout ~machine ~level bench =
   let facts =
     if assume_layout then [ (bench.entry, bench.facts layout ~size) ]
     else []
   in
   let cfg =
     Mac_vpo.Pipeline.config ~level ?coalesce ?legalize_first
-      ?strength_reduce ?regalloc ?schedule ?pipeline_sched ?verify:vlevel
-      ~facts machine
+      ?strength_reduce ?regalloc ?schedule ?pipeline_sched ?verify ~facts
+      machine
   in
   let compiled = Mac_vpo.Pipeline.compile_source cfg bench.source in
   let mem = Memory.create ~size:(mem_size_for ~size) in
-  let instance = bench.prepare layout ~size mem in
+  (compiled, mem, bench.prepare layout ~size mem)
+
+let run_mem ?(layout = default_layout) ?(size = 100) ?coalesce
+    ?legalize_first ?strength_reduce ?regalloc ?schedule ?pipeline_sched
+    ?verify:vlevel ?model_icache ?(assume_layout = false) ~machine ~level
+    bench =
+  let compiled, mem, instance =
+    compile_and_prepare ~layout ~size ?coalesce ?legalize_first
+      ?strength_reduce ?regalloc ?schedule ?pipeline_sched ?verify:vlevel
+      ~assume_layout ~machine ~level bench
+  in
   let result =
     Interp.run ~machine ~memory:mem compiled.funcs ~entry:bench.entry
       ~args:instance.args ?model_icache ()
@@ -716,25 +719,12 @@ let run_mem ?(layout = default_layout) ?(size = 100) ?coalesce
     mem )
 
 let run ?layout ?size ?coalesce ?legalize_first ?strength_reduce ?regalloc
-    ?schedule ?pipeline_sched ?verify ?model_icache ?assume_layout
-    ?force_guards ~machine ~level bench =
+    ?schedule ?pipeline_sched ?verify ?model_icache ?assume_layout ~machine
+    ~level bench =
   fst
     (run_mem ?layout ?size ?coalesce ?legalize_first ?strength_reduce
        ?regalloc ?schedule ?pipeline_sched ?verify ?model_icache
-       ?assume_layout ?force_guards ~machine ~level bench)
-
-let run_exn ?layout ?size ?coalesce ?legalize_first ?strength_reduce
-    ?regalloc ?schedule ?pipeline_sched ?verify ?model_icache
-    ?assume_layout ?force_guards ~machine ~level bench =
-  let o =
-    run ?layout ?size ?coalesce ?legalize_first ?strength_reduce ?regalloc
-      ?schedule ?pipeline_sched ?verify ?model_icache
-      ?assume_layout ?force_guards ~machine ~level bench
-  in
-  (match o.error with
-  | Some e -> failwith (Printf.sprintf "%s: %s" bench.name e)
-  | None -> ());
-  o
+       ?assume_layout ~machine ~level bench)
 
 (* ------------------------------------------------------------------ *)
 (* Static estimation: compile + prepare, no simulation                  *)
@@ -768,28 +758,12 @@ let read_oracle mem =
 
 let estimate ?(layout = default_layout) ?(size = 100) ?coalesce
     ?legalize_first ?strength_reduce ?regalloc ?schedule ?model_icache
-    ?(assume_layout = false) ?(force_guards = false) ~machine ~level bench =
-  let coalesce =
-    if force_guards then
-      Some
-        {
-          (Option.value coalesce ~default:Mac_core.Coalesce.default) with
-          Mac_core.Coalesce.force_guards = true;
-        }
-    else coalesce
+    ?(assume_layout = false) ~machine ~level bench =
+  let compiled, mem, instance =
+    compile_and_prepare ~layout ~size ?coalesce ?legalize_first
+      ?strength_reduce ?regalloc ?schedule ~assume_layout ~machine ~level
+      bench
   in
-  let facts =
-    if assume_layout then [ (bench.entry, bench.facts layout ~size) ]
-    else []
-  in
-  let cfg =
-    Mac_vpo.Pipeline.config ~level ?coalesce ?legalize_first
-      ?strength_reduce ?regalloc ?schedule ~facts machine
-  in
-  let compiled = Mac_vpo.Pipeline.compile_source cfg bench.source in
-  let mem = Memory.create ~size:(mem_size_for ~size) in
-  let instance = bench.prepare layout ~size mem in
-  let read = read_oracle mem in
   let resolve name =
     List.find_opt
       (fun (f : Func.t) -> String.equal f.Func.name name)
@@ -797,19 +771,14 @@ let estimate ?(layout = default_layout) ?(size = 100) ?coalesce
   in
   let t0 = Monotonic_clock.now () in
   let summary =
-    match List.assoc_opt bench.entry compiled.ams with
-    | Some am ->
-      Mac_core.Estimate.via am ?model_icache ~read ~resolve ~machine
-        ~args:instance.args ()
-    | None -> (
-      match resolve bench.entry with
-      | Some f ->
-        Mac_core.Estimate.func ?model_icache ~read ~resolve ~machine
-          ~args:instance.args f
-      | None ->
-        invalid_arg
-          (Printf.sprintf "estimate: no function %S in %s" bench.entry
-             bench.name))
+    match resolve bench.entry with
+    | Some f ->
+      Mac_core.Estimate.func ?model_icache ~read:(read_oracle mem) ~resolve
+        ~machine ~args:instance.args f
+    | None ->
+      invalid_arg
+        (Printf.sprintf "estimate: no function %S in %s" bench.entry
+           bench.name)
   in
   {
     summary;
@@ -834,12 +803,10 @@ type differential = {
    differential configuration: spill frames live in memory and would
    differ between levels without being observable program state. *)
 let differential ?layout ?size ?coalesce ?legalize_first ?strength_reduce
-    ?schedule ?pipeline_sched ?verify ?assume_layout ?force_guards
-    ~machine ~level bench =
+    ?schedule ?pipeline_sched ?verify ?assume_layout ~machine ~level bench =
   let go level =
     run_mem ?layout ?size ?coalesce ?legalize_first ?strength_reduce
-      ?schedule ?pipeline_sched ?verify ?assume_layout
-      ?force_guards ~machine ~level bench
+      ?schedule ?pipeline_sched ?verify ?assume_layout ~machine ~level bench
   in
   let base, mem_base = go Mac_vpo.Pipeline.O0 in
   let opt, mem_opt = go level in

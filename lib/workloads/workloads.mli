@@ -109,7 +109,6 @@ val run :
   ?verify:Mac_vpo.Pipeline.verify_level ->
   ?model_icache:bool ->
   ?assume_layout:bool ->
-  ?force_guards:bool ->
   machine:Mac_machine.Machine.t ->
   level:Mac_vpo.Pipeline.level ->
   t ->
@@ -122,27 +121,8 @@ val run :
     raise {!Mac_vpo.Pipeline.Verification_failed}.
     [~assume_layout:true] feeds the benchmark's layout-conditioned
     {!t.facts} to the static disambiguation oracle, letting provable
-    guards be elided; [~force_guards:true] keeps every guard regardless
-    (the elision property tests compare the two). *)
-
-val run_exn :
-  ?layout:layout ->
-  ?size:int ->
-  ?coalesce:Mac_core.Coalesce.options ->
-  ?legalize_first:bool ->
-  ?strength_reduce:bool ->
-  ?regalloc:int ->
-  ?schedule:bool ->
-  ?pipeline_sched:bool ->
-  ?verify:Mac_vpo.Pipeline.verify_level ->
-  ?model_icache:bool ->
-  ?assume_layout:bool ->
-  ?force_guards:bool ->
-  machine:Mac_machine.Machine.t ->
-  level:Mac_vpo.Pipeline.level ->
-  t ->
-  outcome
-(** Like {!run} but fails on an output mismatch. *)
+    guards be elided; a [coalesce] with [force_guards] set keeps every
+    guard regardless (the elision property tests compare the two). *)
 
 (** {1 Static estimation}
 
@@ -173,15 +153,13 @@ val estimate :
   ?schedule:bool ->
   ?model_icache:bool ->
   ?assume_layout:bool ->
-  ?force_guards:bool ->
   machine:Mac_machine.Machine.t ->
   level:Mac_vpo.Pipeline.level ->
   t ->
   prediction
 (** Same configuration surface as {!run} minus [?pipeline_sched] and
-    [?verify]. The estimate is
-    memoised through the function's analysis manager
-    ({!Mac_vpo.Pipeline.compiled.ams}). *)
+    [?verify]: {!Mac_core.Estimate.func} on the compiled entry
+    function. *)
 
 (** {1 Differential execution}
 
@@ -207,7 +185,6 @@ val differential :
   ?pipeline_sched:bool ->
   ?verify:Mac_vpo.Pipeline.verify_level ->
   ?assume_layout:bool ->
-  ?force_guards:bool ->
   machine:Mac_machine.Machine.t ->
   level:Mac_vpo.Pipeline.level ->
   t ->

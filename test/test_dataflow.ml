@@ -602,71 +602,6 @@ let test_manager_invalidate_drops_and_keeps () =
   Alcotest.(check bool) "liveness kept alongside Cfg" true
     (live2 == Analysis.liveness am)
 
-let trivial_summary =
-  {
-    Mac_dataflow.Reuse.s_insts = 5;
-    s_cycles = 12;
-    s_loads = 1;
-    s_stores = 0;
-    s_misses = 1;
-    s_icache_misses = 0;
-    s_loops = [];
-    s_approx = false;
-  }
-
-let test_manager_reuse_slot () =
-  let f = manager_func () in
-  let am = Analysis.create f in
-  let calls = ref 0 in
-  let compute _ =
-    incr calls;
-    { trivial_summary with Mac_dataflow.Reuse.s_insts = !calls }
-  in
-  let s1 = Analysis.reuse am ~key:"alpha:100" ~compute in
-  let s2 = Analysis.reuse am ~key:"alpha:100" ~compute in
-  Alcotest.(check bool) "same key memoised" true (s1 == s2);
-  Alcotest.(check int) "computed once" 1 !calls;
-  (* a different machine/size key is a different summary *)
-  ignore (Analysis.reuse am ~key:"mc88100:100" ~compute);
-  Alcotest.(check int) "distinct key recomputed" 2 !calls;
-  (* survives an invalidation that preserves Cfg + Reuse... *)
-  Analysis.invalidate am ~preserves:[ Analysis.Cfg; Analysis.Reuse ];
-  Alcotest.(check bool) "kept alongside Cfg" true
-    (s1 == Analysis.reuse am ~key:"alpha:100" ~compute);
-  Alcotest.(check int) "no recompute after preserving pass" 2 !calls;
-  (* ...but dependency closure drops it when Cfg is not preserved *)
-  Analysis.invalidate am ~preserves:[ Analysis.Reuse ];
-  Alcotest.(check bool) "dropped without Cfg" true
-    (s1 != Analysis.reuse am ~key:"alpha:100" ~compute);
-  Alcotest.(check int) "recomputed after closure drop" 3 !calls;
-  (* and a pass that preserves nothing drops every key *)
-  Analysis.invalidate am ~preserves:[];
-  ignore (Analysis.reuse am ~key:"alpha:100" ~compute);
-  ignore (Analysis.reuse am ~key:"mc88100:100" ~compute);
-  Alcotest.(check int) "all keys dropped" 5 !calls
-
-let test_manager_reuse_coherence () =
-  (* a pass rewrites the stride of the loop's induction update but
-     claims to preserve the reuse profile; the audit must notice *)
-  let f = manager_func () in
-  let am = Analysis.create f in
-  (* the estimator pins the CFG view through the manager, then caches
-     its profile under the Reuse slot *)
-  ignore (Analysis.cfg am);
-  ignore (Analysis.reuse am ~key:"alpha:100" ~compute:(fun _ -> trivial_summary));
-  Alcotest.(check bool) "fresh reuse cache is coherent" true
-    (Analysis.coherent am = Ok ());
-  (match f.Func.body with
-  | mv :: lbl :: add :: rest ->
-    let add' =
-      { add with
-        Rtl.kind = Rtl.Binop (Rtl.Add, reg 2, Rtl.Reg (reg 2), Rtl.Imm 8L) }
-    in
-    Func.set_body f (mv :: lbl :: add' :: rest)
-  | _ -> assert false);
-  Alcotest.(check bool) "stride mutation detected" true
-    (match Analysis.coherent am with Error _ -> true | Ok () -> false)
-
 let test_manager_coherence () =
   let f = manager_func () in
   let am = Analysis.create f in
@@ -687,10 +622,6 @@ let manager_tests =
     Alcotest.test_case "invalidate honours preserves + closure" `Quick
       test_manager_invalidate_drops_and_keeps;
     Alcotest.test_case "coherence check" `Quick test_manager_coherence;
-    Alcotest.test_case "reuse slot memoises per key" `Quick
-      test_manager_reuse_slot;
-    Alcotest.test_case "reuse slot under coherence audit" `Quick
-      test_manager_reuse_coherence;
   ]
 
 (* --- congruence ----------------------------------------------------- *)

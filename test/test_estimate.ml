@@ -13,6 +13,7 @@ module Interp = Mac_sim.Interp
 module Memory = Mac_sim.Memory
 module Jsonio = Mac_workloads.Jsonio
 module Estcells = Mac_workloads.Estcells
+module W = Mac_workloads.Workloads
 
 let reg = Reg.make
 
@@ -346,17 +347,35 @@ let kernel_tests =
       (check_kernel Machine.mc88100);
   ]
 
-let test_estimate_key () =
-  let key = Estimate.key in
-  Alcotest.(check bool) "same inputs, same key" true
-    (key ~machine:Machine.alpha ~args:[ 1L; 2L ]
-    = key ~machine:Machine.alpha ~args:[ 1L; 2L ]);
-  Alcotest.(check bool) "machine distinguishes" true
-    (key ~machine:Machine.alpha ~args:[ 1L ]
-    <> key ~machine:Machine.mc88100 ~args:[ 1L ]);
-  Alcotest.(check bool) "args distinguish" true
-    (key ~machine:Machine.alpha ~args:[ 1L ]
-    <> key ~machine:Machine.alpha ~args:[ 2L ])
+(* A whole-benchmark prediction follows [model_icache], also when the
+   same build is estimated again with the other setting: on mc88100
+   image_add the estimator matches the simulator to the cycle with and
+   without the instruction-fetch model, and modelling it costs cycles.
+   The three estimates run in the order off, on, off, so a summary kept
+   from one setting and served for the other shows. *)
+let test_icache_prediction () =
+  let b = Option.get (W.find "image_add") in
+  let check model_icache =
+    let what = if model_icache then "i-cache modelled" else "no i-cache" in
+    let p =
+      W.estimate ~size:16 ~model_icache ~machine:Machine.mc88100
+        ~level:Mac_vpo.Pipeline.O4 b
+    in
+    let o =
+      W.run ~size:16 ~model_icache ~machine:Machine.mc88100
+        ~level:Mac_vpo.Pipeline.O4 b
+    in
+    let s = p.W.summary and m = o.W.metrics in
+    Alcotest.(check int) (what ^ ": cycles") m.Interp.cycles s.Reuse.s_cycles;
+    Alcotest.(check int) (what ^ ": i-cache misses") m.Interp.icache_misses
+      s.Reuse.s_icache_misses;
+    s.Reuse.s_cycles
+  in
+  let off = check false in
+  let on = check true in
+  let off' = check false in
+  Alcotest.(check bool) "the fetch model costs cycles" true (on > off);
+  Alcotest.(check int) "off again predicts as before" off off'
 
 (* --- the estimation sweep and its accuracy contract ------------------ *)
 
@@ -475,7 +494,8 @@ let () =
           Alcotest.test_case "parse + member" `Quick test_json_member;
         ] );
       ( "estimator vs engine",
-        Alcotest.test_case "memo key" `Quick test_estimate_key
+        Alcotest.test_case "prediction follows model_icache" `Quick
+          test_icache_prediction
         :: List.map QCheck_alcotest.to_alcotest kernel_tests );
       ( "sweep contract",
         [

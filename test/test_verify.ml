@@ -557,8 +557,8 @@ module Ps = Mac_opt.Pipeline_sched
    at Vfull: the validator proves each call's classic rounds as one
    composite, the other scalar passes one by one, and carves region
    cut-points around every coalesced/pipelined loop without a single
-   rejection (a rejection raises [Verification_failed] inside
-   [W.run_exn]). No composite needs a pass-by-pass replay, no classic
+   rejection (a rejection raises [Verification_failed] inside [W.run])
+   and the output still verifies. No composite needs a pass-by-pass replay, no classic
    pass is validated on its own, and the regions carved and fallbacks
    recorded over the grid are those of per-pass validation. *)
 let classic_passes =
@@ -577,9 +577,11 @@ let test_tvalid_grid_clean () =
                   (Pipeline.level_to_string level)
               in
               let o =
-                W.run_exn ~size:16 ~coalesce:forced ~assume_layout:true
+                W.run ~size:16 ~coalesce:forced ~assume_layout:true
                   ~verify:Pipeline.Vfull ~machine ~level b
               in
+              Alcotest.(check (option string)) (name ^ ": output") None
+                o.W.error;
               let stats = o.W.tvalid_stats in
               (match List.assoc_opt "classic-opts" stats with
               | Some a ->
@@ -632,10 +634,14 @@ let test_o4_full_grid () =
     (fun machine ->
       List.iter
         (fun (b : W.t) ->
-          ignore
-            (W.run_exn ~size:16 ~strength_reduce:true ~schedule:true
-               ~pipeline_sched:true ~regalloc:32 ~verify:Pipeline.Vfull
-               ~machine ~level:Pipeline.O4 b))
+          let o =
+            W.run ~size:16 ~strength_reduce:true ~schedule:true
+              ~pipeline_sched:true ~regalloc:32 ~verify:Pipeline.Vfull
+              ~machine ~level:Pipeline.O4 b
+          in
+          Alcotest.(check (option string))
+            (Printf.sprintf "%s/%s: output" b.W.name machine.Machine.name)
+            None o.W.error)
         (W.dotproduct :: W.all))
     [ Machine.alpha; Machine.mc88100; Machine.mc68030 ]
 
@@ -672,9 +678,10 @@ let test_tvalid_composite_blames_pass () =
    skipped. *)
 let test_tvalid_spilling_fallback () =
   let o =
-    W.run_exn ~size:16 ~regalloc:8 ~verify:Pipeline.Vfull
+    W.run ~size:16 ~regalloc:8 ~verify:Pipeline.Vfull
       ~machine:Machine.alpha ~level:Pipeline.O4 W.dotproduct
   in
+  Alcotest.(check (option string)) "output" None o.W.error;
   (match List.assoc_opt "regalloc" o.W.tvalid_stats with
   | Some a ->
     Alcotest.(check bool)
@@ -698,9 +705,10 @@ let deep32 =
    continuation. *)
 let test_tvalid_pipeline_sched_regions () =
   let o =
-    W.run_exn ~size:64 ~pipeline_sched:true ~verify:Pipeline.Vfull
+    W.run ~size:64 ~pipeline_sched:true ~verify:Pipeline.Vfull
       ~machine:deep32 ~level:Pipeline.O1 W.dotproduct
   in
+  Alcotest.(check (option string)) "output" None o.W.error;
   let pipelined =
     List.exists
       (fun (_, rs) ->
@@ -738,9 +746,12 @@ let captured_snapshots =
                  (pass, machine, Tvalid.snapshot old_f,
                   Tvalid.snapshot new_f)
                  :: !snaps);
-       ignore
-         (W.run_exn ~size:16 ~coalesce:forced ~assume_layout:true
-            ~verify:Pipeline.Vfull ~machine ~level b)
+       let o =
+         W.run ~size:16 ~coalesce:forced ~assume_layout:true
+           ~verify:Pipeline.Vfull ~machine ~level b
+       in
+       Alcotest.(check (option string)) (b.W.name ^ ": output") None
+         o.W.error
      in
      Fun.protect
        ~finally:(fun () -> Pipeline.test_observe := None)
@@ -971,37 +982,38 @@ let prop_tvalid_memo_verdict_identical =
 
 (* A poisoned memo mapping — one cache entry filed under the wrong key,
    the validator-cache analogue of a stale analysis — must be caught by
-   the manager's coherence audit, and by the Rtlcheck checkpoint that
-   runs it, before any later pass can consult the cache. *)
+   the audit the validator runs before it reads the cache: the next
+   validation handed that cache fails, naming the cache, the pass and
+   the function. *)
 let test_tvalid_poisoned_cache_caught () =
-  let module Analysis = Mac_dataflow.Analysis in
   let snaps = Lazy.force captured_snapshots in
   let pass, machine, old_f, new_f = snaps.(0) in
-  let am = Analysis.create new_f in
-  let cache = Tvalid.cache_of_analysis am in
-  (match
-     Tvalid.validate ~cache ~machine ~facts:Disambig.empty ~pass ~old_f
-       ~new_f ()
-   with
+  let cache = Tvalid.create_cache () in
+  let validate () =
+    Tvalid.validate ~cache ~machine ~facts:Disambig.empty ~pass ~old_f ~new_f
+      ()
+  in
+  (match validate () with
   | Ok _ -> ()
   | Error d ->
     Alcotest.failf "honest validation rejected: %s" (Diagnostic.to_string d));
-  Alcotest.(check bool) "coherent before poisoning" true
-    (Analysis.coherent am = Ok ());
-  Alcotest.(check bool) "checkpoint clean before poisoning" false
-    (Diagnostic.has_errors (Rtlcheck.check_func ~analysis:am ~pass:"test" new_f));
+  Alcotest.(check bool) "audit clean before poisoning" true
+    (Tvalid.cache_audit cache = Ok ());
   Alcotest.(check bool) "cache had entries to poison" true
     (Tvalid.test_poison_cache cache);
-  (match Analysis.coherent am with
-  | Ok () -> Alcotest.fail "poisoned cache passed the coherence audit"
-  | Error msg ->
+  Alcotest.(check bool) "audit flags the poisoned cache" true
+    (Result.is_error (Tvalid.cache_audit cache));
+  match validate () with
+  | Ok _ -> Alcotest.fail "validation read a poisoned cache"
+  | Error d ->
+    let msg = Diagnostic.to_string d in
     Alcotest.(check bool)
-      (Printf.sprintf "audit names the validator cache (got: %s)" msg)
+      (Printf.sprintf "error names the validator cache (got: %s)" msg)
       true
-      (contains msg "translation-validation cache"));
-  let ds = Rtlcheck.check_func ~analysis:am ~pass:"after-poison" new_f in
-  check_flags "checkpoint reports the poisoned cache" ds
-    "analysis cache incoherent"
+      (contains msg "translation-validation cache");
+    Alcotest.(check string) "blamed pass" pass d.Diagnostic.pass;
+    Alcotest.(check (option string)) "blamed function" (Some new_f.Func.name)
+      d.Diagnostic.func
 
 (* A block the pass left alone (the same instruction records on both
    sides) is skipped on its exit alone, except a branch: its condition

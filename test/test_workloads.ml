@@ -7,6 +7,8 @@ module Machine = Mac_machine.Machine
 module Pipeline = Mac_vpo.Pipeline
 module Memory = Mac_sim.Memory
 module Pool = Mac_parallel.Pool
+module Interp = Mac_sim.Interp
+module Reuse = Mac_dataflow.Reuse
 
 (* --- Pool failure paths (documented in pool.mli, previously untested):
    a worker raising mid-batch must re-raise the lowest-indexed failure,
@@ -237,6 +239,9 @@ let forced_coalesce =
     respect_profitability = false;
     icache_guard = false }
 
+let guarded_coalesce =
+  { forced_coalesce with Mac_core.Coalesce.force_guards = true }
+
 let guard_counts (o : W.outcome) =
   List.fold_left
     (fun acc (_, rs) ->
@@ -263,9 +268,8 @@ let test_elision_on_table2 () =
 
 let test_force_guards_overrides () =
   let o =
-    W.run ~size:24 ~coalesce:forced_coalesce ~assume_layout:true
-      ~force_guards:true ~verify:Pipeline.Vfull ~machine:Machine.alpha
-      ~level:Pipeline.O4
+    W.run ~size:24 ~coalesce:guarded_coalesce ~assume_layout:true
+      ~verify:Pipeline.Vfull ~machine:Machine.alpha ~level:Pipeline.O4
       (Option.get (W.find "image_add"))
   in
   let emitted, elided = guard_counts o in
@@ -281,11 +285,12 @@ let test_elided_matches_forced () =
     (fun machine ->
       List.iter
         (fun (b : W.t) ->
-          let run force_guards =
-            W.run ~size:24 ~coalesce:forced_coalesce ~assume_layout:true
-              ~force_guards ~machine ~level:Pipeline.O4 b
+          let run coalesce =
+            W.run ~size:24 ~coalesce ~assume_layout:true ~machine
+              ~level:Pipeline.O4 b
           in
-          let elided = run false and guarded = run true in
+          let elided = run forced_coalesce
+          and guarded = run guarded_coalesce in
           Alcotest.(check bool) (b.name ^ " elided correct") true
             elided.correct;
           Alcotest.(check bool) (b.name ^ " guarded correct") true
@@ -298,6 +303,54 @@ let test_elided_matches_forced () =
             (elided.metrics.insts <= guarded.metrics.insts))
         W.all)
     Machine.all
+
+(* The differential check runs the build that was asked for: with the
+   layout facts asserted, its optimized side is the elided build. *)
+let test_differential_assume_layout () =
+  let d =
+    W.differential ~size:24 ~coalesce:forced_coalesce ~assume_layout:true
+      ~machine:Machine.alpha ~level:Pipeline.O4
+      (Option.get (W.find "image_add"))
+  in
+  Alcotest.(check (option string)) "O0 and O4 agree" None d.detail;
+  let emitted, elided = guard_counts d.opt in
+  Alcotest.(check bool) "optimized side elides guards" true (elided > 0);
+  Alcotest.(check int) "no guard emitted" 0 emitted
+
+(* The estimator and the simulator see one build: [estimate] compiles
+   and prepares memory through the same step as [run], so a pass option
+   reaches both. On mc88100 image_add each prediction counts the
+   instructions, loads, stores and d-cache misses of the build it was
+   asked for, the unscheduled one to the cycle, and [~schedule] lowers
+   the prediction as it lowers the simulation. *)
+let test_estimate_follows_run () =
+  let b = Option.get (W.find "image_add") in
+  let both schedule =
+    let p =
+      W.estimate ~size:16 ~schedule ~machine:Machine.mc88100
+        ~level:Pipeline.O4 b
+    in
+    let o =
+      W.run ~size:16 ~schedule ~machine:Machine.mc88100 ~level:Pipeline.O4 b
+    in
+    let s = p.W.summary and m = o.W.metrics in
+    let what = if schedule then "scheduled" else "unscheduled" in
+    Alcotest.(check int) (what ^ ": instructions") m.Interp.insts
+      s.Reuse.s_insts;
+    Alcotest.(check int) (what ^ ": loads") m.Interp.loads s.Reuse.s_loads;
+    Alcotest.(check int) (what ^ ": stores") m.Interp.stores s.Reuse.s_stores;
+    Alcotest.(check int) (what ^ ": d-cache misses") m.Interp.dcache_misses
+      s.Reuse.s_misses;
+    (s.Reuse.s_cycles, m.Interp.cycles)
+  in
+  let plain_pred, plain_sim = both false in
+  let sched_pred, sched_sim = both true in
+  Alcotest.(check int) "unscheduled: predicted = simulated cycles" plain_sim
+    plain_pred;
+  Alcotest.(check bool) "scheduling lowers the simulated cycles" true
+    (sched_sim < plain_sim);
+  Alcotest.(check bool) "scheduling lowers the predicted cycles" true
+    (sched_pred < plain_pred)
 
 let () =
   Alcotest.run "workloads"
@@ -325,6 +378,8 @@ let () =
           Alcotest.test_case "failure reported" `Quick test_failure_reported;
           Alcotest.test_case "eqntott value" `Quick
             test_eqntott_reference_value;
+          Alcotest.test_case "estimate compiles what run compiles" `Quick
+            test_estimate_follows_run;
         ] );
       ( "layout",
         [
@@ -345,6 +400,8 @@ let () =
             test_elision_on_table2;
           Alcotest.test_case "force-guards overrides" `Quick
             test_force_guards_overrides;
+          Alcotest.test_case "differential under assumed layout" `Quick
+            test_differential_assume_layout;
           Alcotest.test_case "elided matches forced" `Slow
             test_elided_matches_forced;
         ] );
