@@ -1,11 +1,11 @@
-# Convenience wrappers around dune; `make verify` is the full
+# Convenience wrappers around dune; `make test` is the full
 # correctness gate: the whole test suite, which includes the @verify
 # alias (bin/dune): a verified O4 compile + differential run of the
 # Fig. 1 dot product on each paper machine.
 
 MCC = dune exec bin/mcc.exe --
 
-.PHONY: all build test verify bench bench-e2e triage explain clean
+.PHONY: all build test bench bench-e2e triage explain clean
 
 all: build
 
@@ -13,9 +13,6 @@ build:
 	dune build
 
 test: build
-	dune runtest
-
-verify: build
 	dune runtest
 
 # The paper printer: every FIG/TAB/SCHED/PREH/ABL/FULL section

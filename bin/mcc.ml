@@ -351,9 +351,9 @@ let print_tvalid (stats : (string * Mac_verify.Tvalid.agg) list) =
         a.blocks a.skipped a.regions a.fallbacks a.replays
         (a.seconds *. 1e3))
     stats;
-  (* fallbacks are legitimate (renaming passes check via Rtlcheck +
-     certificate audits instead of symbolic execution) but must never
-     be silent: name each pass's reason *)
+  (* fallbacks are legitimate (renaming passes are checked by Rtlcheck
+     alone instead of symbolic execution) but must never be silent:
+     name each pass's reason *)
   List.iter
     (fun (name, a) ->
       match a.fallback_reason with

@@ -265,7 +265,7 @@ let emit_checks f ~safe_label ~(trip_mega : Mac_opt.Induction.trip)
 (* Returns the report plus the labels of loops this transformation itself
    created (the unrolled main loop and the safe copy), which must not be
    re-processed. *)
-let process_loop am cache facts f (m : Machine.t) opts (s : Loop.simple) =
+let process_loop am facts f (m : Machine.t) opts (s : Loop.simple) =
   let header = s.header_label in
   match widen_factor_of_body m s.body with
   | None -> (report header No_narrow_refs, [])
@@ -391,16 +391,23 @@ let process_loop am cache facts f (m : Machine.t) opts (s : Loop.simple) =
             let load_variant =
               List.filter (fun (g, _) -> group_is_load g) safe_groups
             in
+            (* The original body is priced once per loop, inside the
+               first variant's decision, so after that variant's rewrite:
+               both mint registers in [f], and the output's register
+               numbers follow that order. *)
+            let before =
+              lazy
+                (Profitability.price f ~machine:m ~mode:opts.profit_mode
+                   (interior @ [ back ]))
+            in
             let price groups_pairs =
               let groups = List.map fst groups_pairs in
               let body_after, stats =
                 Transform.apply_groups f ~body:interior ~groups
               in
               let decision =
-                Profitability.analyze ?cache f ~machine:m
-                  ~mode:opts.profit_mode
-                  ~before:(interior @ [ back ])
-                  ~after:(body_after @ [ back ])
+                Profitability.analyze f ~machine:m ~mode:opts.profit_mode
+                  ~before ~after:(body_after @ [ back ])
               in
               (groups_pairs, body_after, stats, decision)
             in
@@ -484,7 +491,7 @@ let process_loop am cache facts f (m : Machine.t) opts (s : Loop.simple) =
                     ~guards_emitted ~guards_elided ~elisions,
                   created )))))
 
-let run ?am ?cache ?(facts = Disambig.empty) f ~machine opts =
+let run ?am ?(facts = Disambig.empty) f ~machine opts =
   let am =
     match am with Some am -> am | None -> Mac_dataflow.Analysis.create f
   in
@@ -505,7 +512,7 @@ let run ?am ?cache ?(facts = Disambig.empty) f ~machine opts =
     | None -> ()
     | Some s ->
       Hashtbl.add processed s.header_label ();
-      let rep, created = process_loop am cache facts f machine opts s in
+      let rep, created = process_loop am facts f machine opts s in
       Log.info (fun m ->
           m "%s/%s: %s" f.Func.name rep.header
             (match rep.status with

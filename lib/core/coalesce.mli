@@ -74,7 +74,6 @@ type loop_report = {
 
 val run :
   ?am:Mac_dataflow.Analysis.t ->
-  ?cache:Profitability.cache ->
   ?facts:Disambig.facts ->
   Func.t ->
   machine:Mac_machine.Machine.t ->
@@ -82,10 +81,9 @@ val run :
   loop_report list
 (** Transform every eligible loop of [f] in place. With [?am], the
     per-candidate CFG/dominator/loop recomputation goes through the
-    analysis manager (only mutations — unroll, splice — invalidate it);
-    [?cache] memoises the profitability scheduler's pricing across
-    variants and loops of the same function/machine. [?facts] (default
-    {!Disambig.empty}) feeds the static disambiguation oracle; with no
-    facts, or with [options.force_guards], every guard is emitted. *)
+    analysis manager (only mutations — unroll, splice — invalidate it).
+    [?facts] (default {!Disambig.empty}) feeds the static disambiguation
+    oracle; with no facts, or with [options.force_guards], every guard
+    is emitted. *)
 
 val pp_report : Format.formatter -> loop_report -> unit

@@ -29,24 +29,6 @@ let union a b =
     nonnegs = a.nonnegs @ b.nonnegs;
   }
 
-let pp_facts ppf f =
-  let sep () = Format.fprintf ppf "@ " in
-  Format.fprintf ppf "@[<hov>";
-  List.iter
-    (fun (r, k) -> Format.fprintf ppf "align(%a)=2^%d" Reg.pp r k; sep ())
-    f.aligns;
-  List.iter
-    (fun (r, id, size) ->
-      Format.fprintf ppf "alloc(%a)=#%d[%a]" Reg.pp r id Linform.pp size;
-      sep ())
-    f.allocs;
-  List.iter
-    (fun (r, v) -> Format.fprintf ppf "value(%a)=%Ld" Reg.pp r v; sep ())
-    f.values;
-  List.iter (fun r -> Format.fprintf ppf "nonneg(%a)" Reg.pp r; sep ())
-    f.nonnegs;
-  Format.fprintf ppf "@]"
-
 let sym_align_of facts r =
   List.fold_left
     (fun acc (s, k) -> if Reg.equal s r then max acc k else acc)

@@ -45,7 +45,6 @@ type facts = {
 val empty : facts
 val no_facts : facts -> bool
 val union : facts -> facts -> facts
-val pp_facts : Format.formatter -> facts -> unit
 
 (** {1 Certificates} *)
 

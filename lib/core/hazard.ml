@@ -114,15 +114,3 @@ let check ~body ~analysis ~(group : Partition.group) =
     (match result with
     | Error reason -> Unsafe reason
     | Ok pairs -> Safe (dedup_pairs pairs))
-
-let pp_verdict ppf = function
-  | Unsafe r -> Format.fprintf ppf "unsafe: %s" r
-  | Safe [] -> Format.fprintf ppf "safe (statically)"
-  | Safe pairs ->
-    Format.fprintf ppf "safe with %d run-time alias check(s):"
-      (List.length pairs);
-    List.iter
-      (fun p ->
-        Format.fprintf ppf " (p%d,p%d)" p.this.Partition.id
-          p.other.Partition.id)
-      pairs

@@ -28,5 +28,3 @@ val check :
   analysis:Partition.analysis ->
   group:Partition.group ->
   verdict
-
-val pp_verdict : Format.formatter -> verdict -> unit

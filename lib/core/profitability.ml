@@ -1,6 +1,5 @@
 module Legalize = Mac_opt.Legalize
 module Sched = Mac_opt.Sched
-open Mac_rtl
 
 type mode = Schedule | CostSum | Estimate | Pipelined
 
@@ -10,52 +9,28 @@ type decision = {
   profitable : bool;
 }
 
-(* Pricing a body means legalizing it and building/scheduling the block
-   DAG — O(n²) in the body length. The coalescer prices every candidate
-   variant of a loop against the same [before] body, so memoising on the
-   body's instruction fingerprint (its kind list — uids are freshly
-   minted by the legalizer on every call and must not participate) turns
-   the per-loop pricing from quadratic re-scheduling into one DAG per
-   distinct body. Keys are machine-specific: one cache per (function,
-   machine) compilation. *)
-type cache = (mode * Rtl.kind list, int) Hashtbl.t
+let price f ~machine ~mode body =
+  let body = Legalize.expand_body f machine body in
+  match mode with
+  | Schedule -> Sched.block_cycles machine body
+  | CostSum -> Sched.sequential_cycles machine body
+  | Estimate ->
+    (* schedule latency plus the predicted steady-state d-cache miss
+       cycles, both over a fixed horizon of iterations so the cache
+       term (a rate, misses per [Estimate.horizon] iterations) and
+       the per-iteration schedule term share units *)
+    (Sched.block_cycles machine body * Estimate.horizon)
+    + Estimate.body_miss_cycles ~machine body
+  | Pipelined ->
+    (* steady-state initiation interval under software pipelining:
+       what each loop version costs per iteration once the [-Osched]
+       pass has overlapped its insert/extract chains across
+       iterations — never worse than the [Schedule] price *)
+    Mac_opt.Pipeline_sched.steady_ii machine body
 
-let create_cache () : cache = Hashtbl.create 64
-
-let analyze ?cache f ~machine ~mode ~before ~after =
-  let price body =
-    let compute () =
-      let body = Legalize.expand_body f machine body in
-      match mode with
-      | Schedule -> Sched.block_cycles machine body
-      | CostSum -> Sched.sequential_cycles machine body
-      | Estimate ->
-        (* schedule latency plus the predicted steady-state d-cache miss
-           cycles, both over a fixed horizon of iterations so the cache
-           term (a rate, misses per [Estimate.horizon] iterations) and
-           the per-iteration schedule term share units *)
-        (Sched.block_cycles machine body * Estimate.horizon)
-        + Estimate.body_miss_cycles ~machine body
-      | Pipelined ->
-        (* steady-state initiation interval under software pipelining:
-           what each loop version costs per iteration once the [-Osched]
-           pass has overlapped its insert/extract chains across
-           iterations — never worse than the [Schedule] price *)
-        Mac_opt.Pipeline_sched.steady_ii machine body
-    in
-    match cache with
-    | None -> compute ()
-    | Some c -> (
-      let key = (mode, List.map (fun (i : Rtl.inst) -> i.Rtl.kind) body) in
-      match Hashtbl.find_opt c key with
-      | Some cycles -> cycles
-      | None ->
-        let cycles = compute () in
-        Hashtbl.add c key cycles;
-        cycles)
-  in
-  let before_cycles = price before in
-  let after_cycles = price after in
+let analyze f ~machine ~mode ~before ~after =
+  let before_cycles = Lazy.force before in
+  let after_cycles = price f ~machine ~mode after in
   { before_cycles; after_cycles; profitable = after_cycles < before_cycles }
 
 let pp_decision ppf d =

@@ -33,21 +33,22 @@ type decision = {
   profitable : bool;
 }
 
-type cache
-(** Memoised body prices keyed by the body's instruction fingerprint (its
-    kind list) and pricing mode. A cache is valid for one machine only —
-    create one per (function, machine) compilation and share it across
-    that compilation's pricing calls. *)
-
-val create_cache : unit -> cache
+val price :
+  Func.t -> machine:Mac_machine.Machine.t -> mode:mode -> Rtl.inst list -> int
+(** Legalize a loop body for [machine] and price it under [mode].
+    Legalization mints its temporaries in [f], so the order of the calls
+    fixes the register numbers of the output. *)
 
 val analyze :
-  ?cache:cache ->
   Func.t ->
   machine:Mac_machine.Machine.t ->
   mode:mode ->
-  before:Rtl.inst list ->
+  before:int Lazy.t ->
   after:Rtl.inst list ->
   decision
+(** Force [before], the original body's {!price}, then price [after],
+    the candidate body. Every variant of a loop shares one [before], so
+    the original body is priced once per loop, inside its first
+    variant's decision. *)
 
 val pp_decision : Format.formatter -> decision -> unit

@@ -22,14 +22,6 @@ module Loop = Mac_cfg.Loop
 
 type fact = Cfg | Dom | Loops | Live | Reach | Copies
 
-let fact_to_string = function
-  | Cfg -> "cfg"
-  | Dom -> "dom"
-  | Loops -> "loops"
-  | Live -> "live"
-  | Reach -> "reach"
-  | Copies -> "copies"
-
 type t = {
   func : Func.t;
   mutable cfg : Cfg.t option;

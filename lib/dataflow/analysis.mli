@@ -18,8 +18,6 @@ open Mac_rtl
 
 type fact = Cfg | Dom | Loops | Live | Reach | Copies
 
-val fact_to_string : fact -> string
-
 type t
 
 val create : Func.t -> t

@@ -317,15 +317,6 @@ let step st kind =
   | Store _ | Jump _ | Branch _ | Label _ | Ret _ | Nop ->
     st
 
-let pp_state ppf st =
-  let first = ref true in
-  Reg.Map.iter
-    (fun r v ->
-      if not !first then Format.fprintf ppf ",@ ";
-      first := false;
-      Format.fprintf ppf "%a↦%a" Reg.pp r pp_value v)
-    st.map
-
 (* ------------------------------------------------------------------ *)
 (* The block-level fixpoint                                            *)
 

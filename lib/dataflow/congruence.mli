@@ -110,4 +110,3 @@ val solve : ?consts:(Reg.t * int64) list -> Mac_cfg.Cfg.t -> t
 val block_in : t -> int -> state
 val block_out : t -> int -> state
 
-val pp_state : Format.formatter -> state -> unit

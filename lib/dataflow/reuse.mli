@@ -113,9 +113,7 @@ val consume : residency -> ?density:float -> lo:int -> hi:int -> unit -> int
 
 (** {1 Profiles}
 
-    The record types the estimator fills in; kept here so the memoised
-    analysis slot in {!Analysis} can store them without depending on the
-    extraction layer. *)
+    The record types the estimator fills in. *)
 
 type ref_profile = {
   r_start : int;

@@ -43,8 +43,6 @@ type kind =
 
 type inst = { uid : int; kind : kind }
 
-let operand_of_int n = Imm (Int64.of_int n)
-
 let operand_reg = function Reg r -> [ r ] | Imm _ -> []
 
 let defs = function

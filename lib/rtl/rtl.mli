@@ -79,10 +79,6 @@ type kind =
 
 type inst = { uid : int; kind : kind }
 
-(** {1 Construction} *)
-
-val operand_of_int : int -> operand
-
 (** {1 Queries} *)
 
 val defs : kind -> Reg.t list

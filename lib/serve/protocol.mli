@@ -41,9 +41,9 @@ val request :
   request
 (** Defaults: [O4], [Vfull] — an unqualified request gets the fully
     validated compile; pass [~verify:Vnone] explicitly to opt out.
-    (The incremental, memoized validator keeps the always-on default
-    cheap; an artifact-evicted request can even reuse a cached
-    validation verdict, see {!Service.run}.) *)
+    (The incremental validator keeps the always-on default cheap; an
+    artifact-evicted request can even reuse a cached validation
+    verdict, see {!Service.run}.) *)
 
 type hello = { h_proto : string; h_fingerprint : string }
 

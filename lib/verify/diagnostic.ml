@@ -24,13 +24,8 @@ let warningf ~pass ?func ?uid fmt =
 let with_func func d =
   match d.func with Some _ -> d | None -> { d with func = Some func }
 
-let rank = function Error -> 0 | Warning -> 1 | Info -> 2
-let severity_compare a b = Stdlib.compare (rank a) (rank b)
 let errors ds = List.filter (fun d -> d.severity = Error) ds
 let has_errors ds = List.exists (fun d -> d.severity = Error) ds
-
-let by_severity ds =
-  List.stable_sort (fun a b -> severity_compare a.severity b.severity) ds
 
 (* One provenance format for every emitter:
    [severity] pass(function): message (uid n) *)

@@ -43,16 +43,10 @@ val with_func : string -> t -> t
 (** Fill in the function name if the emitter did not know it (existing
     diagnostics keep theirs). *)
 
-val severity_compare : severity -> severity -> int
-(** Orders [Error] before [Warning] before [Info]. *)
-
 val errors : t list -> t list
 (** The error-severity subset, in order. *)
 
 val has_errors : t list -> bool
-
-val by_severity : t list -> t list
-(** Stable sort, most severe first. *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -295,8 +295,6 @@ let ctx ?interner:it ?(cross_disjoint = fun _ _ _ _ -> false) word =
   let it = match it with Some it -> it | None -> interner () in
   { word; cross_disjoint; it }
 
-let con c = Con c
-
 (* --- address arithmetic --------------------------------------------- *)
 
 let split_addr = function

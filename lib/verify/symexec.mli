@@ -67,21 +67,19 @@ type ctx = {
 }
 
 val interner : unit -> interner
-(** A fresh, empty arena. The validator's cross-pass cache allocates one
-    per pipeline run and threads it through every {!ctx} it creates, so
-    terms cached by an earlier validation stay physically comparable to
-    terms built by a later one. *)
+(** A fresh, empty arena. The validator allocates one per validation
+    and threads it through every {!ctx} it creates, so the terms of the
+    two sides stay physically comparable. *)
 
 val ctx : ?interner:interner ->
   ?cross_disjoint:(term -> int -> term -> int -> bool) ->
   Width.t -> ctx
 (** Default oracle: never disjoint. Allocates a fresh {!interner} unless
     one is supplied — contexts sharing an arena produce physically equal
-    nodes for structurally equal values, across validations. *)
+    nodes for structurally equal values. *)
 
 (** {1 Smart constructors} *)
 
-val con : int64 -> term
 val bin : ctx -> Rtl.binop -> term -> term -> term
 val un : ctx -> Rtl.unop -> term -> term
 val ext : ctx -> term -> term -> Width.t -> Rtl.signedness -> term

@@ -15,7 +15,7 @@ type pass_class = Exact | Region | Fallback
    the loop structure: they are matched exactly. The two loop
    restructurers are matched with region cut-points. Strength reduction
    rewrites induction variables wholesale and regalloc renames every
-   register; both fall back to Rtlcheck + their own audits. *)
+   register; both fall back to Rtlcheck alone. *)
 let classify = function
   | "classic-opts" | "simplify" | "copyprop" | "cse" | "combine"
   | "cleanflow" | "dce" | "legalize" | "legalize-first" | "schedule" ->
@@ -357,38 +357,16 @@ let find_continuation (ocfg : Cfg.t) (ncfg : Cfg.t) oc =
     | None -> None)
 
 (* ------------------------------------------------------------------ *)
-(* Cross-pass memoization. A pipeline run validates ~15 passes over the
-   same function, and between any two consecutive validations the old
-   side of the later one IS the new side of the earlier one; within one
-   validation most block pairs are byte-identical because a pass only
-   rewrote a few blocks. The cache exploits both:
+(* What one validation builds, and drops when it returns. Each side gets
+   its CFG view and effective in-degrees, and — lazily, only when some
+   pair needs a full check — the congruence solution, the
+   available-expression facts and liveness. A block's {e generic
+   transfer} is its symbolic environment and exit descriptor executed
+   from the empty environment (every register at its entry symbol); the
+   skip ladder compares the two sides' transfers. Both sides share one
+   hash-consing arena, so equal terms are physically equal. *)
 
-   - [summaries] memoise the per-body artifacts (CFG view, effective
-     in-degrees, and — lazily, only when some pair needs a full check —
-     the congruence solution, the available-expression facts and
-     liveness), keyed by the body content itself (function name plus the
-     uid and kind of every instruction) and the facts record.
-   - [xfers] memoise a block's {e generic transfer}: its symbolic
-     environment and exit descriptor executed from the empty environment
-     (every register at its entry symbol), keyed by the machine word and
-     the block's kind list — uid-independent, so the same block hashed
-     on the old and new side of a pass lands on the same entry.
-   - [it] is the hash-consing arena every context threads through, so a
-     term built by an early validation stays physically comparable to
-     one built ten passes later.
-
-   Keys are the content: lookups hash a bounded prefix of the structure
-   and confirm with a structural comparison, so a hash collision costs a
-   recomputation, never a wrong hit. [cache_audit] re-derives every
-   stored key from the stored content (and re-flattens each cached CFG
-   view against the body it claims to describe); [validate] runs it on
-   the cache it is handed before the first lookup, so a poisoned mapping
-   is an error of the validation that would have read it. *)
-
-type side_summary = {
-  s_name : string;
-  s_body : Rtl.inst list;  (* the key, compared by uid and kind *)
-  s_facts : Disambig.facts;  (* compared physically; per-compile value *)
+type side = {
   s_cfg : Cfg.t;
   s_deg : int array;
   s_cong : Congruence.t Lazy.t;
@@ -396,180 +374,41 @@ type side_summary = {
   s_live : Liveness.t Lazy.t;
 }
 
+let side_of ~(facts : Disambig.facts) (f : Func.t) =
+  let cfg = Cfg.build f in
+  {
+    s_cfg = cfg;
+    s_deg = effective_indegree cfg;
+    s_cong = lazy (Congruence.solve ~consts:facts.Disambig.values cfg);
+    s_avail = lazy (Avail.compute cfg);
+    s_live = lazy (Liveness.compute cfg);
+  }
+
 type xfer_exit =
   | TRet of Sx.term option
   | TJump of Rtl.label
   | TBranch of Sx.term * Rtl.label  (* cond, taken label *)
   | TFall
 
-type xfer = {
-  x_kinds : Rtl.kind list;  (* the key *)
-  x_word : Width.t;
-  x_env : Sx.env;
-  x_exit : xfer_exit;
-}
+type xfer = { x_env : Sx.env; x_exit : xfer_exit }
 
-type cache = {
-  it : Sx.interner;
-  summaries : (int, side_summary) Hashtbl.t;
-  xfers : (int, xfer) Hashtbl.t;
-  mutable xfer_count : int;
-}
-
-(* caps keep the audit cheap and the tables per-function-sized; both
-   tables are pure memos, so resetting them is always sound *)
-let max_summaries = 8
-let max_xfers = 512
-
-let create_cache () =
-  {
-    it = Sx.interner ();
-    summaries = Hashtbl.create max_summaries;
-    xfers = Hashtbl.create 64;
-    xfer_count = 0;
-  }
-
-(* An instruction record is immutable, so a record a pass kept is equal
-   to itself without a look at its kind. *)
-let same_inst (x : Rtl.inst) (y : Rtl.inst) =
-  x == y || (x.uid = y.uid && x.kind = y.kind)
-
-(* bounded-prefix hash: collisions are resolved by the structural compare
-   at each lookup, so the bound trades hash quality for speed only *)
-let summary_hash name content = Hashtbl.hash_param 128 512 (name, content)
-let xfer_hash word kinds = Hashtbl.hash_param 128 512 (word, kinds)
-
-let side_of cache ~(facts : Disambig.facts) (f : Func.t) =
-  let content = f.Func.body in
-  let name = f.Func.name in
-  let h = summary_hash name content in
-  match
-    List.find_opt
-      (fun s ->
-        s.s_facts == facts && String.equal s.s_name name
-        && List.equal same_inst s.s_body content)
-      (Hashtbl.find_all cache.summaries h)
-  with
-  | Some s -> s
-  | None ->
-    (* freeze the body: the caller's [f] is mutated in place by later
-       passes, and the lazy fields may not force until then *)
-    let f = snapshot f in
-    let cfg = Cfg.build f in
-    let s =
-      {
-        s_name = name;
-        s_body = content;
-        s_facts = facts;
-        s_cfg = cfg;
-        s_deg = effective_indegree cfg;
-        s_cong = lazy (Congruence.solve ~consts:facts.Disambig.values cfg);
-        s_avail = lazy (Avail.compute cfg);
-        s_live = lazy (Liveness.compute cfg);
-      }
-    in
-    if Hashtbl.length cache.summaries >= max_summaries then
-      Hashtbl.reset cache.summaries;
-    Hashtbl.add cache.summaries h s;
-    s
-
-let xfer_of cache (ctx : Sx.ctx) (blk : Cfg.block) =
-  let kinds = List.map (fun (i : Rtl.inst) -> i.Rtl.kind) blk.Cfg.insts in
-  let word = ctx.Sx.word in
-  let h = xfer_hash word kinds in
-  match
-    List.find_opt
-      (fun x ->
-        x.x_word = word
-        && List.equal (fun a b -> a == b || a = b) x.x_kinds kinds)
-      (Hashtbl.find_all cache.xfers h)
-  with
-  | Some x -> x
-  | None ->
-    let env = Sx.exec_insts ctx Sx.empty_env blk.Cfg.insts in
-    let exit_ =
-      match List.rev blk.Cfg.insts with
-      | { Rtl.kind = Rtl.Ret o; _ } :: _ ->
-        TRet (Option.map (Sx.operand env) o)
-      | { Rtl.kind = Rtl.Jump l; _ } :: _ -> TJump l
-      | { Rtl.kind = Rtl.Branch { cmp; l; r; target }; _ } :: _ ->
-        TBranch
-          ( Sx.bin ctx (Rtl.Cmp cmp) (Sx.operand env l) (Sx.operand env r),
-            target )
-      | _ -> TFall
-    in
-    let x = { x_kinds = kinds; x_word = word; x_env = env; x_exit = exit_ } in
-    if cache.xfer_count >= max_xfers then begin
-      Hashtbl.reset cache.xfers;
-      cache.xfer_count <- 0
-    end;
-    Hashtbl.add cache.xfers h x;
-    cache.xfer_count <- cache.xfer_count + 1;
-    x
-
-let cache_audit cache =
-  let summary_ok h s =
-    if summary_hash s.s_name s.s_body <> h then
-      Error
-        (Printf.sprintf
-           "summary for %s is filed under a key its content does not hash to"
-           s.s_name)
-    else
-      (* walk the view's blocks against the body, building no list *)
-      let rest =
-        Array.fold_left
-          (fun rest (b : Cfg.block) ->
-            match rest with
-            | None -> None
-            | Some body ->
-              List.fold_left
-                (fun rest i ->
-                  match rest with
-                  | Some (j :: body) when same_inst i j -> Some body
-                  | _ -> None)
-                (Some body) b.Cfg.insts)
-          (Some s.s_body) s.s_cfg.Cfg.blocks
-      in
-      match rest with
-      | Some [] -> Ok ()
-      | _ ->
-        Error
-          (Printf.sprintf
-             "summary for %s holds a CFG view that diverges from the body \
-              it claims to describe"
-             s.s_name)
+let xfer_of (ctx : Sx.ctx) (blk : Cfg.block) =
+  let env = Sx.exec_insts ctx Sx.empty_env blk.Cfg.insts in
+  let x_exit =
+    match List.rev blk.Cfg.insts with
+    | { Rtl.kind = Rtl.Ret o; _ } :: _ -> TRet (Option.map (Sx.operand env) o)
+    | { Rtl.kind = Rtl.Jump l; _ } :: _ -> TJump l
+    | { Rtl.kind = Rtl.Branch { cmp; l; r; target }; _ } :: _ ->
+      TBranch
+        ( Sx.bin ctx (Rtl.Cmp cmp) (Sx.operand env l) (Sx.operand env r),
+          target )
+    | _ -> TFall
   in
-  let xfer_ok h x =
-    if xfer_hash x.x_word x.x_kinds = h then Ok ()
-    else Error "a block transfer is filed under a foreign key"
-  in
-  let fold check tbl =
-    Hashtbl.fold
-      (fun h v acc -> match acc with Error _ -> acc | Ok () -> check h v)
-      tbl (Ok ())
-  in
-  match fold summary_ok cache.summaries with
-  | Error _ as e -> e
-  | Ok () -> fold xfer_ok cache.xfers
-
-(* test seam: corrupt one cached mapping in place, as a lying pass (or a
-   stale-entry bug) would; returns false when there is nothing to poison *)
-let test_poison_cache cache =
-  let victim =
-    Hashtbl.fold
-      (fun h s acc -> match acc with None -> Some (h, s) | some -> some)
-      cache.summaries None
-  in
-  match victim with
-  | None -> false
-  | Some (h, s) ->
-    Hashtbl.remove cache.summaries h;
-    Hashtbl.add cache.summaries (h + 1) s;
-    true
+  { x_env = env; x_exit }
 
 (* ------------------------------------------------------------------ *)
 
-let validate ?cache ~machine ~(facts : Disambig.facts) ~pass ?(reports = [])
+let validate ~machine ~(facts : Disambig.facts) ~pass ?(reports = [])
     ?(sched_reports = []) ~(old_f : Func.t) ~(new_f : Func.t) () =
   let fname = new_f.Func.name in
   let err ?uid fmt =
@@ -584,21 +423,13 @@ let validate ?cache ~machine ~(facts : Disambig.facts) ~pass ?(reports = [])
         blocks_checked = 0;
         blocks_skipped = 0;
         regions_skipped = 0;
-        fallback = Some "renaming pass: Rtlcheck + certificate audits only";
+        fallback = Some "renaming pass: Rtlcheck only";
         warnings = [];
       }
   | Exact | Region -> (
-    match
-      match cache with
-      | Some c -> Result.map (fun () -> c) (cache_audit c)
-      | None -> Ok (create_cache ())
-    with
-    | Error e -> err "translation-validation cache: %s" e
-    | Ok cache ->
     let regions = regions_of ~pass ~reports ~sched_reports in
     try
-      let osum = side_of cache ~facts old_f
-      and nsum = side_of cache ~facts new_f in
+      let osum = side_of ~facts old_f and nsum = side_of ~facts new_f in
       let ocfg = osum.s_cfg and ncfg = nsum.s_cfg in
       let odeg = osum.s_deg and ndeg = nsum.s_deg in
       let stop_of cfg =
@@ -633,7 +464,8 @@ let validate ?cache ~machine ~(facts : Disambig.facts) ~pass ?(reports = [])
       in
       (* oracle-free context for generic block transfers; shares the
          arena with every seeded context below *)
-      let gctx = Sx.ctx ~interner:cache.it machine.Mac_machine.Machine.word in
+      let it = Sx.interner () in
+      let gctx = Sx.ctx ~interner:it machine.Mac_machine.Machine.word in
       let blocks_checked = ref 0 in
       let blocks_skipped = ref 0 in
       let regions_skipped = ref 0 in
@@ -653,11 +485,10 @@ let validate ?cache ~machine ~(facts : Disambig.facts) ~pass ?(reports = [])
          seeded one the full check would build: generic-transfer
          equality is entry-symbol-for-entry-symbol substitutable. Such a
          pair is discharged without seeding or unit execution, and its
-         successor pairs are enqueued, never assumed. Identical blocks
-         hit the same [xfers] entry, so an unchanged block costs one hash
-         and one physical equality; a block the pass did not touch at
-         all (the same instruction records) is discharged from its exit
-         alone, or with a single lookup when it ends in a branch. *)
+         successor pairs are enqueued, never assumed. A block the pass
+         did not touch at all (the same instruction records) is
+         discharged from its exit alone, or with one transfer shared by
+         both sides when it ends in a branch. *)
       let try_skip ob nb =
         let pair_jump l =
           match (Cfg.block_of_label ocfg l, Cfg.block_of_label ncfg l) with
@@ -673,9 +504,9 @@ let validate ?cache ~machine ~(facts : Disambig.facts) ~pass ?(reports = [])
           | exception Stuck _ -> None
         in
         let generic ~shared =
-          let ox = xfer_of cache gctx ocfg.blocks.(ob) in
+          let ox = xfer_of gctx ocfg.blocks.(ob) in
           let nx =
-            if shared then ox else xfer_of cache gctx ncfg.blocks.(nb)
+            if shared then ox else xfer_of gctx ncfg.blocks.(nb)
           in
           let structural = ox == nx in
           let succs =
@@ -731,10 +562,10 @@ let validate ?cache ~machine ~(facts : Disambig.facts) ~pass ?(reports = [])
         let oinsts = ocfg.blocks.(ob).insts
         and ninsts = ncfg.blocks.(nb).insts in
         (* The same instruction records, one by one: the pass left the
-           block alone, so both generic transfers are one [xfers] entry
-           and only the exit decides the successor pairs. A branch still
-           needs that transfer, whose condition may fold to a constant
-           and leave one live edge, but it is looked up once. *)
+           block alone, so both generic transfers are one and only the
+           exit decides the successor pairs. A branch still needs that
+           transfer, whose condition may fold to a constant and leave one
+           live edge, but it is computed once. *)
         if not (List.equal ( == ) oinsts ninsts) then generic ~shared:false
         else
           match List.rev oinsts with
@@ -817,7 +648,7 @@ let validate ?cache ~machine ~(facts : Disambig.facts) ~pass ?(reports = [])
               | None -> (
               let st = Congruence.block_in (Lazy.force osum.s_cong) ob in
               let ctx =
-                Sx.ctx ~interner:cache.it
+                Sx.ctx ~interner:it
                   ~cross_disjoint:
                     (congruence_oracle st facts.Disambig.aligns)
                   machine.Mac_machine.Machine.word
@@ -998,11 +829,3 @@ let agg_add a b =
       (match a.fallback_reason with None -> b.fallback_reason | r -> r);
     seconds = a.seconds +. b.seconds;
   }
-
-let pp_result ppf r =
-  Format.fprintf ppf
-    "%d block pair(s) checked, %d skipped, %d region(s) carved%s"
-    r.blocks_checked r.blocks_skipped r.regions_skipped
-    (match r.fallback with
-    | Some reason -> Printf.sprintf " [fallback: %s]" reason
-    | None -> "")

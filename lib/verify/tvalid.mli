@@ -21,8 +21,11 @@
     justified by its own certificate audit, and matching resumes at the
     loop's continuation, anchored by instruction uids. Passes that
     rename wholesale ([strength-reduce], [regalloc]) fall back to
-    Rtlcheck + their audits and are recorded as such, never silently
-    skipped. *)
+    Rtlcheck alone and are recorded as such, never silently skipped.
+
+    Each validation builds what it needs — both sides' CFG views, their
+    analyses on demand, one hash-consing arena — and keeps nothing once
+    it returns. *)
 
 open Mac_rtl
 
@@ -47,34 +50,7 @@ val snapshot : Func.t -> Func.t
 (** A shallow copy of the function as a pass input (passes mutate in
     place; bodies and instructions themselves are immutable). *)
 
-(** {1 Cross-pass memoization} *)
-
-type cache
-(** The validator's cross-pass memo: a persistent hash-consing arena for
-    {!Symexec} terms, per-body analysis summaries (CFG view, in-degrees,
-    and lazily the congruence/available-expression/liveness solutions)
-    keyed by body content, and per-block generic transfers keyed by the
-    machine word and the block's kind list. Between consecutive
-    validations the old side of the later IS the new side of the earlier,
-    so summaries carry over; unchanged blocks hit the same transfer entry
-    on both sides and are skipped without re-execution. Keys are the
-    content itself (hash-bucketed, confirmed structurally), so a stale
-    hit is impossible by construction and a poisoned mapping is caught by
-    {!cache_audit}, which {!validate} runs before it reads the cache.
-    The pipeline creates one per function compile. *)
-
-val create_cache : unit -> cache
-
-val cache_audit : cache -> (unit, string) Stdlib.result
-(** Re-derive every stored key from the stored content and re-flatten
-    every cached CFG view against the body it claims to describe. *)
-
-val test_poison_cache : cache -> bool
-(** Corrupt one cached mapping in place (adversarial tests only);
-    [false] when the cache holds nothing to poison. *)
-
 val validate :
-  ?cache:cache ->
   machine:Mac_machine.Machine.t ->
   facts:Mac_core.Disambig.facts ->
   pass:string ->
@@ -89,10 +65,7 @@ val validate :
 (** [old_f] is the {!snapshot} taken before the pass, [new_f] the
     function it produced. [reports]/[sched_reports] name the loops the
     region passes transformed. An [Error] diagnostic carries the pass,
-    the function and a minimized mismatching term pair. A [cache] that
-    fails {!cache_audit} is an [Error] too ("translation-validation
-    cache: ..."), returned before any lookup; without [cache] the
-    validation runs on a fresh one. *)
+    the function and a minimized mismatching term pair. *)
 
 (** {1 Aggregated per-pass accounting (for [Pipeline.compiled])} *)
 
@@ -115,5 +88,3 @@ val agg_zero : unit -> agg
 val agg_add : agg -> agg -> agg
 (** A fresh sum of two aggregates, field by field. The fallback reason
     is the first one seen: [a]'s when it has one, else [b]'s. *)
-
-val pp_result : Format.formatter -> result -> unit

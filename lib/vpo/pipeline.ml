@@ -178,7 +178,6 @@ let coalesce_options cfg =
 let compile_func cfg timings tvalid_tbl (f : Func.t) =
   let time name thunk = timed timings name thunk in
   let am = Analysis.create f in
-  let cache = Mac_core.Profitability.create_cache () in
   let diags = ref [] in
   let fail_on_errors ds =
     diags := !diags @ ds;
@@ -191,10 +190,6 @@ let compile_func cfg timings tvalid_tbl (f : Func.t) =
   in
   (* --- translation validation (the Vfull backbone) ------------------- *)
   let tvalid_on = cfg.verify = Vfull in
-  (* the validator's memo lives for this function compile: each
-     validation's new side is the next one's old side, so summaries and
-     block transfers carry over from pass to pass *)
-  let tv_cache = if tvalid_on then Some (Tvalid.create_cache ()) else None in
   let tv_agg name =
     match Hashtbl.find_opt tvalid_tbl name with
     | Some a -> a
@@ -225,7 +220,7 @@ let compile_func cfg timings tvalid_tbl (f : Func.t) =
   let tv_run ?reports ?sched_reports name ~old_f ~new_f =
     let t0 = now () in
     let res =
-      Tvalid.validate ?cache:tv_cache ~machine:cfg.machine ~facts ~pass:name
+      Tvalid.validate ~machine:cfg.machine ~facts ~pass:name
         ?reports ?sched_reports ~old_f ~new_f ()
     in
     let dt = now () -. t0 in
@@ -338,8 +333,8 @@ let compile_func cfg timings tvalid_tbl (f : Func.t) =
     classic ();
     checkpoint "strength-reduce";
     (* induction-variable rewriting renames wholesale; the validator
-       records the fallback (Rtlcheck + the congruence solver's own
-       consistency are the safety net here) *)
+       records the fallback, and Rtlcheck's checkpoint above is the only
+       check the pass gets *)
     if tvalid_on then tv_check "strength-reduce" f
   end;
   (* DESIGN.md decision 1 ablation: legalizing narrow references before
@@ -361,7 +356,7 @@ let compile_func cfg timings tvalid_tbl (f : Func.t) =
     match coalesce_options cfg with
     | Some opts ->
       time "coalesce" (fun () ->
-          Coalesce.run ~am ~cache ~facts f ~machine:cfg.machine opts)
+          Coalesce.run ~am ~facts f ~machine:cfg.machine opts)
     | None -> []
   in
   (* transformed loops are carved out as regions justified by the audit
@@ -465,8 +460,8 @@ let compile_funcs cfg funcs =
   let t0 = now () in
   let timings : (string, float) Hashtbl.t = Hashtbl.create 16 in
   let tvalid_tbl : (string, Tvalid.agg) Hashtbl.t = Hashtbl.create 16 in
-  (* Functions are compiled independently — uid allocation, the analysis
-     manager and the validator cache are all per-Func — so they fan out
+  (* Functions are compiled independently — uid allocation and the
+     analysis manager are per-Func — so they fan out
      over domains ({!Mac_parallel.Pool} caps the worker count at the
      item count, so single-function sources stay on the calling domain,
      and a compile on a pool-owned domain — an mccd worker, a sweep

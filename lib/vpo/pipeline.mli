@@ -117,9 +117,10 @@ type compiled = {
           {!Verification_failed} instead of ending up here) *)
   pass_seconds : (string * float) list;
       (** wall-clock seconds per pass name, accumulated across fixpoint
-          rounds and functions, sorted by name. Verification (Rtlcheck +
-          audit + validate) is accounted under ["verify"]; MiniC lowering
-          (only via {!compile_source}) under ["lower"]. *)
+          rounds and functions, sorted by name. Rtlcheck and the
+          certificate audits are accounted under ["verify"], translation
+          validation under ["tvalid"]; MiniC lowering (only via
+          {!compile_source}) under ["lower"]. *)
   compile_seconds : float;
       (** total wall-clock seconds for the whole compilation (at least
           the sum of [pass_seconds]; the remainder is pipeline glue) *)
