@@ -9,6 +9,7 @@ module Hazard = Mac_core.Hazard
 module Checks = Mac_core.Checks
 module Transform = Mac_core.Transform
 module Coalesce = Mac_core.Coalesce
+module Profitability = Mac_core.Profitability
 module Machine = Mac_machine.Machine
 module Memory = Mac_sim.Memory
 module Interp = Mac_sim.Interp
@@ -320,6 +321,58 @@ let test_hazard_store_group_reordering_blocked () =
     match Hazard.check ~body:body_unsafe ~analysis ~group with
     | Hazard.Safe _ -> ()
     | Hazard.Unsafe r -> Alcotest.failf "duplicate offsets rejected: %s" r)
+
+(* --- profitability --- *)
+
+let profit_fn () =
+  let f = Func.create ~name:"t" ~params:[ reg 0; reg 1 ] in
+  f.next_reg <- 6;
+  f
+
+(* The coalesced shape of [body_two_arrays]: one 32-bit load and one
+   32-bit store move both halfwords. *)
+let body_two_arrays_wide () =
+  [
+    mk (Rtl.Load
+          { dst = reg 4; src = mem ~width:Width.W32 (reg 0); sign = Rtl.Signed });
+    mk (Rtl.Store { src = Rtl.Reg (reg 4); dst = mem ~width:Width.W32 (reg 1) });
+    mk (Rtl.Binop (Rtl.Add, reg 0, Rtl.Reg (reg 0), Rtl.Imm 4L));
+    mk (Rtl.Binop (Rtl.Add, reg 1, Rtl.Reg (reg 1), Rtl.Imm 4L));
+  ]
+
+(* Every variant of a loop is decided against one price of the original
+   body: [analyze] forces the shared [before] once, however many variants
+   it decides, and that price is the body's own [price]. On the Alpha the
+   original's halfword references each cost an unaligned load and an
+   extract, so the wide variant is cheaper and the identical one is not. *)
+let test_profitability_prices_before_once () =
+  let machine = Machine.alpha and mode = Profitability.Schedule in
+  let before_body = body_two_arrays () in
+  let f = profit_fn () in
+  let forced = ref 0 in
+  let before =
+    lazy
+      (incr forced;
+       Profitability.price f ~machine ~mode before_body)
+  in
+  let wide =
+    Profitability.analyze f ~machine ~mode ~before
+      ~after:(body_two_arrays_wide ())
+  in
+  let same =
+    Profitability.analyze f ~machine ~mode ~before ~after:(body_two_arrays ())
+  in
+  Alcotest.(check int) "original body priced once" 1 !forced;
+  let own body = Profitability.price (profit_fn ()) ~machine ~mode body in
+  Alcotest.(check int) "before is the original's price"
+    (own (body_two_arrays ())) wide.before_cycles;
+  Alcotest.(check int) "variants share the before price" wide.before_cycles
+    same.before_cycles;
+  Alcotest.(check int) "after is the variant's price"
+    (own (body_two_arrays_wide ())) wide.after_cycles;
+  Alcotest.(check bool) "wide variant profitable" true wide.profitable;
+  Alcotest.(check bool) "identical variant not profitable" false
+    same.profitable
 
 (* --- checks --- *)
 
@@ -829,6 +882,11 @@ let () =
           Alcotest.test_case "alias dispatch" `Quick test_alias_check_emission;
           Alcotest.test_case "extent" `Quick test_extent_of;
           Alcotest.test_case "empty extent" `Quick test_extent_of_empty_refs;
+        ] );
+      ( "profitability",
+        [
+          Alcotest.test_case "original body priced once" `Quick
+            test_profitability_prices_before_once;
         ] );
       ( "edge cases",
         [
