@@ -43,7 +43,8 @@ type slot = {
   op : op;
   issue : int;  (* max 1 (Machine.inst_cost) *)
   latency : int;  (* Machine.latency *)
-  reads : int array;  (* register ids consulted for operand stalls *)
+  reads : int array;  (* the slow registers read, each once *)
+  sets_ready : bool;  (* the def is of a slow register *)
   fetch : int64;  (* synthetic instruction-fetch address; -1 for pseudo *)
 }
 
@@ -142,6 +143,43 @@ let decode_fn t (f : Func.t) =
   t.inext <-
     Int64.add base (Int64.of_int ((n + 16) * m.bytes_per_inst));
   let wi = Machine.width_index and bi = Machine.binop_index in
+  (* issue cost and latency from the precomputed tables; agrees with
+     Machine.inst_cost/Machine.latency entry by entry *)
+  let cost_of k =
+    match k with
+    | Rtl.Move _ | Rtl.Unop _ -> c.move
+    | Rtl.Binop (o, _, _, _) -> c.alu.(bi o)
+    | Rtl.Load { src; _ } ->
+      if src.aligned then c.load_aligned.(wi src.width)
+      else c.load_unaligned.(wi src.width)
+    | Rtl.Store { dst; _ } ->
+      if dst.aligned then c.store_aligned.(wi dst.width)
+      else c.store_unaligned.(wi dst.width)
+    | Rtl.Extract { width; _ } -> c.extract.(wi width)
+    | Rtl.Insert { width; _ } -> c.insert.(wi width)
+    | Rtl.Jump _ | Rtl.Branch _ | Rtl.Ret _ -> c.branch
+    | Rtl.Label _ | Rtl.Nop -> 0
+    | Rtl.Call _ -> c.call
+  in
+  let latency_of k cost =
+    match k with
+    | Rtl.Load _ -> Stdlib.max cost c.load_latency
+    | Rtl.Binop (o, _, _, _) -> c.alu_latency.(bi o)
+    | _ -> Stdlib.max cost 1
+  in
+  (* pass 2: the slow registers, those some instruction defines with a
+     ready time that can pass the next instruction's clock *)
+  let nregs = frame_size f in
+  let slow = Array.make nregs false in
+  Array.iter
+    (fun (inst : Rtl.inst) ->
+      let k = inst.kind in
+      let cost = cost_of k in
+      let is_load = match k with Rtl.Load _ -> true | _ -> false in
+      if is_load || latency_of k cost > Stdlib.max 1 cost then
+        List.iter (fun r -> slow.(Reg.id r) <- true) (Rtl.defs k))
+    body;
+  let is_slow r = slow.(Reg.id r) in
   let slot_of pc (inst : Rtl.inst) =
     let k = inst.kind in
     let op =
@@ -172,42 +210,30 @@ let decode_fn t (f : Func.t) =
       | Rtl.Ret v -> Oret (Option.map opnd v)
       | Rtl.Nop -> Onop
     in
-    (* issue cost and latency from the precomputed tables; agrees with
-       Machine.inst_cost/Machine.latency entry by entry *)
-    let cost =
-      match k with
-      | Rtl.Move _ | Rtl.Unop _ -> c.move
-      | Rtl.Binop (o, _, _, _) -> c.alu.(bi o)
-      | Rtl.Load { src; _ } ->
-        if src.aligned then c.load_aligned.(wi src.width)
-        else c.load_unaligned.(wi src.width)
-      | Rtl.Store { dst; _ } ->
-        if dst.aligned then c.store_aligned.(wi dst.width)
-        else c.store_unaligned.(wi dst.width)
-      | Rtl.Extract { width; _ } -> c.extract.(wi width)
-      | Rtl.Insert { width; _ } -> c.insert.(wi width)
-      | Rtl.Jump _ | Rtl.Branch _ | Rtl.Ret _ -> c.branch
-      | Rtl.Label _ | Rtl.Nop -> 0
-      | Rtl.Call _ -> c.call
+    let cost = cost_of k in
+    let reads =
+      Array.of_list
+        (List.sort_uniq Int.compare
+           (List.map Reg.id (List.filter is_slow (Rtl.uses k))))
     in
-    let latency =
-      match k with
-      | Rtl.Load _ -> Stdlib.max cost c.load_latency
-      | Rtl.Binop (o, _, _, _) -> c.alu_latency.(bi o)
-      | _ -> Stdlib.max cost 1
-    in
-    let reads = Array.of_list (List.map Reg.id (Rtl.uses k)) in
     let fetch =
       match k with
       | Rtl.Label _ | Rtl.Nop -> -1L
       | _ -> Int64.add base (Int64.of_int (pc * m.bytes_per_inst))
     in
-    { op; issue = Stdlib.max 1 cost; latency; reads; fetch }
+    {
+      op;
+      issue = Stdlib.max 1 cost;
+      latency = latency_of k cost;
+      reads;
+      sets_ready = List.exists is_slow (Rtl.defs k);
+      fetch;
+    }
   in
   {
     fname = f.name;
     code = Array.mapi slot_of body;
-    nregs = frame_size f;
+    nregs;
     params = Array.of_list (List.map Reg.id f.params);
     frame_bytes = f.frame_bytes;
     fp = (match f.fp_reg with Some r -> Reg.id r | None -> -1);

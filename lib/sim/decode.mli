@@ -13,7 +13,8 @@
     - branch and jump targets become instruction indices;
     - per-opcode issue cost and latency are baked in from the machine's
       precomputed cost tables ({!Mac_machine.Machine.Costs});
-    - read registers become int arrays (no list allocation at run time);
+    - read registers become int arrays (no list allocation at run time),
+      cut to the registers that can stall a read (see [slot.reads]);
     - memory-access legality, width-in-bytes and misalignment tolerance
       are precomputed (only the address check stays dynamic);
     - each non-pseudo instruction gets its synthetic instruction-fetch
@@ -69,7 +70,23 @@ type slot = {
   op : op;
   issue : int;  (** [max 1 (Machine.inst_cost machine kind)] *)
   latency : int;  (** [Machine.latency machine kind] *)
-  reads : int array;  (** register ids consulted for operand stalls *)
+  reads : int array;
+      (** the operand-stall set: the {e slow} registers this instruction
+          reads, each once. A register is slow when some instruction of
+          the function defines it with a ready time that can pass the
+          next instruction's clock: a load, or a def whose [latency]
+          exceeds its [issue] (a multiply, divide or remainder whose
+          [mul_latency] exceeds the ALU cost). The cut is exact: a fast
+          def at clock [c] makes its register ready at
+          [c + latency <= c + issue], which is at most the next
+          instruction's clock, and the clock never goes down, so a
+          register whose every def is fast can never stall a read. The
+          stall-set is therefore empty for most instructions. *)
+  sets_ready : bool;
+      (** the instruction defines a slow register, so its ready time
+          must be recorded (a later fast def of the same register must
+          overwrite an earlier slow one). Always true of a load. The
+          ready time of a register that is not slow is never read. *)
   fetch : int64;  (** synthetic fetch address; -1 for Label/Nop *)
 }
 

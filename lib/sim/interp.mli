@@ -14,10 +14,13 @@
     the enclosing naturally-aligned word.
 
     There is one engine: {!Decode} resolves each called function once
-    per run (branch targets, costs, latencies, stall sets, access
-    legality and fetch addresses), then {!Jit} compiles it into a chain
-    of OCaml closures with fused superinstructions, an inlined
-    data-cache fast path and a per-leader block cache. The test suite
+    per run (branch targets, costs, latencies, access legality, fetch
+    addresses, and stall sets cut to the registers that can stall: those
+    a load or a def whose latency outruns its issue defines), then
+    {!Jit} compiles it into a chain of OCaml closures specialized on
+    operation, operand shape and stall-set size, with fused
+    superinstructions, an inlined data-cache fast path and a per-leader
+    block cache. The test suite
     pins it to a tree-walking oracle ([test/sim_oracle.ml]): same
     return value, same heap contents, same metrics (including
     [label_counts] and [icache_misses]) and same trap strings. *)

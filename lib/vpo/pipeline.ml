@@ -307,15 +307,37 @@ let compile_func cfg timings tvalid_tbl (f : Func.t) =
      function. Rtlcheck is handed the analysis manager so it (a) audits
      the cache's coherence — catching a pass that lied about what it
      preserves — and (b) reuses the cached CFG/reaching/liveness facts
-     instead of recomputing them. *)
+     instead of recomputing them.
+
+     A pass that changed nothing leaves the body [==] to the one the
+     previous checkpoint checked, and Rtlcheck reads nothing else but
+     the parameters, the frame pointer and [?machine] (the verify level
+     is fixed for the compile), so that checkpoint's diagnostics stand,
+     re-tagged with the new pass. The coherence audit still runs at
+     every checkpoint: a pass may have left a stale cache behind an
+     unchanged body. *)
+  let last_check = ref None in
   let checkpoint ?machine name =
     time "verify" (fun () ->
-        fail_on_errors
-          (if cfg.verify = Vnone then
-             Mac_verify.Rtlcheck.structural_checks ~pass:name f
-           else
-             Mac_verify.Rtlcheck.check_func ?machine ~analysis:am ~pass:name
-               f))
+        let diags =
+          match !last_check with
+          | Some (body, params, fp, m, ds)
+            when body == f.body && params == f.params && fp == f.fp_reg
+                 && Option.equal ( == ) m machine
+                 && (cfg.verify = Vnone || Analysis.coherent am = Ok ()) ->
+            List.map (fun (d : Diagnostic.t) -> { d with pass = name }) ds
+          | _ ->
+            let ds =
+              if cfg.verify = Vnone then
+                Mac_verify.Rtlcheck.structural_checks ~pass:name f
+              else
+                Mac_verify.Rtlcheck.check_func ?machine ~analysis:am
+                  ~pass:name f
+            in
+            last_check := Some (f.body, f.params, f.fp_reg, machine, ds);
+            ds
+        in
+        fail_on_errors diags)
   in
   checkpoint "input";
   if cfg.level <> O0 then begin

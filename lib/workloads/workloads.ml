@@ -16,23 +16,31 @@ module Machine = Mac_machine.Machine
 module Disambig = Mac_core.Disambig
 module Linform = Mac_opt.Linform
 
-(* Deterministic PRNG (SplitMix64) so inputs are reproducible. *)
+(* Deterministic PRNG (SplitMix64) so inputs are reproducible. The
+   state lives unboxed in 8 bytes (as {!Mac_sim.Regfile} keeps
+   registers), so a draw allocates nothing. *)
 module Prng = struct
-  type t = { mutable state : int64 }
+  external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+  external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-  let create seed = { state = Int64.of_int (0x9E3779B9 + seed) }
+  type t = Bytes.t
 
-  let next t =
-    t.state <- Int64.add t.state 0x9E3779B97F4A7C15L;
-    let z = t.state in
+  let create seed =
+    let t = Bytes.create 8 in
+    set64 t 0 (Int64.of_int (0x9E3779B9 + seed));
+    t
+
+  let[@inline] next (t : t) =
+    let z = Int64.add (get64 t 0) 0x9E3779B97F4A7C15L in
+    set64 t 0 z;
     let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
               0xBF58476D1CE4E5B9L in
     let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27))
               0x94D049BB133111EBL in
     Int64.logxor z (Int64.shift_right_logical z 31)
 
-  let byte t = Int64.to_int (Int64.logand (next t) 0xFFL)
-  let short t = Int64.to_int (Int64.logand (next t) 0x7FFFL)
+  let byte t = Int64.to_int (next t) land 0xFF
+  let short t = Int64.to_int (next t) land 0x7FFF
 end
 
 (* A prepared run: entry arguments plus the memory regions to compare
@@ -100,7 +108,12 @@ let alloc_buf alloc (layout : layout) n =
 
 let fill_bytes mem addr data = Memory.store_bytes mem ~addr data
 
-let random_bytes prng n = Bytes.init n (fun _ -> Char.chr (Prng.byte prng))
+let random_bytes prng n =
+  let b = Bytes.create n in
+  for i = 0 to n - 1 do
+    Bytes.set_uint8 b i (Prng.byte prng)
+  done;
+  b
 
 let random_shorts prng n =
   let b = Bytes.create (2 * n) in
@@ -183,17 +196,15 @@ let conv_w1 size = (size - 2) / 8 * 8
 
 let convolution_reference ~h ~stride ~w1 (src : Bytes.t) =
   let out = Bytes.copy src in
-  let sgn b = if b >= 128 then b - 256 else b in
-  let g x = sgn (Char.code (Bytes.get src x)) in
   for y = 1 to h - 2 do
+    let rm = (y - 1) * stride and r0 = y * stride and rp = (y + 1) * stride in
     for x = 0 to w1 - 1 do
-      let rm = (y - 1) * stride and r0 = y * stride and rp = (y + 1) * stride in
       let s =
-        g (rm + x + 2) - g (rm + x)
-        + g (r0 + x + 2) + g (r0 + x + 2) - g (r0 + x) - g (r0 + x)
-        + g (rp + x + 2) - g (rp + x)
+        Bytes.get_int8 src (rm + x + 2) - Bytes.get_int8 src (rm + x)
+        + (2 * (Bytes.get_int8 src (r0 + x + 2) - Bytes.get_int8 src (r0 + x)))
+        + Bytes.get_int8 src (rp + x + 2) - Bytes.get_int8 src (rp + x)
       in
-      Bytes.set out (r0 + x) (Char.chr (s asr 2 land 0xFF))
+      Bytes.set_uint8 out (r0 + x) ((s asr 2) land 0xFF)
     done
   done;
   out
@@ -243,12 +254,22 @@ void %s(char a[], char b[], char c[], int n) {
 |}
     name op
 
-let image_binop_reference f (a : Bytes.t) (b : Bytes.t) =
-  Bytes.init (Bytes.length a) (fun i ->
-      Char.chr
-        (f (Char.code (Bytes.get a i)) (Char.code (Bytes.get b i)) land 0xFF))
+let image_binop_reference op (a : Bytes.t) (b : Bytes.t) =
+  let n = Bytes.length a in
+  let out = Bytes.create n in
+  (match op with
+  | `Add ->
+    for i = 0 to n - 1 do
+      Bytes.set_uint8 out i
+        ((Bytes.get_uint8 a i + Bytes.get_uint8 b i) land 0xFF)
+    done
+  | `Xor ->
+    for i = 0 to n - 1 do
+      Bytes.set_uint8 out i (Bytes.get_uint8 a i lxor Bytes.get_uint8 b i)
+    done);
+  out
 
-let image_binop_prepare f seed layout ~size mem =
+let image_binop_prepare op seed layout ~size mem =
   let n = size * size in
   let alloc = Memory.allocator mem in
   let a = alloc_buf alloc layout n in
@@ -262,7 +283,7 @@ let image_binop_prepare f seed layout ~size mem =
   fill_bytes mem a da;
   fill_bytes mem b db;
   let expected =
-    if layout.overlap then [] else [ ("c", image_binop_reference f da db) ]
+    if layout.overlap then [] else [ ("c", image_binop_reference op da db) ]
   in
   {
     args = [ a; b; c; Int64.of_int n ];
@@ -546,7 +567,7 @@ let all : t list =
       paper_loc = 48;
       source = image_binop_src "image_add" "+";
       entry = "image_add";
-      prepare = image_binop_prepare ( + ) 3;
+      prepare = image_binop_prepare `Add 3;
       facts = image_binop_facts;
     };
     {
@@ -564,7 +585,7 @@ let all : t list =
       paper_loc = 48;
       source = image_binop_src "image_xor" "^";
       entry = "image_xor";
-      prepare = image_binop_prepare ( lxor ) 4;
+      prepare = image_binop_prepare `Xor 4;
       facts = image_binop_facts;
     };
     {

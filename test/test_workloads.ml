@@ -116,6 +116,54 @@ let test_suite_composition () =
       Alcotest.(check bool) (b.name ^ " paper loc") true (b.paper_loc > 0))
     W.all
 
+(* The inputs every benchmark prepares at size 24 under the default
+   layout, pinned by MD5: the memory image, the expected output regions
+   (name and bytes) and the expected return value. Input generation
+   and the reference implementations may get faster; these bytes may
+   not change. *)
+let prepared_digests =
+  [
+    ( "dotproduct", "5578b257ec13bebc6b18420450dbcb1d",
+      "d41d8cd98f00b204e9800998ecf8427e", Some 7971664146L );
+    ( "convolution", "c8434c294a67fad64d615590b988b496",
+      "7cd2feacfb18f6506b3f9405a5d1a05b", None );
+    ( "image_add", "52f7b4dcf1e921d6d29f9cd16564d378",
+      "1a4e9cddc35daaa2cd2529446116ea28", None );
+    ( "image_add16", "0d2d9fe9d4f739c391caa05dd753e31e",
+      "298deead692b5cb6e364c09afe01f01d", None );
+    ( "image_xor", "d6db8a5442d3a67fe1962e3f93b76e62",
+      "c11fddb409d6a8e4c11d8e39d6abff9b", None );
+    ( "translate", "d51aad7e4bc42b443e523839645b1395",
+      "52ebf5b8f49d840ddc4e801a0285e93a", None );
+    ( "eqntott", "9a84911d235d4bc33de8c65bf9016afc",
+      "590463d9fa69e1434571540f80533349", Some 24L );
+    ( "mirror", "7f4a9d45599a2a31e18192ce78e1836a",
+      "6ffe506ff28bb31312a8af76e73ae055", None );
+  ]
+
+let test_prepared_digests () =
+  List.iter
+    (fun (name, image_md5, outputs_md5, value) ->
+      let b = Option.get (W.find name) in
+      let size = 1 lsl 16 in
+      let mem = Memory.create ~size in
+      let inst = b.W.prepare W.default_layout ~size:24 mem in
+      let image = Memory.load_bytes mem ~addr:8L ~len:(size - 8) in
+      let outputs =
+        String.concat ""
+          (List.map
+             (fun (n, bytes) -> n ^ ":" ^ Bytes.to_string bytes)
+             inst.W.expected)
+      in
+      let hex s = Digest.to_hex (Digest.string s) in
+      Alcotest.(check string) (name ^ ": memory image") image_md5
+        (hex (Bytes.to_string image));
+      Alcotest.(check string) (name ^ ": expected outputs") outputs_md5
+        (hex outputs);
+      Alcotest.(check (option int64)) (name ^ ": expected value") value
+        inst.W.expected_value)
+    prepared_digests
+
 let test_determinism () =
   (* two runs of the same configuration must agree exactly *)
   List.iter
@@ -374,6 +422,8 @@ let () =
       ( "execution",
         [
           Alcotest.test_case "determinism" `Quick test_determinism;
+          Alcotest.test_case "prepared inputs pinned" `Quick
+            test_prepared_digests;
           Alcotest.test_case "outputs verified" `Quick test_outputs_verified;
           Alcotest.test_case "failure reported" `Quick test_failure_reported;
           Alcotest.test_case "eqntott value" `Quick
