@@ -53,11 +53,25 @@ let entry_names t =
 
 let entries t = List.length (entry_names t)
 
+(* One open and one read loop into a string of the file's size, with
+   no channel and so no 64 KB channel buffer per hit. A publish renames
+   a complete file into place, so the open file does not change under
+   the loop. *)
 let read_file p =
-  let ic = open_in_bin p in
+  let fd = Unix.openfile p [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 in
   Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      let len = (Unix.fstat fd).Unix.st_size in
+      let b = Bytes.create len in
+      let rec go off =
+        if off = len then Bytes.unsafe_to_string b
+        else
+          match Unix.read fd b off (len - off) with
+          | 0 -> Bytes.sub_string b 0 off
+          | k -> go (off + k)
+      in
+      go 0)
 
 let find t key =
   let p = path t key in
@@ -66,7 +80,7 @@ let find t key =
     (* LRU touch; harmless to lose a race with eviction *)
     (try Unix.utimes p 0.0 0.0 with Unix.Unix_error _ -> ());
     Some body
-  | exception Sys_error _ -> None
+  | exception Unix.Unix_error _ -> None
 
 (* Below the cap there is nothing to evict, so only a directory over it
    pays one stat per entry: a cache that grows by one entry a miss would

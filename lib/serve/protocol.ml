@@ -1,11 +1,12 @@
-(* Length-framed JSON messages for the mccd daemon. The JSON side rides
-   the shared Jsonio kernel so the wire, the on-disk cache and the bench
-   artifacts all speak the same canonical format. *)
+(* Length-framed messages for the mccd daemon. The JSON side rides the
+   shared Jsonio kernel so the wire, the on-disk cache and the bench
+   artifacts all speak the same canonical format; a reply's artifact
+   body follows its JSON header raw, as the cache stores it. *)
 
 module J = Mac_workloads.Jsonio
 module Pipeline = Mac_vpo.Pipeline
 
-let proto = "mac-serve/1"
+let proto = "mac-serve/2"
 let max_frame = 1 lsl 24
 
 type source = [ `Source of string | `Bench of string ]
@@ -95,32 +96,45 @@ let hello_of_json text =
     | Some h_proto, Some h_fingerprint -> Ok { h_proto; h_fingerprint }
     | _ -> Error "hello lacks \"proto\"/\"fingerprint\" strings")
 
+(* The header is a compact rendering, which escapes every newline, so
+   the first newline of a reply ends it. *)
 let reply_to_json r =
-  J.render
-    (J.Obj
-       [
-         ("ok", J.Bool r.r_ok);
-         ("cached", J.Bool r.r_cached);
-         ("key", J.Str r.r_key);
-         ("body", J.Str r.r_body);
-       ])
+  let header =
+    J.render
+      (J.Obj
+         [
+           ("ok", J.Bool r.r_ok);
+           ("cached", J.Bool r.r_cached);
+           ("key", J.Str r.r_key);
+           ("body_bytes", J.Num (float_of_int (String.length r.r_body)));
+         ])
+  in
+  String.concat "\n" [ header; r.r_body ]
 
 let reply_of_json text =
-  match J.parse text with
-  | Error msg -> Error ("reply does not parse: " ^ msg)
-  | Ok doc -> (
-    let bool_member key =
-      match J.member key doc with Some (J.Bool b) -> Some b | _ -> None
-    in
-    match
-      ( bool_member "ok",
-        bool_member "cached",
-        str_member "key" doc,
-        str_member "body" doc )
-    with
-    | Some r_ok, Some r_cached, Some r_key, Some r_body ->
-      Ok { r_ok; r_cached; r_key; r_body }
-    | _ -> Error "reply lacks ok/cached/key/body fields")
+  match String.index_opt text '\n' with
+  | None -> Error "reply has no header line"
+  | Some eol -> (
+    match J.parse (String.sub text 0 eol) with
+    | Error msg -> Error ("reply header does not parse: " ^ msg)
+    | Ok doc -> (
+      let bool_member key =
+        match J.member key doc with Some (J.Bool b) -> Some b | _ -> None
+      in
+      match
+        ( bool_member "ok",
+          bool_member "cached",
+          str_member "key" doc,
+          J.member "body_bytes" doc )
+      with
+      | Some r_ok, Some r_cached, Some r_key, Some (J.Num n) ->
+        let len = String.length text - eol - 1 in
+        if n <> float_of_int len then
+          Error
+            (Printf.sprintf "reply body is %d bytes, its header says %s" len
+               (J.render (J.Num n)))
+        else Ok { r_ok; r_cached; r_key; r_body = String.sub text (eol + 1) len }
+      | _ -> Error "reply header lacks ok/cached/key/body_bytes fields"))
 
 (* --- framing ----------------------------------------------------- *)
 
@@ -134,15 +148,23 @@ let really_write fd s =
   in
   go 0
 
-let write_frame fd payload =
-  let n = String.length payload in
-  let hdr = Bytes.create 4 in
-  Bytes.set_uint8 hdr 0 ((n lsr 24) land 0xff);
-  Bytes.set_uint8 hdr 1 ((n lsr 16) land 0xff);
-  Bytes.set_uint8 hdr 2 ((n lsr 8) land 0xff);
-  Bytes.set_uint8 hdr 3 (n land 0xff);
-  really_write fd (Bytes.to_string hdr);
-  really_write fd payload
+(* All the frames in one buffer, so they leave in one [write]. *)
+let write_frames fd payloads =
+  let total =
+    List.fold_left (fun acc p -> acc + 4 + String.length p) 0 payloads
+  in
+  let b = Bytes.create total in
+  ignore
+    (List.fold_left
+       (fun off p ->
+         let n = String.length p in
+         Bytes.set_int32_be b off (Int32.of_int n);
+         Bytes.blit_string p 0 b (off + 4) n;
+         off + 4 + n)
+       0 payloads);
+  really_write fd (Bytes.unsafe_to_string b)
+
+let write_frame fd payload = write_frames fd [ payload ]
 
 let really_read fd len =
   let buf = Bytes.create len in

@@ -1,19 +1,24 @@
-(** The mccd wire protocol: length-framed JSON over a Unix socket.
+(** The mccd wire protocol: length-framed messages over a Unix socket.
 
     Every message is one {e frame}: a 4-byte big-endian payload length
-    followed by that many bytes of JSON ({!Mac_workloads.Jsonio} — the
-    same kernel the bench artifacts use, so the cache, the wire and the
-    artifacts share one canonical format). A connection carries, in
-    order: the client's request frame, the server's hello frame
-    (announcing {!proto} and the build's
-    {!Mac_vpo.Version.compiler_fingerprint}), and the server's reply
-    frame; the server then closes the connection. The client may write
-    its request before the hello arrives — the hello is consumed
-    together with the reply — and must: the server sends nothing
-    until it has read the request. *)
+    followed by that many bytes. A connection carries, in order: the
+    client's request frame, the server's hello frame (announcing
+    {!proto} and the build's {!Mac_vpo.Version.compiler_fingerprint}),
+    and the server's reply frame; the server then closes the
+    connection. Requests and hellos are compact JSON
+    ({!Mac_workloads.Jsonio} — the same kernel the bench artifacts use,
+    so the cache, the wire and the artifacts share one canonical
+    format). A reply is a compact JSON header line, [{"ok", "cached",
+    "key", "body_bytes"}], one newline, then the artifact body raw,
+    exactly the bytes {!Cache} stores. The server writes the hello and
+    the reply with one [write]. The client may write its request before
+    the hello arrives — the hello is consumed together with the reply —
+    and must: the server sends nothing until it has read the request. *)
 
 val proto : string
-(** Protocol identifier, ["mac-serve/1"]. *)
+(** Protocol identifier, ["mac-serve/2"]: a client checks it before it
+    reads the reply, so a daemon speaking another version is a
+    "protocol mismatch" error, not a reply that fails to parse. *)
 
 val max_frame : int
 (** Upper bound on a frame payload (16 MiB); {!read_frame} rejects
@@ -61,11 +66,15 @@ type reply = {
           bytes of the miss *)
 }
 
-(** {1 JSON codecs}
+(** {1 Codecs}
 
     Requests accept their optional fields ([level], [verify]) in any
     order and with either present or absent — {!Digest_key} guarantees
-    the permutations hash equal. *)
+    the permutations hash equal. {!reply_to_json} renders the header
+    line and appends the body as it is; {!reply_of_json} returns
+    [Error] when there is no newline, the header does not parse or
+    lacks a field, or [body_bytes] differs from the length of what
+    follows the newline (a truncated reply). *)
 
 val request_to_json : request -> string
 val request_of_json : string -> (request, string) result
@@ -77,7 +86,12 @@ val reply_of_json : string -> (reply, string) result
 (** {1 Framing} *)
 
 val write_frame : Unix.file_descr -> string -> unit
-(** One frame: 4-byte big-endian length, then the payload. *)
+(** One frame: 4-byte big-endian length, then the payload, in one
+    [write]. *)
+
+val write_frames : Unix.file_descr -> string list -> unit
+(** Several frames, in order, in one [write]: the daemon sends its
+    hello and its reply this way. *)
 
 val read_frame : Unix.file_descr -> (string, string) result
 (** The next frame's payload; [Error] on EOF, a short read, a failed

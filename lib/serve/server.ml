@@ -26,14 +26,16 @@ let hello_json =
       h_fingerprint = Mac_vpo.Version.compiler_fingerprint;
     }
 
-(* Reply and close, swallowing I/O errors: a client that hung up
-   forfeits its reply, nothing else. *)
+(* Hello and reply in one write, then close, swallowing I/O errors: a
+   client that hung up forfeits its reply, nothing else. *)
 let answer fd ~ok ~cached ~key ~body =
   (try
-     Protocol.write_frame fd hello_json;
-     Protocol.write_frame fd
-       (Protocol.reply_to_json
-          { Protocol.r_ok = ok; r_cached = cached; r_key = key; r_body = body })
+     Protocol.write_frames fd
+       [
+         hello_json;
+         Protocol.reply_to_json
+           { Protocol.r_ok = ok; r_cached = cached; r_key = key; r_body = body };
+       ]
    with Unix.Unix_error _ | Sys_error _ -> ());
   try Unix.close fd with Unix.Unix_error _ -> ()
 

@@ -13,23 +13,44 @@ type t =
   | Arr of t list
   | Obj of (string * t) list
 
-let escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
+(* Escape [s] into [buf]. Each run of characters that need no escape
+   goes in with one [add_substring]; a control character outside the
+   three short forms becomes [\u00XX] in lowercase hex. *)
+let escape_into buf s =
+  let n = String.length s in
+  let hex d = "0123456789abcdef".[d] in
+  let rec go start i =
+    if i = n then Buffer.add_substring buf s start (i - start)
+    else
+      match String.unsafe_get s i with
+      | ('"' | '\\') as c -> short start i c
+      | '\n' -> short start i 'n'
+      | '\t' -> short start i 't'
+      | '\r' -> short start i 'r'
       | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+        Buffer.add_substring buf s start (i - start);
+        Buffer.add_string buf "\\u00";
+        Buffer.add_char buf (hex (Char.code c lsr 4));
+        Buffer.add_char buf (hex (Char.code c land 15));
+        go (i + 1) (i + 1)
+      | _ -> go start (i + 1)
+  and short start i c =
+    Buffer.add_substring buf s start (i - start);
+    Buffer.add_char buf '\\';
+    Buffer.add_char buf c;
+    go (i + 1) (i + 1)
+  in
+  go 0 0
 
-let str s = "\"" ^ escape s ^ "\""
+let quoted buf s =
+  Buffer.add_char buf '"';
+  escape_into buf s;
+  Buffer.add_char buf '"'
+
+let str s =
+  let buf = Buffer.create (String.length s + 2) in
+  quoted buf s;
+  Buffer.contents buf
 
 (* Canonical compact emitter for {!t} values. Finite floats only; a
    whole number prints without a fraction part and anything else with
@@ -46,7 +67,7 @@ let render v =
     | Null -> Buffer.add_string buf "null"
     | Bool b -> Buffer.add_string buf (if b then "true" else "false")
     | Num f -> num f
-    | Str s -> Buffer.add_string buf (str s)
+    | Str s -> quoted buf s
     | Arr vs ->
       Buffer.add_char buf '[';
       List.iteri
@@ -60,7 +81,7 @@ let render v =
       List.iteri
         (fun i (k, v) ->
           if i > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf (str k);
+          quoted buf k;
           Buffer.add_char buf ':';
           go v)
         fields;
@@ -71,76 +92,87 @@ let render v =
 
 exception Bad of string
 
+(* Recursive descent over an index into [s]. Reading a character
+   allocates nothing ([at] answers ['\000'] past the end, a byte no
+   branch takes for a token), and a string is copied a run at a time:
+   one [String.sub] when it has no escape. An error names the byte
+   offset it stopped at. *)
 let parse s =
   let n = String.length s in
   let pos = ref 0 in
   let fail msg = raise (Bad (Printf.sprintf "%s at byte %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
-    | _ -> ()
+  let at i = if i < n then String.unsafe_get s i else '\000' in
+  let skip_ws () =
+    while match at !pos with ' ' | '\t' | '\n' | '\r' -> true | _ -> false do
+      incr pos
+    done
   in
   let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected '%c'" c)
+    if at !pos = c then incr pos else fail (Printf.sprintf "expected '%c'" c)
   in
   let literal word v =
-    if
-      !pos + String.length word <= n
-      && String.sub s !pos (String.length word) = word
-    then begin
-      pos := !pos + String.length word;
+    let len = String.length word in
+    let rec same i = i = len || (s.[!pos + i] = word.[i] && same (i + 1)) in
+    if !pos + len <= n && same 0 then begin
+      pos := !pos + len;
       v
     end
     else fail (Printf.sprintf "expected %s" word)
   in
+  (* the first quote or backslash at or after [i], or [n] *)
+  let rec plain i =
+    if i < n && (match String.unsafe_get s i with '"' | '\\' -> false | _ -> true)
+    then plain (i + 1)
+    else i
+  in
   let parse_string () =
     expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-        advance ();
-        match peek () with
-        | Some ('"' as c) | Some ('\\' as c) | Some ('/' as c) ->
-          Buffer.add_char buf c;
-          advance ();
-          go ()
-        | Some 'n' -> Buffer.add_char buf '\n'; advance (); go ()
-        | Some 't' -> Buffer.add_char buf '\t'; advance (); go ()
-        | Some 'r' -> Buffer.add_char buf '\r'; advance (); go ()
-        | Some 'b' -> Buffer.add_char buf '\b'; advance (); go ()
-        | Some 'f' -> Buffer.add_char buf '\012'; advance (); go ()
-        | Some 'u' ->
-          if !pos + 4 >= n then fail "truncated \\u escape";
-          for _ = 0 to 4 do advance () done;
-          Buffer.add_char buf '?';
-          go ()
-        | _ -> fail "bad escape")
-      | Some c ->
-        Buffer.add_char buf c;
-        advance ();
-        go ()
-    in
-    go ();
-    Buffer.contents buf
+    let start = !pos in
+    let stop = plain start in
+    if stop < n && String.unsafe_get s stop = '"' then begin
+      pos := stop + 1;
+      String.sub s start (stop - start)
+    end
+    else begin
+      let buf = Buffer.create (stop - start + 16) in
+      let rec go start =
+        let stop = plain start in
+        Buffer.add_substring buf s start (stop - start);
+        pos := stop;
+        if stop = n then fail "unterminated string"
+        else if String.unsafe_get s stop = '"' then incr pos
+        else begin
+          incr pos;
+          let decoded =
+            match at !pos with
+            | ('"' | '\\' | '/') as c -> c
+            | 'n' -> '\n'
+            | 't' -> '\t'
+            | 'r' -> '\r'
+            | 'b' -> '\b'
+            | 'f' -> '\012'
+            | 'u' ->
+              if !pos + 4 >= n then fail "truncated \\u escape";
+              pos := !pos + 4;
+              '?'
+            | _ -> fail "bad escape"
+          in
+          Buffer.add_char buf decoded;
+          go (!pos + 1)
+        end
+      in
+      go start;
+      Buffer.contents buf
+    end
   in
   let parse_number () =
     let start = !pos in
-    let number_char c =
-      match c with
+    while
+      match at !pos with
       | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
       | _ -> false
-    in
-    while (match peek () with Some c -> number_char c | None -> false) do
-      advance ()
+    do
+      incr pos
     done;
     if !pos = start then fail "expected a number";
     match float_of_string_opt (String.sub s start (!pos - start)) with
@@ -149,11 +181,12 @@ let parse s =
   in
   let rec parse_value () =
     skip_ws ();
-    match peek () with
-    | Some '{' ->
-      advance ();
+    if !pos >= n then fail "unexpected end of input";
+    match String.unsafe_get s !pos with
+    | '{' ->
+      incr pos;
       skip_ws ();
-      if peek () = Some '}' then begin advance (); Obj [] end
+      if at !pos = '}' then begin incr pos; Obj [] end
       else begin
         let rec members acc =
           skip_ws ();
@@ -162,34 +195,33 @@ let parse s =
           expect ':';
           let v = parse_value () in
           skip_ws ();
-          match peek () with
-          | Some ',' -> advance (); members ((key, v) :: acc)
-          | Some '}' -> advance (); Obj (List.rev ((key, v) :: acc))
+          match at !pos with
+          | ',' -> incr pos; members ((key, v) :: acc)
+          | '}' -> incr pos; Obj (List.rev ((key, v) :: acc))
           | _ -> fail "expected ',' or '}'"
         in
         members []
       end
-    | Some '[' ->
-      advance ();
+    | '[' ->
+      incr pos;
       skip_ws ();
-      if peek () = Some ']' then begin advance (); Arr [] end
+      if at !pos = ']' then begin incr pos; Arr [] end
       else begin
         let rec elements acc =
           let v = parse_value () in
           skip_ws ();
-          match peek () with
-          | Some ',' -> advance (); elements (v :: acc)
-          | Some ']' -> advance (); Arr (List.rev (v :: acc))
+          match at !pos with
+          | ',' -> incr pos; elements (v :: acc)
+          | ']' -> incr pos; Arr (List.rev (v :: acc))
           | _ -> fail "expected ',' or ']'"
         in
         elements []
       end
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> Num (parse_number ())
-    | None -> fail "unexpected end of input"
+    | '"' -> Str (parse_string ())
+    | 't' -> literal "true" (Bool true)
+    | 'f' -> literal "false" (Bool false)
+    | 'n' -> literal "null" Null
+    | _ -> Num (parse_number ())
   in
   match
     let v = parse_value () in

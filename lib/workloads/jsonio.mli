@@ -6,7 +6,10 @@
     parse through this one module, and cannot drift apart. The
     emit/parse pair is pinned by a qcheck round-trip test
     ([test_estimate.ml]): for any finite value, [parse (render v)]
-    recovers [v]. *)
+    recovers [v]. Both scan by index and copy runs of plain characters
+    at once; qcheck properties hold them to the bytes, values and error
+    messages of the per-character kernel they replaced, kept in
+    [test/jsonio_oracle.ml]. *)
 
 type t =
   | Null
@@ -27,8 +30,11 @@ val render : t -> string
     that {!parse} recovers the identical float. *)
 
 val parse : string -> (t, string) result
-(** Minimal recursive-descent parser. [\uXXXX] escapes outside the
-    control range decode to ['?'] — the artifacts never emit them. *)
+(** Minimal recursive-descent parser. Every [\uXXXX] escape decodes to
+    ['?'], including the control-range escapes {!render} emits, so a
+    string with a control byte other than newline, tab and carriage
+    return does not survive a round trip. An error message ends with
+    the byte offset where parsing stopped. *)
 
 val member : string -> t -> t option
 (** Field lookup on an [Obj]; [None] on any other constructor. *)

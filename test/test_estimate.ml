@@ -158,6 +158,98 @@ let json_roundtrip_test =
       | Ok v' -> v' = v
       | Error _ -> false)
 
+(* The run-scanning kernel against the per-character one it replaced
+   (test/jsonio_oracle.ml): the same bytes out of [render] and [str],
+   and the same value or the same error, at the same byte, out of
+   [parse]. Strings carry every control byte, NUL and 0xff; the texts
+   are renderings, renderings cut short or with one byte replaced, and
+   token soup with [\u] escapes. *)
+let any_byte_str_g =
+  let open QCheck.Gen in
+  string_size
+    ~gen:
+      (frequency
+         [ (4, oneofl [ 'a'; ' '; '"'; '\\'; '/'; '\n'; '\t'; '\r'; '\xff' ]);
+           (2, map Char.chr (int_range 0 0x1f));
+           (1, char) ])
+    (int_range 0 12)
+
+let gen_text =
+  let open QCheck.Gen in
+  let soup =
+    map (String.concat "")
+      (list_size (int_range 0 12)
+         (oneofl
+            [ "{"; "}"; "["; "]"; ":"; ","; "\""; "\\"; "\\u"; "\\u00";
+              "\\u0041"; "\\n"; "\\/"; "\\x"; "u"; "00"; "1"; "-"; "+";
+              "."; "e"; "2.5E-3"; " "; "\n"; "\000"; "\xff"; "true"; "fals";
+              "null"; "nul"; "\"k\""; "\"\\\"" ]))
+  in
+  let rendered = map Jsonio.render gen_json in
+  let cut =
+    map2
+      (fun t k -> String.sub t 0 (k mod (String.length t + 1)))
+      rendered nat
+  in
+  let replaced =
+    map3
+      (fun t k c ->
+        if t = "" then t
+        else
+          let b = Bytes.of_string t in
+          Bytes.set b (k mod Bytes.length b) c;
+          Bytes.to_string b)
+      rendered nat
+      (oneofl [ '"'; '\\'; '}'; ']'; ','; ':'; ' '; 'x'; '\000'; '\xff' ])
+  in
+  frequency [ (2, rendered); (2, cut); (2, replaced); (3, soup) ]
+
+let json_oracle_render_test =
+  QCheck.Test.make ~count:500 ~name:"render and str match the oracle"
+    (QCheck.make ~print:Jsonio_oracle.render
+       QCheck.Gen.(
+         pair gen_json any_byte_str_g
+         |> map (fun (v, s) -> Jsonio.Arr [ v; Jsonio.Str s; Jsonio.Obj [ (s, v) ] ])))
+    (fun v ->
+      String.equal (Jsonio.render v) (Jsonio_oracle.render v)
+      && List.for_all
+           (function
+             | Jsonio.Str s -> String.equal (Jsonio.str s) (Jsonio_oracle.str s)
+             | _ -> true)
+           (match v with Jsonio.Arr l -> l | _ -> []))
+
+let json_oracle_parse_test =
+  QCheck.Test.make ~count:2000 ~name:"parse matches the oracle"
+    (QCheck.make ~print:String.escaped gen_text)
+    (fun t -> compare (Jsonio.parse t) (Jsonio_oracle.parse t) = 0)
+
+(* Pinned cases of the property above, error positions included. *)
+let test_json_parse_cases () =
+  List.iter
+    (fun (text, want) ->
+      let show = function
+        | Ok v -> "Ok " ^ Jsonio.render v
+        | Error e -> "Error " ^ e
+      in
+      Alcotest.(check string) (String.escaped text) want (show (Jsonio.parse text));
+      Alcotest.(check string) ("oracle " ^ String.escaped text) want
+        (show (Jsonio_oracle.parse text)))
+    [ ("\"a\\u0041b\"", "Ok \"a?b\"");
+      ("\"\\u00\"", "Error truncated \\u escape at byte 2");
+      ("\"ab", "Error unterminated string at byte 3");
+      ("\"a\\q\"", "Error bad escape at byte 3");
+      ("\"a\\", "Error bad escape at byte 3");
+      ("{\"k\" 1}", "Error expected ':' at byte 5");
+      ("{\"k\":1 2}", "Error expected ',' or '}' at byte 7");
+      ("[1 2]", "Error expected ',' or ']' at byte 3");
+      ("{1:2}", "Error expected '\"' at byte 1");
+      ("tru", "Error expected true at byte 0");
+      ("1.2.3", "Error malformed number at byte 5");
+      ("x", "Error expected a number at byte 0");
+      ("  ", "Error unexpected end of input at byte 2");
+      ("null x", "Error trailing garbage at byte 5");
+      ("\"\001\\t\xff\"", "Ok \"\\u0001\\t\xff\"") ]
+
 let test_json_member () =
   let doc = {|{"schema": "x/1", "cells": [1, 2.5, true, null, "s"]}|} in
   match Jsonio.parse doc with
@@ -492,6 +584,10 @@ let () =
         [
           QCheck_alcotest.to_alcotest json_roundtrip_test;
           Alcotest.test_case "parse + member" `Quick test_json_member;
+          QCheck_alcotest.to_alcotest json_oracle_render_test;
+          QCheck_alcotest.to_alcotest json_oracle_parse_test;
+          Alcotest.test_case "parse cases match the oracle" `Quick
+            test_json_parse_cases;
         ] );
       ( "estimator vs engine",
         Alcotest.test_case "prediction follows model_icache" `Quick

@@ -167,6 +167,12 @@ let test_bench_resolves_to_source () =
 
 (* --- framing and codecs ------------------------------------------ *)
 
+let temp_dir prefix =
+  let d = Filename.temp_file prefix "" in
+  Sys.remove d;
+  Unix.mkdir d 0o700;
+  d
+
 let test_frame_roundtrip () =
   let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Fun.protect
@@ -212,6 +218,97 @@ let test_codec_roundtrips () =
   | Ok r -> Alcotest.(check bool) "reply roundtrip" true (r = reply)
   | Error e -> Alcotest.failf "reply: %s" e
 
+(* Bodies a reply must carry unchanged: the header's newline ends at
+   the first one, so a body's own newlines, quotes, backslashes, NUL and
+   0xff bytes ride after it raw. *)
+let awkward_bodies =
+  [ ""; String.make 70000 'b'; "line\nline\n"; "\"q\" \\ \x00 \xff end";
+    "{\"ok\":true,\n\"rtl\":\"r[1] <- 2\"}\n" ]
+
+let reply_with body =
+  { Protocol.r_ok = true; r_cached = true; r_key = "k\n\"1\""; r_body = body }
+
+let test_reply_wire () =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close a; Unix.close b)
+    (fun () ->
+      List.iter
+        (fun body ->
+          let r = reply_with body in
+          let wire = Protocol.reply_to_json r in
+          let eol = String.index wire '\n' in
+          Alcotest.(check string) "body follows the header raw" body
+            (String.sub wire (eol + 1) (String.length wire - eol - 1));
+          (match Mac_workloads.Jsonio.parse (String.sub wire 0 eol) with
+          | Ok doc ->
+            Alcotest.(check bool) "body_bytes" true
+              (Mac_workloads.Jsonio.member "body_bytes" doc
+              = Some (Mac_workloads.Jsonio.Num
+                        (float_of_int (String.length body))))
+          | Error e -> Alcotest.failf "header: %s" e);
+          (* a second frame in the same write arrives intact behind it *)
+          Protocol.write_frames a [ "hello"; wire ];
+          (match (Protocol.read_frame b, Protocol.read_frame b) with
+          | Ok "hello", Ok payload -> (
+            match Protocol.reply_of_json payload with
+            | Ok r' -> Alcotest.(check bool) "reply roundtrip" true (r' = r)
+            | Error e -> Alcotest.failf "reply: %s" e)
+          | _ -> Alcotest.fail "frames lost"))
+        awkward_bodies)
+
+let test_reply_rejects () =
+  let wire = Protocol.reply_to_json (reply_with "0123456789") in
+  let eol = String.index wire '\n' in
+  List.iter
+    (fun (label, text) ->
+      match Protocol.reply_of_json text with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%s should not parse" label)
+    [ ("no newline", String.sub wire 0 eol);
+      ("truncated body", String.sub wire 0 (String.length wire - 1));
+      ("body longer than its header says", wire ^ "x");
+      ("mac-serve/1 reply",
+       "{\"ok\":true,\"cached\":true,\"key\":\"k\",\"body\":\"b\"}");
+      ("no body_bytes", "{\"ok\":true,\"cached\":true,\"key\":\"k\"}\nb");
+      ("header not JSON", "ok\nb") ]
+
+(* A daemon that answers with another protocol's hello: the client
+   names the mismatch instead of misreading the reply. *)
+let test_old_daemon_mismatch () =
+  let dir = temp_dir "mccd_old" in
+  let socket = Filename.concat dir "old.sock" in
+  let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind lfd (Unix.ADDR_UNIX socket);
+  Unix.listen lfd 1;
+  match Unix.fork () with
+  | 0 ->
+    (try
+       let fd, _ = Unix.accept lfd in
+       ignore (Protocol.read_frame fd);
+       Protocol.write_frame fd
+         "{\"proto\":\"mac-serve/1\",\"fingerprint\":\"f\"}";
+       Protocol.write_frame fd
+         "{\"ok\":true,\"cached\":true,\"key\":\"k\",\"body\":\"{}\"}";
+       Unix.close fd
+     with _ -> ());
+    Unix._exit 0
+  | pid ->
+    Unix.close lfd;
+    Fun.protect
+      ~finally:(fun () -> ignore (Unix.waitpid [] pid))
+      (fun () ->
+        match
+          Client.request ~socket
+            (Protocol.request ~machine:"alpha" (`Bench "dotproduct"))
+        with
+        | Ok _ -> Alcotest.fail "a mac-serve/1 daemon was accepted"
+        | Error e ->
+          Alcotest.(check bool)
+            ("protocol mismatch: " ^ e)
+            true
+            (String.starts_with ~prefix:"protocol mismatch" e))
+
 let test_request_rejects () =
   List.iter
     (fun (label, text) ->
@@ -227,12 +324,6 @@ let test_request_rejects () =
        "{\"source\":\"x\",\"machine\":\"alpha\",\"level\":\"O9\"}") ]
 
 (* --- on-disk cache ----------------------------------------------- *)
-
-let temp_dir prefix =
-  let d = Filename.temp_file prefix "" in
-  Sys.remove d;
-  Unix.mkdir d 0o700;
-  d
 
 let test_cache_store_find_evict () =
   let dir = temp_dir "mcc_cache" in
@@ -299,6 +390,17 @@ let test_cache_temp_hygiene () =
       (try Cache.store c "k4" "body" with Sys_error _ | Unix.Unix_error _ -> ());
       Alcotest.(check (list string)) "read-only directory: no temp file" []
         (temps ()))
+
+let test_cache_find_bytes () =
+  let c = Cache.open_dir (temp_dir "mcc_cache") in
+  List.iteri
+    (fun i body ->
+      let key = Printf.sprintf "k%d" i in
+      Cache.store c key body;
+      Alcotest.(check (option string)) "find returns the stored bytes"
+        (Some body) (Cache.find c key))
+    awkward_bodies;
+  Alcotest.(check (option string)) "absent key" None (Cache.find c "absent")
 
 let test_cache_find_touches () =
   (* find bumps mtime, so "oldest" means least recently used, not least
@@ -434,10 +536,11 @@ let test_e2e_hit_byte_identical () =
         hit.Protocol.r_key;
       Alcotest.(check string) "hit body byte-identical to the miss"
         miss.Protocol.r_body hit.Protocol.r_body;
-      (* the artifact really is on disk under its key *)
-      Alcotest.(check bool) "artifact file exists" true
-        (Sys.file_exists
-           (Filename.concat cache_dir (miss.Protocol.r_key ^ ".json"))))
+      (* the hit is the stored file, byte for byte *)
+      let file = Filename.concat cache_dir (miss.Protocol.r_key ^ ".json") in
+      let stored = In_channel.with_open_bin file In_channel.input_all in
+      Alcotest.(check string) "hit body byte-identical to its cache file"
+        stored hit.Protocol.r_body)
 
 let test_e2e_poisoned_request_isolated () =
   with_daemon ~max_requests:3 (fun ~socket ~cache_dir:_ ->
@@ -740,11 +843,19 @@ let () =
           Alcotest.test_case "codec roundtrips" `Quick test_codec_roundtrips;
           Alcotest.test_case "malformed requests rejected" `Quick
             test_request_rejects;
+          Alcotest.test_case "reply carries its body raw" `Quick
+            test_reply_wire;
+          Alcotest.test_case "malformed replies rejected" `Quick
+            test_reply_rejects;
+          Alcotest.test_case "mac-serve/1 daemon is a mismatch" `Quick
+            test_old_daemon_mismatch;
         ] );
       ( "cache",
         [
           Alcotest.test_case "store/find/evict" `Quick
             test_cache_store_find_evict;
+          Alcotest.test_case "find returns the stored bytes" `Quick
+            test_cache_find_bytes;
           Alcotest.test_case "find touches LRU order" `Quick
             test_cache_find_touches;
           Alcotest.test_case "temp-file hygiene" `Quick

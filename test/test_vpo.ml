@@ -134,6 +134,28 @@ let test_alpha_output_has_no_narrow_memory () =
         f.Func.body)
     compiled.funcs
 
+(* Every pinned compile reproduces its digest (test/compile_pins.ml). *)
+let test_compile_pins () =
+  let got =
+    List.map (fun c -> (Compile_pins.cell_name c, Compile_pins.digest c))
+      Compile_pins.cells
+  in
+  Alcotest.(check int) "cells" 240 (List.length got);
+  let wrong =
+    List.filter_map
+      (fun (n, d) ->
+        match List.assoc_opt n Compile_pins.expected with
+        | Some e when String.equal e d -> None
+        | e ->
+          Some
+            (Printf.sprintf "%s: %s, pinned %s" n d
+               (Option.value e ~default:"nothing")))
+      got
+  in
+  if wrong <> [] then
+    Alcotest.failf "%d of 240 compiles changed:\n%s" (List.length wrong)
+      (String.concat "\n" wrong)
+
 let () =
   Alcotest.run "vpo"
     [
@@ -159,5 +181,10 @@ let () =
         [
           Alcotest.test_case "alpha legal widths" `Quick
             test_alpha_output_has_no_narrow_memory;
+        ] );
+      ( "pins",
+        [
+          Alcotest.test_case "240 compiles byte-identical" `Quick
+            test_compile_pins;
         ] );
     ]
