@@ -156,6 +156,38 @@ let test_compile_pins () =
     Alcotest.failf "%d of 240 compiles changed:\n%s" (List.length wrong)
       (String.concat "\n" wrong)
 
+(* The names [test_intercept] is called with, in order, over one Vfull
+   compile of the dot product on the Alpha. With the intercept armed
+   every classic pass runs in every round, so each round shows all six. *)
+let intercepted cfg =
+  let seen = ref [] in
+  Pipeline.test_intercept := Some (fun pass _ -> seen := pass :: !seen);
+  Fun.protect
+    ~finally:(fun () -> Pipeline.test_intercept := None)
+    (fun () -> ignore (Pipeline.compile_source cfg src));
+  List.rev !seen
+
+let classic_round = "simplify copyprop cse combine cleanflow dce"
+
+(* [n] classic rounds, as the intercept sees them *)
+let rounds n = String.concat " " (List.init n (fun _ -> classic_round))
+
+(* The pass order, pinned: at O4 with every optional pass on, and at O2. *)
+let test_pass_sequence () =
+  let seq cfg = String.concat " " (intercepted cfg) in
+  Alcotest.(check string) "O4-full"
+    (String.concat " "
+       [ rounds 10; "strength-reduce coalesce"; rounds 2; "legalize";
+         rounds 2; "schedule pipeline-sched regalloc" ])
+    (seq
+       (Pipeline.config ~level:Pipeline.O4 ~verify:Pipeline.Vfull
+          ~strength_reduce:true ~schedule:true ~pipeline_sched:true
+          ~regalloc:32 Machine.alpha));
+  Alcotest.(check string) "O2"
+    (String.concat " " [ rounds 3; "coalesce"; rounds 3; "legalize"; rounds 2 ])
+    (seq (Pipeline.config ~level:Pipeline.O2 ~verify:Pipeline.Vfull
+            Machine.alpha))
+
 let () =
   Alcotest.run "vpo"
     [
@@ -186,5 +218,6 @@ let () =
         [
           Alcotest.test_case "240 compiles byte-identical" `Quick
             test_compile_pins;
+          Alcotest.test_case "pass sequence" `Quick test_pass_sequence;
         ] );
     ]
