@@ -723,6 +723,14 @@ let audit_loop ?analysis ~facts f ~machine (r : Coalesce.loop_report) =
       ])
   | _ -> []
 
+let regions reports =
+  List.filter_map
+    (fun (r : Coalesce.loop_report) ->
+      Option.map
+        (fun _ -> (r.header, "coalesce certificate (audited at Vfull)"))
+        r.main_label)
+    reports
+
 let run ?analysis ?(facts = Mac_core.Disambig.empty) f ~machine ~reports =
   List.concat_map (audit_loop ?analysis ~facts f ~machine) reports
   |> List.map (Diagnostic.with_func f.Func.name)

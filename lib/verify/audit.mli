@@ -40,6 +40,12 @@
     legalization rewrites narrow references into wide-plus-extract shapes
     of its own. *)
 
+val regions :
+  Mac_core.Coalesce.loop_report list -> (Mac_rtl.Rtl.label * string) list
+(** The loops the coalescer rewrote, as {!Tvalid.validate} regions: the
+    header of every report with a main loop. An unrolled-only loop has
+    one too, although {!run} audits coalesced loops only. *)
+
 val run :
   ?analysis:Mac_dataflow.Analysis.t ->
   ?facts:Mac_core.Disambig.facts ->

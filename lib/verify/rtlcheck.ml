@@ -72,6 +72,27 @@ let structural_checks ~pass (f : Func.t) =
 
 (* --- operand sanity: field positions, shift amounts, widths --------- *)
 
+(* The one machine-dependent check: a load or store whose width the
+   machine cannot issue. *)
+let width_error machine ~pass (i : Rtl.inst) =
+  let check mc what legal (m : Rtl.mem) =
+    if legal mc m.width ~aligned:m.aligned then None
+    else
+      Some
+        (Diagnostic.errorf ~pass ~uid:i.uid
+           "%s of width %a (%s) is not legal on %s" what Width.pp m.width
+           (if m.aligned then "aligned" else "unaligned")
+           mc.Machine.name)
+  in
+  match (machine, i.kind) with
+  | Some mc, Rtl.Load { src; _ } -> check mc "load" Machine.legal_load src
+  | Some mc, Rtl.Store { dst; _ } -> check mc "store" Machine.legal_store dst
+  | _ -> None
+
+let width_checks ~machine ~pass (f : Func.t) =
+  List.filter_map (width_error (Some machine) ~pass) f.body
+  |> List.map (Diagnostic.with_func f.name)
+
 let operand_checks ?machine ~pass (f : Func.t) =
   let diags = ref [] in
   let add d = diags := d :: !diags in
@@ -89,23 +110,6 @@ let operand_checks ?machine ~pass (f : Func.t) =
              what p Width.pp width)
     | Rtl.Reg _ -> ()
   in
-  let check_mem uid (m : Rtl.mem) ~is_load =
-    match machine with
-    | None -> ()
-    | Some mc ->
-      let legal =
-        if is_load then Machine.legal_load mc m.width ~aligned:m.aligned
-        else Machine.legal_store mc m.width ~aligned:m.aligned
-      in
-      if not legal then
-        add
-          (Diagnostic.errorf ~pass ~uid
-             "%s of width %a (%s) is not legal on %s"
-             (if is_load then "load" else "store")
-             Width.pp m.width
-             (if m.aligned then "aligned" else "unaligned")
-             mc.Machine.name)
-  in
   List.iter
     (fun (i : Rtl.inst) ->
       match i.kind with
@@ -117,9 +121,7 @@ let operand_checks ?machine ~pass (f : Func.t) =
         add
           (Diagnostic.warningf ~pass ~uid:i.uid
              "shift amount %Ld is reduced modulo 64" s)
-      | Rtl.Load { src; _ } -> check_mem i.uid src ~is_load:true
-      | Rtl.Store { dst; _ } -> check_mem i.uid dst ~is_load:false
-      | _ -> ())
+      | _ -> Option.iter add (width_error machine ~pass i))
     f.body;
   List.rev !diags
 

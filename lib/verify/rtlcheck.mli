@@ -31,6 +31,14 @@ val structural_checks : pass:string -> Func.t -> Diagnostic.t list
     no CFG and runs no dataflow, so it is what the pipeline checks
     between passes at [Vnone]. *)
 
+val width_checks :
+  machine:Mac_machine.Machine.t -> pass:string -> Func.t -> Diagnostic.t list
+(** The memory-width layer of {!check_func} [~machine] alone: an error
+    for each load or store whose width and alignment [machine] cannot
+    issue, in body order. It is the only part of {!check_func} that
+    reads the machine, so the pipeline runs it alone when a checkpoint
+    finds the function unchanged and only the machine new. *)
+
 val check_func :
   ?machine:Mac_machine.Machine.t ->
   ?analysis:Mac_dataflow.Analysis.t ->

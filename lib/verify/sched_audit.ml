@@ -144,6 +144,15 @@ let check_cert (m : Machine.t) (f : Func.t) (r : Ps.report) (c : Ps.cert) =
   end;
   List.rev !diags
 
+let regions sched_reports =
+  List.filter_map
+    (fun ((r : Ps.report), _) ->
+      match r.Ps.status with
+      | Ps.Pipelined ->
+        Some (r.Ps.header, "schedule certificate (audited at Vfull)")
+      | _ -> None)
+    sched_reports
+
 let run (f : Func.t) ~machine
     ~(sched_reports : (Ps.report * Ps.cert option) list) =
   List.concat_map

@@ -23,6 +23,13 @@
       are erased — i.e. a dependence-respecting reschedule, not a
       rewrite. *)
 
+val regions :
+  (Mac_opt.Pipeline_sched.report * Mac_opt.Pipeline_sched.cert option) list ->
+  (Mac_rtl.Rtl.label * string) list
+(** The software-pipelined loops, as {!Tvalid.validate} regions: the
+    header of every [Pipelined] report, whose certificate {!run}
+    re-verifies. *)
+
 val run :
   Mac_rtl.Func.t ->
   machine:Mac_machine.Machine.t ->

@@ -4,30 +4,12 @@ module Congruence = Mac_dataflow.Congruence
 module Liveness = Mac_dataflow.Liveness
 module Avail = Mac_dataflow.Avail
 module Disambig = Mac_core.Disambig
-module Coalesce = Mac_core.Coalesce
-module Ps = Mac_opt.Pipeline_sched
 module Sx = Symexec
-
-type pass_class = Exact | Region | Fallback
-
-(* The classic passes, the composite of one call's classic rounds
-   ([classic-opts]), legalization and the per-block list scheduler keep
-   the loop structure: they are matched exactly. The two loop
-   restructurers are matched with region cut-points. Strength reduction
-   rewrites induction variables wholesale and regalloc renames every
-   register; both fall back to Rtlcheck alone. *)
-let classify = function
-  | "classic-opts" | "simplify" | "copyprop" | "cse" | "combine"
-  | "cleanflow" | "dce" | "legalize" | "legalize-first" | "schedule" ->
-    Exact
-  | "coalesce" | "pipeline-sched" -> Region
-  | _ -> Fallback
 
 type result = {
   blocks_checked : int;
   blocks_skipped : int;
   regions_skipped : int;
-  fallback : string option;
   warnings : Diagnostic.t list;
 }
 
@@ -291,41 +273,6 @@ let run_unit ctx (cfg : Cfg.t) deg ~stop env b =
   in
   go [ b ] env b
 
-(* ------------------------------------------------------------------ *)
-(* Region carving for the loop restructurers. *)
-
-type regions = {
-  headers : (Rtl.label * string) list;  (** transformed loop, reason *)
-}
-
-let regions_of ~pass ~reports ~sched_reports =
-  match pass with
-  | "coalesce" ->
-    {
-      headers =
-        List.filter_map
-          (fun (r : Coalesce.loop_report) ->
-            match r.Coalesce.main_label with
-            | Some _ ->
-              Some
-                ( r.Coalesce.header,
-                  "coalesce certificate (audited at Vfull)" )
-            | None -> None)
-          reports;
-    }
-  | "pipeline-sched" ->
-    {
-      headers =
-        List.filter_map
-          (fun ((r : Ps.report), _) ->
-            match r.Ps.status with
-            | Ps.Pipelined ->
-              Some (r.Ps.header, "schedule certificate (audited at Vfull)")
-            | _ -> None)
-          sched_reports;
-    }
-  | _ -> { headers = [] }
-
 let first_real_uid (b : Cfg.block) =
   List.find_map
     (fun (i : Rtl.inst) ->
@@ -408,389 +355,375 @@ let xfer_of (ctx : Sx.ctx) (blk : Cfg.block) =
 
 (* ------------------------------------------------------------------ *)
 
-let validate ~machine ~(facts : Disambig.facts) ~pass ?(reports = [])
-    ?(sched_reports = []) ~(old_f : Func.t) ~(new_f : Func.t) () =
+let validate ~machine ~(facts : Disambig.facts) ~pass ?(regions = [])
+    ~(old_f : Func.t) ~(new_f : Func.t) () =
   let fname = new_f.Func.name in
   let err ?uid fmt =
     Format.kasprintf
       (fun s -> Error (Diagnostic.error ~pass ~func:fname ?uid s))
       fmt
   in
-  match classify pass with
-  | Fallback ->
-    Ok
-      {
-        blocks_checked = 0;
-        blocks_skipped = 0;
-        regions_skipped = 0;
-        fallback = Some "renaming pass: Rtlcheck only";
-        warnings = [];
-      }
-  | Exact | Region -> (
-    let regions = regions_of ~pass ~reports ~sched_reports in
-    try
-      let osum = side_of ~facts old_f and nsum = side_of ~facts new_f in
-      let ocfg = osum.s_cfg and ncfg = nsum.s_cfg in
-      let odeg = osum.s_deg and ndeg = nsum.s_deg in
-      let stop_of cfg =
-        let tbl = Hashtbl.create 4 in
-        List.iter
-          (fun (l, _) ->
-            match Cfg.block_of_label cfg l with
-            | Some i -> Hashtbl.replace tbl i ()
-            | None -> ())
-          regions.headers;
-        fun i -> Hashtbl.mem tbl i
+  try
+    let osum = side_of ~facts old_f and nsum = side_of ~facts new_f in
+    let ocfg = osum.s_cfg and ncfg = nsum.s_cfg in
+    let odeg = osum.s_deg and ndeg = nsum.s_deg in
+    let stop_of cfg =
+      let tbl = Hashtbl.create 4 in
+      List.iter
+        (fun (l, _) ->
+          match Cfg.block_of_label cfg l with
+          | Some i -> Hashtbl.replace tbl i ()
+          | None -> ())
+        regions;
+      fun i -> Hashtbl.mem tbl i
+    in
+    let ostop = stop_of ocfg and nstop = stop_of ncfg in
+    (* registers worth seeding: everything either side mentions —
+       only needed when some pair reaches a full check *)
+    let reg_universe =
+      lazy
+        (let tbl = Hashtbl.create 64 in
+         let add r = Hashtbl.replace tbl (Reg.id r) r in
+         List.iter
+           (fun (f : Func.t) ->
+             List.iter add f.params;
+             Option.iter add f.fp_reg;
+             List.iter
+               (fun (i : Rtl.inst) ->
+                 List.iter add (Rtl.defs i.kind);
+                 List.iter add (Rtl.uses i.kind))
+               f.body)
+           [ old_f; new_f ];
+         Hashtbl.fold (fun _ r acc -> r :: acc) tbl []
+         |> List.sort Reg.compare)
+    in
+    (* oracle-free context for generic block transfers; shares the
+       arena with every seeded context below *)
+    let it = Sx.interner () in
+    let gctx = Sx.ctx ~interner:it machine.Mac_machine.Machine.word in
+    let blocks_checked = ref 0 in
+    let blocks_skipped = ref 0 in
+    let regions_skipped = ref 0 in
+    let warnings = ref [] in
+    let pair_o2n = Hashtbl.create 16 in
+    let pair_n2o = Hashtbl.create 16 in
+    let queue = Queue.create () in
+    let enqueue ob nb = Queue.add (ob, nb) queue in
+    enqueue (chase ocfg (Cfg.entry ocfg)) (chase ncfg (Cfg.entry ncfg));
+    (* The skip ladder. A pair whose two blocks have equal generic
+       transfers — same exit shape, same call events, same memory and
+       the same term for every register the rest of the new program
+       may still read (new-side live-out; dce's dead definitions are
+       exactly the legitimate difference this ignores, mirroring the
+       full check, which also compares along new-side liveness) — is
+       equivalent under ANY entry environment, in particular under the
+       seeded one the full check would build: generic-transfer
+       equality is entry-symbol-for-entry-symbol substitutable. Such a
+       pair is discharged without seeding or unit execution, and its
+       successor pairs are enqueued, never assumed. A block the pass
+       did not touch at all (the same instruction records) is
+       discharged from its exit alone, or with one transfer shared by
+       both sides when it ends in a branch. *)
+    let try_skip ob nb =
+      let pair_jump l =
+        match (Cfg.block_of_label ocfg l, Cfg.block_of_label ncfg l) with
+        | Some ot, Some nt -> Some (chase ocfg ot, chase ncfg nt)
+        | _ -> None
       in
-      let ostop = stop_of ocfg and nstop = stop_of ncfg in
-      (* registers worth seeding: everything either side mentions —
-         only needed when some pair reaches a full check *)
-      let reg_universe =
-        lazy
-          (let tbl = Hashtbl.create 64 in
-           let add r = Hashtbl.replace tbl (Reg.id r) r in
-           List.iter
-             (fun (f : Func.t) ->
-               List.iter add f.params;
-               Option.iter add f.fp_reg;
-               List.iter
-                 (fun (i : Rtl.inst) ->
-                   List.iter add (Rtl.defs i.kind);
-                   List.iter add (Rtl.uses i.kind))
-                 f.body)
-             [ old_f; new_f ];
-           Hashtbl.fold (fun _ r acc -> r :: acc) tbl []
-           |> List.sort Reg.compare)
+      let fall () =
+        match
+          ( chase ocfg (next_in_body ocfg ob),
+            chase ncfg (next_in_body ncfg nb) )
+        with
+        | p -> Some p
+        | exception Stuck _ -> None
       in
-      (* oracle-free context for generic block transfers; shares the
-         arena with every seeded context below *)
-      let it = Sx.interner () in
-      let gctx = Sx.ctx ~interner:it machine.Mac_machine.Machine.word in
-      let blocks_checked = ref 0 in
-      let blocks_skipped = ref 0 in
-      let regions_skipped = ref 0 in
-      let warnings = ref [] in
-      let pair_o2n = Hashtbl.create 16 in
-      let pair_n2o = Hashtbl.create 16 in
-      let queue = Queue.create () in
-      let enqueue ob nb = Queue.add (ob, nb) queue in
-      enqueue (chase ocfg (Cfg.entry ocfg)) (chase ncfg (Cfg.entry ncfg));
-      (* The skip ladder. A pair whose two blocks have equal generic
-         transfers — same exit shape, same call events, same memory and
-         the same term for every register the rest of the new program
-         may still read (new-side live-out; dce's dead definitions are
-         exactly the legitimate difference this ignores, mirroring the
-         full check, which also compares along new-side liveness) — is
-         equivalent under ANY entry environment, in particular under the
-         seeded one the full check would build: generic-transfer
-         equality is entry-symbol-for-entry-symbol substitutable. Such a
-         pair is discharged without seeding or unit execution, and its
-         successor pairs are enqueued, never assumed. A block the pass
-         did not touch at all (the same instruction records) is
-         discharged from its exit alone, or with one transfer shared by
-         both sides when it ends in a branch. *)
-      let try_skip ob nb =
-        let pair_jump l =
-          match (Cfg.block_of_label ocfg l, Cfg.block_of_label ncfg l) with
-          | Some ot, Some nt -> Some (chase ocfg ot, chase ncfg nt)
+      let generic ~shared =
+        let ox = xfer_of gctx ocfg.blocks.(ob) in
+        let nx =
+          if shared then ox else xfer_of gctx ncfg.blocks.(nb)
+        in
+        let structural = ox == nx in
+        let succs =
+          match (ox.x_exit, nx.x_exit) with
+          | TRet a, TRet b ->
+            if
+              match (a, b) with
+              | None, None -> true
+              | Some ta, Some tb -> Sx.equal ta tb
+              | _ -> false
+            then Some []
+            else None
+          | TJump l1, TJump l2 when String.equal l1 l2 ->
+            Option.map (fun p -> [ p ]) (pair_jump l1)
+          | TBranch (c1, t1), TBranch (c2, t2)
+            when Sx.equal c1 c2 && String.equal t1 t2 -> (
+            (* constant-folded conditions enqueue only the live edge,
+               like run_unit does *)
+            match c1 with
+            | Sx.Con 0L -> Option.map (fun p -> [ p ]) (fall ())
+            | Sx.Con _ -> Option.map (fun p -> [ p ]) (pair_jump t1)
+            | _ -> (
+              match (pair_jump t1, fall ()) with
+              | Some p1, Some p2 -> Some [ p1; p2 ]
+              | _ -> None))
+          | TFall, TFall -> fall () |> Option.map (fun p -> [ p ])
           | _ -> None
         in
-        let fall () =
-          match
-            ( chase ocfg (next_in_body ocfg ob),
-              chase ncfg (next_in_body ncfg nb) )
-          with
-          | p -> Some p
-          | exception Stuck _ -> None
-        in
-        let generic ~shared =
-          let ox = xfer_of gctx ocfg.blocks.(ob) in
-          let nx =
-            if shared then ox else xfer_of gctx ncfg.blocks.(nb)
+        match succs with
+        | None -> None
+        | Some ps ->
+          let events_ok =
+            structural
+            ||
+            let oe = List.rev ox.x_env.Sx.events
+            and ne = List.rev nx.x_env.Sx.events in
+            List.length oe = List.length ne
+            && List.for_all2
+                 (fun (o : Sx.event) (n : Sx.event) ->
+                   String.equal o.Sx.ev_func n.Sx.ev_func
+                   && List.length o.Sx.ev_args = List.length n.Sx.ev_args
+                   && List.for_all2 Sx.equal o.Sx.ev_args n.Sx.ev_args)
+                 oe ne
           in
-          let structural = ox == nx in
-          let succs =
-            match (ox.x_exit, nx.x_exit) with
-            | TRet a, TRet b ->
-              if
-                match (a, b) with
-                | None, None -> true
-                | Some ta, Some tb -> Sx.equal ta tb
-                | _ -> false
-              then Some []
-              else None
-            | TJump l1, TJump l2 when String.equal l1 l2 ->
-              Option.map (fun p -> [ p ]) (pair_jump l1)
-            | TBranch (c1, t1), TBranch (c2, t2)
-              when Sx.equal c1 c2 && String.equal t1 t2 -> (
-              (* constant-folded conditions enqueue only the live edge,
-                 like run_unit does *)
-              match c1 with
-              | Sx.Con 0L -> Option.map (fun p -> [ p ]) (fall ())
-              | Sx.Con _ -> Option.map (fun p -> [ p ]) (pair_jump t1)
-              | _ -> (
-                match (pair_jump t1, fall ()) with
-                | Some p1, Some p2 -> Some [ p1; p2 ]
-                | _ -> None))
-            | TFall, TFall -> fall () |> Option.map (fun p -> [ p ])
-            | _ -> None
+          let state_ok =
+            structural
+            || Sx.equal_mem ox.x_env.Sx.mem nx.x_env.Sx.mem
+               && Liveness.for_all_out (Lazy.force nsum.s_live) nb (fun r ->
+                      Sx.equal (Sx.lookup ox.x_env r) (Sx.lookup nx.x_env r))
           in
-          match succs with
-          | None -> None
-          | Some ps ->
-            let events_ok =
-              structural
-              ||
-              let oe = List.rev ox.x_env.Sx.events
-              and ne = List.rev nx.x_env.Sx.events in
-              List.length oe = List.length ne
-              && List.for_all2
-                   (fun (o : Sx.event) (n : Sx.event) ->
-                     String.equal o.Sx.ev_func n.Sx.ev_func
-                     && List.length o.Sx.ev_args = List.length n.Sx.ev_args
-                     && List.for_all2 Sx.equal o.Sx.ev_args n.Sx.ev_args)
-                   oe ne
-            in
-            let state_ok =
-              structural
-              || Sx.equal_mem ox.x_env.Sx.mem nx.x_env.Sx.mem
-                 && Liveness.for_all_out (Lazy.force nsum.s_live) nb (fun r ->
-                        Sx.equal (Sx.lookup ox.x_env r) (Sx.lookup nx.x_env r))
-            in
-            if events_ok && state_ok then Some ps else None
-        in
-        let oinsts = ocfg.blocks.(ob).insts
-        and ninsts = ncfg.blocks.(nb).insts in
-        (* The same instruction records, one by one: the pass left the
-           block alone, so both generic transfers are one and only the
-           exit decides the successor pairs. A branch still needs that
-           transfer, whose condition may fold to a constant and leave one
-           live edge, but it is computed once. *)
-        if not (List.equal ( == ) oinsts ninsts) then generic ~shared:false
-        else
-          match List.rev oinsts with
-          | { Rtl.kind = Rtl.Branch _; _ } :: _ -> generic ~shared:true
-          | { Rtl.kind = Rtl.Ret _; _ } :: _ -> Some []
-          | { Rtl.kind = Rtl.Jump l; _ } :: _ ->
-            Option.map (fun p -> [ p ]) (pair_jump l)
-          | _ -> Option.map (fun p -> [ p ]) (fall ())
+          if events_ok && state_ok then Some ps else None
       in
-      let mismatch where a b =
-        let da, db = Sx.first_diff a b in
-        err "%s of %s differ after %s: %a vs %a" where fname pass
-          Sx.pp_term da Sx.pp_term db
-      in
-      let result = ref None in
-      let fail e = if !result = None then result := Some e in
-      while (not (Queue.is_empty queue)) && !result = None do
-        let ob, nb = Queue.pop queue in
-        match Hashtbl.find_opt pair_o2n ob with
-        | Some nb' ->
-          if nb' <> nb then
-            fail
-              (err "block pairing is not 1:1 (old block %d vs %d/%d)" ob nb'
-                 nb)
-        | None -> (
-          (match Hashtbl.find_opt pair_n2o nb with
-          | Some ob' when ob' <> ob ->
-            fail
-              (err "block pairing is not 1:1 (new block %d vs %d/%d)" nb ob'
-                 ob)
-          | _ -> ());
-          if !result <> None then ()
-          else begin
-            Hashtbl.replace pair_o2n ob nb;
-            Hashtbl.replace pair_n2o nb ob;
-            let oblk = ocfg.blocks.(ob) in
-            let region =
-              match oblk.label with
-              | Some l ->
-                List.find_opt (fun (h, _) -> String.equal h l)
-                  regions.headers
-              | None -> None
+      let oinsts = ocfg.blocks.(ob).insts
+      and ninsts = ncfg.blocks.(nb).insts in
+      (* The same instruction records, one by one: the pass left the
+         block alone, so both generic transfers are one and only the
+         exit decides the successor pairs. A branch still needs that
+         transfer, whose condition may fold to a constant and leave one
+         live edge, but it is computed once. *)
+      if not (List.equal ( == ) oinsts ninsts) then generic ~shared:false
+      else
+        match List.rev oinsts with
+        | { Rtl.kind = Rtl.Branch _; _ } :: _ -> generic ~shared:true
+        | { Rtl.kind = Rtl.Ret _; _ } :: _ -> Some []
+        | { Rtl.kind = Rtl.Jump l; _ } :: _ ->
+          Option.map (fun p -> [ p ]) (pair_jump l)
+        | _ -> Option.map (fun p -> [ p ]) (fall ())
+    in
+    let mismatch where a b =
+      let da, db = Sx.first_diff a b in
+      err "%s of %s differ after %s: %a vs %a" where fname pass
+        Sx.pp_term da Sx.pp_term db
+    in
+    let result = ref None in
+    let fail e = if !result = None then result := Some e in
+    while (not (Queue.is_empty queue)) && !result = None do
+      let ob, nb = Queue.pop queue in
+      match Hashtbl.find_opt pair_o2n ob with
+      | Some nb' ->
+        if nb' <> nb then
+          fail
+            (err "block pairing is not 1:1 (old block %d vs %d/%d)" ob nb'
+               nb)
+      | None -> (
+        (match Hashtbl.find_opt pair_n2o nb with
+        | Some ob' when ob' <> ob ->
+          fail
+            (err "block pairing is not 1:1 (new block %d vs %d/%d)" nb ob'
+               ob)
+        | _ -> ());
+        if !result <> None then ()
+        else begin
+          Hashtbl.replace pair_o2n ob nb;
+          Hashtbl.replace pair_n2o nb ob;
+          let oblk = ocfg.blocks.(ob) in
+          let region =
+            match oblk.label with
+            | Some l ->
+              List.find_opt (fun (h, _) -> String.equal h l) regions
+            | None -> None
+          in
+          match region with
+          | Some (hdr, reason) -> (
+            (* carve the transformed loop out: resume at its
+               continuation, justified by the pass's own certificate *)
+            incr regions_skipped;
+            let cont =
+              match
+                List.filter (fun s -> s <> ob) ocfg.succ.(ob)
+              with
+              | [ oc ] -> Some (chase ocfg oc)
+              | _ -> None
             in
-            match region with
-            | Some (hdr, reason) -> (
-              (* carve the transformed loop out: resume at its
-                 continuation, justified by the pass's own certificate *)
-              incr regions_skipped;
-              let cont =
-                match
-                  List.filter (fun s -> s <> ob) ocfg.succ.(ob)
-                with
-                | [ oc ] -> Some (chase ocfg oc)
-                | _ -> None
-              in
-              match cont with
+            match cont with
+            | None ->
+              warnings :=
+                Diagnostic.warningf ~pass ~func:fname
+                  "loop %s: no unique continuation; matching stopped \
+                   at the region (%s)"
+                  hdr reason
+                :: !warnings
+            | Some oc -> (
+              match find_continuation ocfg ncfg oc with
+              | Some nc -> enqueue oc (chase ncfg nc)
               | None ->
                 warnings :=
                   Diagnostic.warningf ~pass ~func:fname
-                    "loop %s: no unique continuation; matching stopped \
-                     at the region (%s)"
+                    "loop %s: continuation anchor not found on the \
+                     transformed side; matching stopped at the region \
+                     (%s)"
                     hdr reason
-                  :: !warnings
-              | Some oc -> (
-                match find_continuation ocfg ncfg oc with
-                | Some nc -> enqueue oc (chase ncfg nc)
-                | None ->
-                  warnings :=
-                    Diagnostic.warningf ~pass ~func:fname
-                      "loop %s: continuation anchor not found on the \
-                       transformed side; matching stopped at the region \
-                       (%s)"
-                      hdr reason
-                    :: !warnings))
+                  :: !warnings))
+          | None -> (
+            match try_skip ob nb with
+            | Some ps ->
+              incr blocks_skipped;
+              List.iter (fun (o, n) -> enqueue o n) ps
             | None -> (
-              match try_skip ob nb with
-              | Some ps ->
-                incr blocks_skipped;
-                List.iter (fun (o, n) -> enqueue o n) ps
-              | None -> (
-              let st = Congruence.block_in (Lazy.force osum.s_cong) ob in
-              let ctx =
-                Sx.ctx ~interner:it
-                  ~cross_disjoint:
-                    (congruence_oracle st facts.Disambig.aligns)
-                  machine.Mac_machine.Machine.word
-              in
-              let env0 =
-                seed_env ctx
-                  ~avail:(Avail.facts_in (Lazy.force osum.s_avail) ob)
-                  ~cong_st:st ~regs:(Lazy.force reg_universe)
-              in
-              match
-                ( run_unit ctx ocfg odeg ~stop:ostop env0 ob,
-                  run_unit ctx ncfg ndeg ~stop:nstop env0 nb )
-              with
-              | exception Stuck msg ->
-                fail (err "symbolic execution stuck: %s" msg)
-              | (oenv, oexit), (nenv, nexit) -> (
-                incr blocks_checked;
-                (* call events must line up exactly *)
-                let oev = List.rev oenv.Sx.events
-                and nev = List.rev nenv.Sx.events in
-                let rec check_events oe ne =
-                  match (oe, ne) with
-                  | [], [] -> None
-                  | o :: os, n :: ns ->
-                    if not (String.equal o.Sx.ev_func n.Sx.ev_func) then
-                      Some
-                        (err
-                           "call sequences differ after %s: %s vs %s" pass
-                           o.Sx.ev_func n.Sx.ev_func)
-                    else if
-                      List.length o.Sx.ev_args <> List.length n.Sx.ev_args
-                    then
-                      Some
-                        (err "call %s: argument counts differ after %s"
-                           o.Sx.ev_func pass)
-                    else (
-                      match
-                        List.find_opt
-                          (fun (a, b) -> not (Sx.equal a b))
-                          (List.combine o.Sx.ev_args n.Sx.ev_args)
-                      with
-                      | Some (a, b) ->
-                        Some
-                          (mismatch
-                             (Printf.sprintf "arguments of call %s"
-                                o.Sx.ev_func)
-                             a b)
-                      | None -> check_events os ns)
-                  | _ ->
+            let st = Congruence.block_in (Lazy.force osum.s_cong) ob in
+            let ctx =
+              Sx.ctx ~interner:it
+                ~cross_disjoint:
+                  (congruence_oracle st facts.Disambig.aligns)
+                machine.Mac_machine.Machine.word
+            in
+            let env0 =
+              seed_env ctx
+                ~avail:(Avail.facts_in (Lazy.force osum.s_avail) ob)
+                ~cong_st:st ~regs:(Lazy.force reg_universe)
+            in
+            match
+              ( run_unit ctx ocfg odeg ~stop:ostop env0 ob,
+                run_unit ctx ncfg ndeg ~stop:nstop env0 nb )
+            with
+            | exception Stuck msg ->
+              fail (err "symbolic execution stuck: %s" msg)
+            | (oenv, oexit), (nenv, nexit) -> (
+              incr blocks_checked;
+              (* call events must line up exactly *)
+              let oev = List.rev oenv.Sx.events
+              and nev = List.rev nenv.Sx.events in
+              let rec check_events oe ne =
+                match (oe, ne) with
+                | [], [] -> None
+                | o :: os, n :: ns ->
+                  if not (String.equal o.Sx.ev_func n.Sx.ev_func) then
                     Some
                       (err
-                         "call counts differ after %s (%d vs %d events)"
-                         pass (List.length oev) (List.length nev))
+                         "call sequences differ after %s: %s vs %s" pass
+                         o.Sx.ev_func n.Sx.ev_func)
+                  else if
+                    List.length o.Sx.ev_args <> List.length n.Sx.ev_args
+                  then
+                    Some
+                      (err "call %s: argument counts differ after %s"
+                         o.Sx.ev_func pass)
+                  else (
+                    match
+                      List.find_opt
+                        (fun (a, b) -> not (Sx.equal a b))
+                        (List.combine o.Sx.ev_args n.Sx.ev_args)
+                    with
+                    | Some (a, b) ->
+                      Some
+                        (mismatch
+                           (Printf.sprintf "arguments of call %s"
+                              o.Sx.ev_func)
+                           a b)
+                    | None -> check_events os ns)
+                | _ ->
+                  Some
+                    (err
+                       "call counts differ after %s (%d vs %d events)"
+                       pass (List.length oev) (List.length nev))
+              in
+              (match check_events oev nev with
+              | Some e -> fail e
+              | None -> ());
+              (* memory must agree at the unit's exit *)
+              (if !result = None
+               && not (Sx.equal_mem oenv.Sx.mem nenv.Sx.mem)
+              then
+                match Sx.first_diff_mem oenv.Sx.mem nenv.Sx.mem with
+                | Either.Left (a, b) -> fail (mismatch "stored values" a b)
+                | Either.Right (m1, m2) ->
+                  fail
+                    (err
+                       "memory states differ after %s: %a vs %a" pass
+                       Sx.pp_mem m1 Sx.pp_mem m2));
+              if !result = None then
+                (* live registers must agree along every matched edge *)
+                let check_edge osucc nsucc =
+                  let diff = ref None in
+                  if
+                    Liveness.for_all_in (Lazy.force nsum.s_live) nsucc
+                      (fun r ->
+                        let a = Sx.lookup oenv r and b = Sx.lookup nenv r in
+                        Sx.equal a b
+                        || begin
+                             diff := Some (r, a, b);
+                             false
+                           end)
+                  then enqueue osucc nsucc
+                  else
+                    Option.iter
+                      (fun (r, a, b) ->
+                        fail
+                          (mismatch
+                             (Printf.sprintf "values of %s" (Reg.to_string r))
+                             a b))
+                      !diff
                 in
-                (match check_events oev nev with
-                | Some e -> fail e
-                | None -> ());
-                (* memory must agree at the unit's exit *)
-                (if !result = None
-                 && not (Sx.equal_mem oenv.Sx.mem nenv.Sx.mem)
-                then
-                  match Sx.first_diff_mem oenv.Sx.mem nenv.Sx.mem with
-                  | Either.Left (a, b) -> fail (mismatch "stored values" a b)
-                  | Either.Right (m1, m2) ->
-                    fail
-                      (err
-                         "memory states differ after %s: %a vs %a" pass
-                         Sx.pp_mem m1 Sx.pp_mem m2));
-                if !result = None then
-                  (* live registers must agree along every matched edge *)
-                  let check_edge osucc nsucc =
-                    let diff = ref None in
-                    if
-                      Liveness.for_all_in (Lazy.force nsum.s_live) nsucc
-                        (fun r ->
-                          let a = Sx.lookup oenv r and b = Sx.lookup nenv r in
-                          Sx.equal a b
-                          || begin
-                               diff := Some (r, a, b);
-                               false
-                             end)
-                    then enqueue osucc nsucc
-                    else
-                      Option.iter
-                        (fun (r, a, b) ->
-                          fail
-                            (mismatch
-                               (Printf.sprintf "values of %s" (Reg.to_string r))
-                               a b))
-                        !diff
-                  in
-                  match (oexit, nexit) with
-                  | XRet a, XRet b -> (
-                    match (a, b) with
-                    | None, None -> ()
-                    | Some ta, Some tb ->
-                      if not (Sx.equal ta tb) then
-                        fail (mismatch "return values" ta tb)
-                    | _ ->
-                      fail
-                        (err "return arity differs after %s" pass))
-                  | XJump ot, XJump nt -> check_edge ot nt
-                  | XCond (oc, ota, ofa), XCond (nc, nta, nfa) ->
-                    if Sx.equal oc nc then begin
-                      check_edge ota nta;
-                      if !result = None then check_edge ofa nfa
-                    end
-                    else if
-                      match Sx.negate_cond ctx nc with
-                      | Some nc' -> Sx.equal oc nc'
-                      | None -> false
-                    then begin
-                      check_edge ota nfa;
-                      if !result = None then check_edge ofa nta
-                    end
-                    else fail (mismatch "branch conditions" oc nc)
+                match (oexit, nexit) with
+                | XRet a, XRet b -> (
+                  match (a, b) with
+                  | None, None -> ()
+                  | Some ta, Some tb ->
+                    if not (Sx.equal ta tb) then
+                      fail (mismatch "return values" ta tb)
                   | _ ->
-                    let shape = function
-                      | XJump _ -> "jump"
-                      | XCond _ -> "branch"
-                      | XRet _ -> "return"
-                    in
                     fail
-                      (err
-                         "control shapes differ after %s: old block %d \
-                          ends in a %s, new block %d in a %s"
-                         pass ob (shape oexit) nb (shape nexit)))))
-          end)
-      done;
-      match !result with
-      | Some (Error _ as e) -> e
-      | Some (Ok _) | None ->
-        Ok
-          {
-            blocks_checked = !blocks_checked;
-            blocks_skipped = !blocks_skipped;
-            regions_skipped = !regions_skipped;
-            fallback = None;
-            warnings = List.rev !warnings;
-          }
-    with e ->
-      err "internal validator failure: %s" (Printexc.to_string e))
+                      (err "return arity differs after %s" pass))
+                | XJump ot, XJump nt -> check_edge ot nt
+                | XCond (oc, ota, ofa), XCond (nc, nta, nfa) ->
+                  if Sx.equal oc nc then begin
+                    check_edge ota nta;
+                    if !result = None then check_edge ofa nfa
+                  end
+                  else if
+                    match Sx.negate_cond ctx nc with
+                    | Some nc' -> Sx.equal oc nc'
+                    | None -> false
+                  then begin
+                    check_edge ota nfa;
+                    if !result = None then check_edge ofa nta
+                  end
+                  else fail (mismatch "branch conditions" oc nc)
+                | _ ->
+                  let shape = function
+                    | XJump _ -> "jump"
+                    | XCond _ -> "branch"
+                    | XRet _ -> "return"
+                  in
+                  fail
+                    (err
+                       "control shapes differ after %s: old block %d \
+                        ends in a %s, new block %d in a %s"
+                       pass ob (shape oexit) nb (shape nexit)))))
+        end)
+    done;
+    match !result with
+    | Some (Error _ as e) -> e
+    | Some (Ok _) | None ->
+      Ok
+        {
+          blocks_checked = !blocks_checked;
+          blocks_skipped = !blocks_skipped;
+          regions_skipped = !regions_skipped;
+          warnings = List.rev !warnings;
+        }
+  with e ->
+    err "internal validator failure: %s" (Printexc.to_string e)
 
 (* ------------------------------------------------------------------ *)
 

@@ -12,26 +12,20 @@
     cross-block rewrites — CSE reusing a value over an extended basic
     block, copy propagation through a join — do not read as mismatches.
 
-    Scalar passes are matched exactly; the pipeline validates each call
-    of the classic rounds as one such pass, [classic-opts], from before
-    the rounds to their fixed point, and replays its recorded steps pass
-    by pass only to blame a rejection. The two loop-restructuring passes
-    ([coalesce], [pipeline-sched]) are matched with region cut-points:
-    each transformed loop (named by its report) is carved out and
-    justified by its own certificate audit, and matching resumes at the
-    loop's continuation, anchored by instruction uids. Passes that
-    rename wholesale ([strength-reduce], [regalloc]) fall back to
-    Rtlcheck alone and are recorded as such, never silently skipped.
+    The caller declares how a pass is proved; the pass name only labels
+    diagnostics. Every pair is matched exactly but at the loop headers
+    passed as [regions]: each such loop is carved out, justified by its
+    certificate audit, and matching resumes at its continuation,
+    anchored by instruction uids. The pass table of [Mac_vpo.Pipeline]
+    passes the loops a restructurer's report names, validates each call
+    of the classic rounds as one composite, and records a pass that
+    renames wholesale as a fallback without calling {!validate}.
 
     Each validation builds what it needs — both sides' CFG views, their
     analyses on demand, one hash-consing arena — and keeps nothing once
     it returns. *)
 
 open Mac_rtl
-
-type pass_class = Exact | Region | Fallback
-
-val classify : string -> pass_class
 
 type result = {
   blocks_checked : int;  (** block pairs proved equivalent by execution *)
@@ -42,7 +36,6 @@ type result = {
           entry environment, so symbolic re-execution is skipped and
           only the successor pairs are enqueued *)
   regions_skipped : int;  (** loop regions justified by certificates *)
-  fallback : string option;  (** whole-pass fallback reason, if any *)
   warnings : Diagnostic.t list;
 }
 
@@ -54,18 +47,16 @@ val validate :
   machine:Mac_machine.Machine.t ->
   facts:Mac_core.Disambig.facts ->
   pass:string ->
-  ?reports:Mac_core.Coalesce.loop_report list ->
-  ?sched_reports:
-    (Mac_opt.Pipeline_sched.report * Mac_opt.Pipeline_sched.cert option)
-    list ->
+  ?regions:(Rtl.label * string) list ->
   old_f:Func.t ->
   new_f:Func.t ->
   unit ->
   (result, Diagnostic.t) Stdlib.result
 (** [old_f] is the {!snapshot} taken before the pass, [new_f] the
-    function it produced. [reports]/[sched_reports] name the loops the
-    region passes transformed. An [Error] diagnostic carries the pass,
-    the function and a minimized mismatching term pair. *)
+    function it produced. [regions] (default none) lists the header of
+    each loop the pass transformed with the certificate that justifies
+    it. An [Error] diagnostic carries the pass, the function and a
+    minimized mismatching term pair. *)
 
 (** {1 Aggregated per-pass accounting (for [Pipeline.compiled])} *)
 

@@ -76,19 +76,19 @@ type compiled = {
 
 exception Verification_failed of Diagnostic.t
 
-(* Test seams for the translation validator. [test_intercept] mutates the
-   function after a pass has run but before the validator, or the
-   classic rounds' step recorder, sees it (the mccd mutant-compile test
-   injects a miscompile this way); [test_observe] captures (pass, old,
-   new) snapshots, classic steps and composites alike, for the qcheck
-   mutation adversary.
-   Both survive a fork, so a daemon test can arm them before serving. *)
+type proof =
+  | Exact
+  | Composite
+  | Regions of (unit -> (Rtl.label * string) list)
+  | Renamer
+
+(* Test seams for the translation validator (see the interface). Both
+   survive a fork, so a daemon test can arm them before serving. *)
 let test_intercept : (string -> Func.t -> unit) option ref = ref None
 
 let test_observe :
-    (pass:string -> fname:string -> old_f:Func.t -> new_f:Func.t -> unit)
-    option
-    ref =
+    (pass:string -> proof:proof -> fname:string -> old_f:Func.t ->
+     new_f:Func.t -> unit) option ref =
   ref None
 
 (* Per-pass wall-clock accounting on the monotonic clock: one table per
@@ -105,6 +105,9 @@ let timed timings name thunk =
   let r = thunk () in
   add_time timings name (now () -. t0);
   r
+
+(* The tvalid row and the warning of one call of the classic rounds *)
+let composite = "classic-opts"
 
 let classic_budget = 10
 
@@ -131,17 +134,25 @@ let classic_budget = 10
    of the confirming round that follow the last change. *)
 let classic_rounds ?(record = fun _name run -> run ()) ?fixed am time
     (f : Func.t) =
-  let dl = [ Analysis.Dom; Analysis.Loops ] in
-  (* [preserves]: what the runner keeps on a change; [None] for the
-     passes that invalidate [am] themselves *)
-  let pass i name ?preserves run =
+  let dl = Some [ Analysis.Dom; Analysis.Loops ] in
+  (* name, what the runner keeps on a change ([None] for the passes that
+     invalidate [am] themselves), run *)
+  let round =
+    [ ("simplify", Some [], Mac_opt.Simplify.run);
+      ("copyprop", None, Mac_opt.Copyprop.run ~am);
+      ("cse", dl, Mac_opt.Cse.run);
+      ("combine", dl, Mac_opt.Combine.run);
+      ("cleanflow", Some [], Mac_opt.Cleanflow.run);
+      ("dce", None, Mac_opt.Dce.run ~am) ]
+  in
+  let pass i (name, preserves, run) =
     let at_fixed_point =
       match Option.bind fixed (fun fp -> fp.(i)) with
       | Some (body, params, fp_reg) ->
         body == f.body && params == f.params && fp_reg == f.fp_reg
       | None -> false
     in
-    if at_fixed_point then false
+    if at_fixed_point then []
     else begin
       (* [record] wraps the pass run itself (snapshotting before and
          after) but not the cache invalidation; the per-pass timer sits
@@ -154,26 +165,15 @@ let classic_rounds ?(record = fun _name run -> run ()) ?fixed am time
         Option.iter
           (fun fp -> fp.(i) <- Some (f.body, f.params, f.fp_reg))
           fixed;
-      changed
+      if changed then [ name ] else []
     end
   in
-  let round () =
-    let changed = ref [] in
-    let note name c = if c then changed := name :: !changed in
-    note "simplify" (pass 0 "simplify" ~preserves:[] Mac_opt.Simplify.run);
-    note "copyprop" (pass 1 "copyprop" (Mac_opt.Copyprop.run ~am));
-    note "cse" (pass 2 "cse" ~preserves:dl Mac_opt.Cse.run);
-    note "combine" (pass 3 "combine" ~preserves:dl Mac_opt.Combine.run);
-    note "cleanflow" (pass 4 "cleanflow" ~preserves:[] Mac_opt.Cleanflow.run);
-    note "dce" (pass 5 "dce" (Mac_opt.Dce.run ~am));
-    List.rev !changed
-  in
   let rec go left =
-    match round () with
+    match List.concat (List.mapi pass round) with
     | [] -> []
     | _ when left > 1 -> go (left - 1)
     | changed ->
-      [ Diagnostic.warningf ~pass:"classic-opts" ~func:f.name
+      [ Diagnostic.warningf ~pass:composite ~func:f.name
           "no fixed point after %d rounds: the last round still changed \
            the function (%s)"
           classic_budget (String.concat ", " changed) ]
@@ -197,6 +197,24 @@ let coalesce_options cfg =
       { cfg.coalesce with Coalesce.unroll_only = false;
         coalesce_loads = true; coalesce_stores = true }
 
+(* One entry of the pass table. The fold in [compile_func] runs [run]
+   under the [bucket] timer, invalidates [am] behind a change, validates
+   the pass as [proof] says, checkpoints it and, at [Vfull], runs its
+   [audit], billed to [verify]. *)
+type pass = {
+  name : string;  (* the tvalid row, the checkpoint and diagnostics *)
+  bucket : string option;
+      (* the [pass_seconds] key of [run]; [None] when [run] bills its own
+         parts (the classic rounds, strength reduction) or runs nothing *)
+  run : unit -> bool;  (* [true] if the function may have changed *)
+  preserves : Analysis.fact list option;
+      (* what the runner keeps of [am] after a change; [None] for a pass
+         that invalidates [am] itself *)
+  machine : bool;  (* the checkpoint checks widths against the machine *)
+  audit : (unit -> Diagnostic.t list) option;
+  proof : proof;
+}
+
 let compile_func cfg timings tvalid_tbl (f : Func.t) =
   let time name thunk = timed timings name thunk in
   let am = Analysis.create f in
@@ -211,7 +229,7 @@ let compile_func cfg timings tvalid_tbl (f : Func.t) =
     Option.value (List.assoc_opt f.name cfg.facts) ~default:Disambig.empty
   in
   (* --- translation validation (the Vfull backbone) ------------------- *)
-  let tvalid_on = cfg.verify = Vfull in
+  let full = cfg.verify = Vfull in
   let tv_agg name =
     match Hashtbl.find_opt tvalid_tbl name with
     | Some a -> a
@@ -220,68 +238,38 @@ let compile_func cfg timings tvalid_tbl (f : Func.t) =
       Hashtbl.add tvalid_tbl name a;
       a
   in
-  let tv_record name res dt =
-    let agg = tv_agg name in
-    agg.Tvalid.runs <- agg.Tvalid.runs + 1;
-    agg.Tvalid.seconds <- agg.Tvalid.seconds +. dt;
-    match res with
-    | Ok (r : Tvalid.result) ->
-      agg.Tvalid.blocks <- agg.Tvalid.blocks + r.Tvalid.blocks_checked;
-      agg.Tvalid.skipped <- agg.Tvalid.skipped + r.Tvalid.blocks_skipped;
-      agg.Tvalid.regions <- agg.Tvalid.regions + r.Tvalid.regions_skipped;
-      (match r.Tvalid.fallback with
-      | Some reason ->
-        agg.Tvalid.fallbacks <- agg.Tvalid.fallbacks + 1;
-        agg.Tvalid.fallback_reason <- Some reason
-      | None -> ())
-    | Error _ -> ()
-  in
-  (* Validate [old_f -> new_f] for [name]: block-by-block symbolic
-     equivalence for structure-preserving passes, region cut-points for
-     the loop restructurers, a recorded fallback for the renamers. *)
-  let tv_run ?reports ?sched_reports name ~old_f ~new_f =
+  (* Validate [old_f -> new_f] for [name], accounted under its row. *)
+  let tv_run ?regions name ~old_f ~new_f =
     let t0 = now () in
     let res =
-      Tvalid.validate ~machine:cfg.machine ~facts ~pass:name
-        ?reports ?sched_reports ~old_f ~new_f ()
+      Tvalid.validate ~machine:cfg.machine ~facts ~pass:name ?regions ~old_f
+        ~new_f ()
     in
     let dt = now () -. t0 in
     add_time timings "tvalid" dt;
-    tv_record name res dt;
+    let agg = tv_agg name in
+    agg.runs <- agg.runs + 1;
+    agg.seconds <- agg.seconds +. dt;
+    Result.iter
+      (fun (r : Tvalid.result) ->
+        agg.blocks <- agg.blocks + r.blocks_checked;
+        agg.skipped <- agg.skipped + r.blocks_skipped;
+        agg.regions <- agg.regions + r.regions_skipped)
+      res;
     res
   in
-  (* An error-severity mismatch fails the compilation like any other
-     Vfull diagnostic. *)
-  let accept = function
-    | Ok (r : Tvalid.result) -> diags := !diags @ r.Tvalid.warnings
-    | Error d ->
-      diags := !diags @ [ d ];
-      raise (Verification_failed d)
+  (* a mismatch fails the compilation like any other Vfull diagnostic *)
+  let accept res =
+    fail_on_errors
+      (match res with Ok (r : Tvalid.result) -> r.warnings | Error d -> [ d ])
   in
   let intercept name =
     match !test_intercept with Some h -> h name f | None -> ()
   in
-  let observe name ~old_f ~new_f =
+  let observe name proof ~old_f ~new_f =
     match !test_observe with
-    | Some h -> h ~pass:name ~fname:f.name ~old_f ~new_f
+    | Some h -> h ~pass:name ~proof ~fname:f.name ~old_f ~new_f
     | None -> ()
-  in
-  let tv_check ?reports ?sched_reports name old_f =
-    intercept name;
-    observe name ~old_f ~new_f:f;
-    accept (tv_run ?reports ?sched_reports name ~old_f ~new_f:f)
-  in
-  (* wrapper for passes reporting a changed flag: skip the validator when
-     the pass did nothing (old = new trivially), unless a test intercept
-     is armed and may have mutated the function behind the pass's back *)
-  let tv name run =
-    if not tvalid_on then run ()
-    else begin
-      let old_f = Tvalid.snapshot f in
-      let changed = run () in
-      if changed || !test_intercept <> None then tv_check name old_f;
-      changed
-    end
   in
   (* The classic rounds are validated as one composite, from a snapshot
      taken before the rounds to their fixed point: one validator run per
@@ -297,7 +285,7 @@ let compile_func cfg timings tvalid_tbl (f : Func.t) =
     (* an armed intercept may mutate the function behind a pass's back,
        so every pass runs *)
     let fixed = if !test_intercept = None then Some fixed else None in
-    if not tvalid_on then diags := !diags @ classic_rounds ?fixed am time f
+    if not full then diags := !diags @ classic_rounds ?fixed am time f
     else begin
       let old_f = Tvalid.snapshot f in
       let steps = ref [] in
@@ -307,19 +295,19 @@ let compile_func cfg timings tvalid_tbl (f : Func.t) =
         intercept name;
         if changed || !test_intercept <> None then begin
           let after = Tvalid.snapshot f in
-          observe name ~old_f:before ~new_f:after;
+          observe name Exact ~old_f:before ~new_f:after;
           steps := (name, before, after) :: !steps
         end;
         changed
       in
       diags := !diags @ classic_rounds ~record ?fixed am time f;
       if !steps <> [] then begin
-        observe "classic-opts" ~old_f ~new_f:f;
-        match tv_run "classic-opts" ~old_f ~new_f:f with
+        observe composite Composite ~old_f ~new_f:f;
+        match tv_run composite ~old_f ~new_f:f with
         | Ok _ as res -> accept res
         | Error _ ->
-          let agg = tv_agg "classic-opts" in
-          agg.Tvalid.replays <- agg.Tvalid.replays + 1;
+          let agg = tv_agg composite in
+          agg.replays <- agg.replays + 1;
           List.iter
             (fun (name, old_f, new_f) -> accept (tv_run name ~old_f ~new_f))
             (List.rev !steps)
@@ -332,25 +320,32 @@ let compile_func cfg timings tvalid_tbl (f : Func.t) =
      error-severity diagnostic, named after the offending pass and
      function. Rtlcheck is handed the analysis manager so it (a) audits
      the cache's coherence — catching a pass that lied about what it
-     preserves — and (b) reuses the cached CFG/reaching/liveness facts
-     instead of recomputing them.
+     preserves — and (b) reuses the cached CFG/reaching/liveness facts.
 
      A pass that changed nothing leaves the body [==] to the one the
      previous checkpoint checked, and Rtlcheck reads nothing else but
-     the parameters, the frame pointer and [?machine] (the verify level
-     is fixed for the compile), so that checkpoint's diagnostics stand,
-     re-tagged with the new pass. The coherence audit still runs at
-     every checkpoint: a pass may have left a stale cache behind an
-     unchanged body. *)
+     the parameters, the frame pointer and [?machine], so that
+     checkpoint's diagnostics stand, re-tagged with the new pass. Only
+     the width scan reads [?machine] ([Vnone] runs none): when the
+     machine is all that is new, the scan runs alone, and a width it
+     rejects sends the checkpoint on to the full check. The coherence
+     audit still runs: a stale cache may sit behind an unchanged body. *)
   let last_check = ref None in
   let checkpoint ?machine name =
     time "verify" (fun () ->
+        let machine_ok m =
+          match (m, machine) with
+          | None, Some machine ->
+            Mac_verify.Rtlcheck.width_checks ~machine ~pass:name f = []
+          | _ -> Option.equal ( == ) m machine
+        in
         let diags =
           match !last_check with
           | Some (body, params, fp, m, ds)
             when body == f.body && params == f.params && fp == f.fp_reg
-                 && Option.equal ( == ) m machine
-                 && (cfg.verify = Vnone || Analysis.coherent am = Ok ()) ->
+                 && (cfg.verify = Vnone
+                    || (Analysis.coherent am = Ok () && machine_ok m)) ->
+            last_check := Some (body, params, fp, machine, ds);
             List.map (fun (d : Diagnostic.t) -> { d with pass = name }) ds
           | _ ->
             let ds =
@@ -365,143 +360,146 @@ let compile_func cfg timings tvalid_tbl (f : Func.t) =
         in
         fail_on_errors diags)
   in
-  checkpoint "input";
-  if cfg.level <> O0 then begin
-    classic ();
-    checkpoint "classic-opts"
-  end;
-  if cfg.strength_reduce && cfg.level <> O0 then begin
-    (* The paper's EliminateInductionVariables: address computations become
-       derived induction pointers (Fig. 1b shape); the second round — after
-       the dead index arithmetic has been cleaned away — can retire the
-       loop counter by rewriting the back branch to a pointer compare. *)
-    ignore (time "strength" (fun () -> Mac_opt.Strength.run ~am f));
-    classic ();
-    ignore (time "strength" (fun () -> Mac_opt.Strength.run ~am f));
-    classic ();
-    checkpoint "strength-reduce";
-    (* induction-variable rewriting renames wholesale; the validator
-       records the fallback, and Rtlcheck's checkpoint above is the only
-       check the pass gets *)
-    if tvalid_on then tv_check "strength-reduce" f
-  end;
-  (* DESIGN.md decision 1 ablation: legalizing narrow references before
-     coalescing hides them from the coalescer entirely. *)
-  if cfg.legalize_first then begin
-    ignore
-      (tv "legalize-first" (fun () ->
-           time "legalize" (fun () ->
-               let changed = Mac_opt.Legalize.run f cfg.machine in
-               (* 1:1-or-expanding rewrite of plain instructions: the block
-                  structure survives, the register facts do not. *)
-               Analysis.invalidate am
-                 ~preserves:[ Analysis.Dom; Analysis.Loops ];
-               changed)));
-    checkpoint ~machine:cfg.machine "legalize-first"
-  end;
-  let tv_old = if tvalid_on then Some (Tvalid.snapshot f) else None in
-  let reports =
-    match coalesce_options cfg with
-    | Some opts ->
-      time "coalesce" (fun () ->
-          Coalesce.run ~am ~facts f ~machine:cfg.machine opts)
-    | None -> []
+  (* the fold: one table entry *)
+  let step p =
+    let old_f =
+      match p.proof with
+      | Composite -> None (* [classic] validates its rounds itself *)
+      | _ -> if full then Some (Tvalid.snapshot f) else None
+    in
+    let changed =
+      match p.bucket with Some b -> time b p.run | None -> p.run ()
+    in
+    (match p.preserves with
+    | Some preserves when changed -> Analysis.invalidate am ~preserves
+    | _ -> ());
+    (match (old_f, p.proof) with
+    | None, _ -> ()
+    (* a pass that did nothing is not validated (old = new trivially),
+       unless an armed intercept may have mutated the function *)
+    | Some _, Exact when not (changed || !test_intercept <> None) -> ()
+    | Some old_f, proof -> (
+      intercept p.name;
+      observe p.name proof ~old_f ~new_f:f;
+      match proof with
+      | Regions headers ->
+        accept (tv_run ~regions:(headers ()) p.name ~old_f ~new_f:f)
+      | Renamer ->
+        (* recorded, never silently skipped: the checkpoint below is the
+           only check the pass gets *)
+        let agg = tv_agg p.name in
+        agg.runs <- agg.runs + 1;
+        agg.fallbacks <- agg.fallbacks + 1;
+        agg.fallback_reason <- Some "renaming pass: Rtlcheck only"
+      | Exact | Composite -> accept (tv_run p.name ~old_f ~new_f:f)));
+    checkpoint ?machine:(if p.machine then Some cfg.machine else None) p.name;
+    match p.audit with
+    | Some audit when full ->
+      time "verify" (fun () -> fail_on_errors (audit ()))
+    | _ -> ()
   in
-  (* transformed loops are carved out as regions justified by the audit
-     below; everything around them (and every untouched loop) is matched
-     exactly *)
-  (match tv_old with
-  | Some old_f -> tv_check ~reports "coalesce" old_f
-  | None -> ());
-  checkpoint "coalesce";
-  (* The independent safety audit must see the coalesced loops before
-     legalization rewrites narrow references into wide shapes of its own
-     and before cleanup canonicalizes the dispatch code. It gets the same
-     facts the coalescer consulted: every elision certificate in the
-     reports must re-verify or the compilation fails. *)
-  if cfg.verify = Vfull then
-    time "verify" (fun () ->
-        fail_on_errors
-          (Mac_verify.Audit.run ~analysis:am ~facts f ~machine:cfg.machine
-             ~reports));
-  if cfg.level <> O0 then begin
-    classic ();
-    checkpoint "cleanup"
-  end;
-  ignore
-    (tv "legalize" (fun () ->
-         time "legalize" (fun () ->
-             let changed = Mac_opt.Legalize.run f cfg.machine in
-             Analysis.invalidate am
-               ~preserves:[ Analysis.Dom; Analysis.Loops ];
-             changed)));
-  checkpoint ~machine:cfg.machine "legalize";
-  if cfg.level <> O0 then begin
-    classic ();
-    checkpoint ~machine:cfg.machine "final-cleanup"
-  end;
-  if cfg.schedule && cfg.level <> O0 then begin
-    (* machine-level list scheduling of every block, post-legalization *)
-    ignore
-      (tv "schedule" (fun () ->
-           time "schedule" (fun () ->
-               let cfgv = Analysis.cfg am in
-               let body' =
-                 Array.to_list cfgv.blocks
-                 |> List.concat_map (fun (b : Mac_cfg.Cfg.block) ->
-                        Mac_opt.Sched.reorder cfg.machine b.insts)
+  (* --- the pass table ------------------------------------------------ *)
+  let pass ?bucket ?preserves ?(machine = false) ?audit ?(proof = Exact) name
+      run =
+    let bucket = Option.value bucket ~default:(Some name) in
+    { name; bucket; run; preserves; machine; audit; proof }
+  in
+  let classic_pass ?machine name =
+    pass ?machine ~bucket:None ~proof:Composite name (fun () ->
+        classic ();
+        true)
+  in
+  (* rewrites of plain instructions in place: the block structure
+     survives, the register facts do not *)
+  let keeps_loops = [ Analysis.Dom; Analysis.Loops ] in
+  let legalize name =
+    pass ~bucket:(Some "legalize") ~preserves:keeps_loops ~machine:true name
+      (fun () -> Mac_opt.Legalize.run f cfg.machine)
+  in
+  let reports = ref [] and sched_reports = ref [] in
+  let opts = coalesce_options cfg and leveled = cfg.level <> O0 in
+  let only c p = if c then [ p ] else [] in
+  let passes =
+    List.concat
+      [ only leveled (classic_pass composite);
+        (* The paper's EliminateInductionVariables: address computations
+           become derived induction pointers (Fig. 1b shape); the second
+           round, after the dead index arithmetic has been cleaned away,
+           can retire the loop counter by rewriting the back branch to a
+           pointer compare. It renames wholesale. *)
+        only (cfg.strength_reduce && leveled)
+          (pass ~bucket:None ~proof:Renamer "strength-reduce" (fun () ->
+               for _ = 1 to 2 do
+                 ignore
+                   (time "strength" (fun () -> Mac_opt.Strength.run ~am f));
+                 classic ()
+               done;
+               true));
+        (* DESIGN.md decision 1 ablation: legalizing narrow references
+           before coalescing hides them from the coalescer entirely. *)
+        only cfg.legalize_first (legalize "legalize-first");
+        (* Nothing coalesces at O0 and O1, and nothing is billed, but the
+           pass is validated and audited all the same. The audit sees the
+           coalesced loops before legalization and cleanup rewrite them,
+           with the facts the coalescer consulted. *)
+        [ pass "coalesce"
+            ~bucket:(Option.map (fun _ -> "coalesce") opts)
+            ~audit:(fun () ->
+              Mac_verify.Audit.run ~analysis:am ~facts f ~machine:cfg.machine
+                ~reports:!reports)
+            ~proof:(Regions (fun () -> Mac_verify.Audit.regions !reports))
+            (fun () ->
+              Option.iter
+                (fun o ->
+                  reports := Coalesce.run ~am ~facts f ~machine:cfg.machine o)
+                opts;
+              true) ];
+        only leveled (classic_pass "cleanup");
+        [ legalize "legalize" ];
+        only leveled (classic_pass ~machine:true "final-cleanup");
+        (* list scheduling of every block, post-legalization *)
+        only (cfg.schedule && leveled)
+          (pass ~preserves:keeps_loops ~machine:true "schedule" (fun () ->
+               Array.to_list (Analysis.cfg am).blocks
+               |> List.concat_map (fun (b : Mac_cfg.Cfg.block) ->
+                      Mac_opt.Sched.reorder cfg.machine b.insts)
+               |> Func.set_body f;
+               true));
+        (* The -Osched pass modulo-schedules every simple loop after
+           legalization (the machine shapes are final) and after the list
+           scheduler (nothing may reorder its kernels); nothing of [am]
+           survives. *)
+        only (cfg.pipeline_sched && leveled)
+          (pass ~preserves:[] ~machine:true "pipeline-sched"
+             ~audit:(fun () ->
+               Mac_verify.Sched_audit.run f ~machine:cfg.machine
+                 ~sched_reports:!sched_reports)
+             ~proof:
+               (Regions
+                  (fun () -> Mac_verify.Sched_audit.regions !sched_reports))
+             (fun () ->
+               let changed, rs =
+                 Mac_opt.Pipeline_sched.run ~am ?max_regs:cfg.regalloc f
+                   ~machine:cfg.machine
                in
-               Func.set_body f body';
-               (* In-block reordering of plain instructions only. *)
-               Analysis.invalidate am
-                 ~preserves:[ Analysis.Dom; Analysis.Loops ];
-               true)));
-    checkpoint ~machine:cfg.machine "schedule"
-  end;
-  let sched_reports =
-    if cfg.pipeline_sched && cfg.level <> O0 then begin
-      (* the -Osched pass: modulo-schedule every simple loop, after
-         legalization (the machine shapes being scheduled are final) and
-         after the per-block list scheduler (the pipeliner rebuilds its
-         loop bodies from scratch; nothing may reorder its kernels) *)
-      let tv_old = if tvalid_on then Some (Tvalid.snapshot f) else None in
-      let changed, rs =
-        time "pipeline-sched" (fun () ->
-            Mac_opt.Pipeline_sched.run ~am ?max_regs:cfg.regalloc f
-              ~machine:cfg.machine)
-      in
-      (* loop-restructuring transformation: nothing survives *)
-      if changed then Analysis.invalidate_all am;
-      (* pipelined kernels are regions justified by the schedule audit;
-         in-place reorders and untouched loops are matched exactly *)
-      (match tv_old with
-      | Some old_f -> tv_check ~sched_reports:rs "pipeline-sched" old_f
-      | None -> ());
-      checkpoint ~machine:cfg.machine "pipeline-sched";
-      (* the independent schedule audit re-verifies every certificate
-         against a freshly rebuilt dependence graph *)
-      if cfg.verify = Vfull then
-        time "verify" (fun () ->
-            fail_on_errors
-              (Mac_verify.Sched_audit.run f ~machine:cfg.machine
-                 ~sched_reports:rs));
-      rs
-    end
-    else []
+               sched_reports := rs;
+               changed));
+        (* whole-function renaming onto machine registers *)
+        (match cfg.regalloc with
+        | Some num_regs ->
+          [ pass ~machine:true ~proof:Renamer "regalloc" (fun () ->
+                ignore
+                  (Mac_opt.Regalloc.run ~am f ~machine:cfg.machine ~num_regs);
+                true) ]
+        | None -> []) ]
   in
-  (match cfg.regalloc with
-  | Some num_regs ->
-    ignore
-      (time "regalloc" (fun () ->
-           Mac_opt.Regalloc.run ~am f ~machine:cfg.machine ~num_regs));
-    checkpoint ~machine:cfg.machine "regalloc";
-    (* whole-function renaming onto machine registers: recorded fallback *)
-    if tvalid_on then tv_check "regalloc" f
-  | None -> ());
-  (reports, sched_reports, !diags)
+  checkpoint "input";
+  List.iter step passes;
+  (!reports, !sched_reports, !diags)
 
-let pass_seconds_of timings =
-  Hashtbl.fold (fun name dt acc -> (name, dt) :: acc) timings []
+(* a table's bindings, sorted by key *)
+let sorted tbl =
+  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let compile_funcs cfg funcs =
@@ -522,8 +520,7 @@ let compile_funcs cfg funcs =
       (fun f ->
         let tm : (string, float) Hashtbl.t = Hashtbl.create 16 in
         let tv : (string, Tvalid.agg) Hashtbl.t = Hashtbl.create 16 in
-        let r = compile_func cfg tm tv f in
-        (f.Func.name, r, tm, tv))
+        (f.Func.name, compile_func cfg tm tv f, tm, tv))
       funcs
   in
   List.iter
@@ -537,8 +534,8 @@ let compile_funcs cfg funcs =
             | None -> a))
         tv)
     per_func;
-  let per_func = List.map (fun (n, r, _, _) -> (n, r)) per_func in
-  let reports = List.map (fun (n, (r, _, _)) -> (n, r)) per_func in
+  let per_func get = List.map (fun (n, r, _, _) -> (n, get r)) per_func in
+  let reports = per_func (fun (r, _, _) -> r) in
   let all_reports = List.concat_map snd reports in
   let sum field =
     List.fold_left (fun acc r -> acc + field r) 0 all_reports
@@ -554,22 +551,19 @@ let compile_funcs cfg funcs =
                      ~default:0))
           r.Coalesce.elisions)
       all_reports;
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+    sorted tbl
   in
   {
     funcs;
     reports;
-    sched_reports = List.map (fun (n, (_, sr, _)) -> (n, sr)) per_func;
-    diags = List.map (fun (n, (_, _, d)) -> (n, d)) per_func;
-    pass_seconds = pass_seconds_of timings;
+    sched_reports = per_func (fun (_, sr, _) -> sr);
+    diags = per_func (fun (_, _, d) -> d);
+    pass_seconds = sorted timings;
     compile_seconds = now () -. t0;
     guards_emitted = sum (fun r -> r.Coalesce.guards_emitted);
     guards_elided = sum (fun r -> r.Coalesce.guards_elided);
     elision_reasons;
-    tvalid_stats =
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) tvalid_tbl []
-      |> List.sort (fun (a, _) (b, _) -> String.compare a b);
+    tvalid_stats = sorted tvalid_tbl;
   }
 
 (* Facts declared in the source itself (parameter attributes), converted

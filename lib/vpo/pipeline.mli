@@ -11,9 +11,13 @@
     - [O3]: + coalescing of loads (Table II/III column 4).
     - [O4]: + coalescing of loads and stores (column 5).
 
-    Pass order is: classic opts, unroll+coalesce, classic cleanup,
-    machine legalization, final cleanup. Coalescing runs before
-    legalization (DESIGN.md decision 1). *)
+    The pass order is one table, chosen by the level and the config
+    flags and walked by one fold: classic opts, strength reduction,
+    unroll+coalesce, classic cleanup, machine legalization, final
+    cleanup, list scheduling, software pipelining, register allocation.
+    Coalescing runs before legalization (DESIGN.md decision 1). Each
+    entry declares its timer bucket, what it invalidates, its checkpoint,
+    its audit and its {!proof}; the fold writes each of those once. *)
 
 open Mac_rtl
 
@@ -163,6 +167,19 @@ val classic_opts : Func.t -> Mac_verify.Diagnostic.t list
     ["classic-opts"] naming the function and the passes that still
     changed it when the budget ran out. *)
 
+(** How translation validation proves a pass at [Vfull], as its entry
+    in the pass table declares it. *)
+type proof =
+  | Exact  (** every block pair matched *)
+  | Composite
+      (** the classic rounds of one call, matched as one pass; the
+          recorded [Exact] steps are replayed only to blame a rejection *)
+  | Regions of (unit -> (Rtl.label * string) list)
+      (** matched exactly but at the loop headers the pass's report
+          names once it has run, each with the certificate trusted *)
+  | Renamer
+      (** not validated: recorded as a fallback, Rtlcheck only *)
+
 val test_intercept : (string -> Func.t -> unit) option ref
 (** Test seam: called with the pass name and the function right after
     each validated pass runs — each classic pass of every round
@@ -172,10 +189,12 @@ val test_intercept : (string -> Func.t -> unit) option ref
     too. Only consulted at [Vfull]. *)
 
 val test_observe :
-  (pass:string -> fname:string -> old_f:Func.t -> new_f:Func.t -> unit)
+  (pass:string -> proof:proof -> fname:string -> old_f:Func.t ->
+   new_f:Func.t -> unit)
   option
   ref
-(** Test seam: called with each (pass, before, after) snapshot pair —
-    every recorded classic step, every ["classic-opts"] composite, and
-    every other validated pass — so the qcheck mutation adversary
-    captures real transitions through it. Only consulted at [Vfull]. *)
+(** Test seam: called with each (pass, before, after) snapshot pair and
+    how the pass is proved — every recorded classic step ([Exact]),
+    every ["classic-opts"] composite, and every other validated or
+    recorded pass — so the qcheck mutation adversary captures real
+    transitions through it. Only consulted at [Vfull]. *)

@@ -125,6 +125,12 @@ let parse s =
     then plain (i + 1)
     else i
   in
+  (* the value of the four hex digits at [i], or -1 *)
+  let hex4 i =
+    let h = String.sub s i 4 in
+    let hex = function '0'..'9' | 'a'..'f' | 'A'..'F' -> true | _ -> false in
+    if String.for_all hex h then int_of_string ("0x" ^ h) else -1
+  in
   let parse_string () =
     expect '"';
     let start = !pos in
@@ -143,21 +149,31 @@ let parse s =
         else if String.unsafe_get s stop = '"' then incr pos
         else begin
           incr pos;
-          let decoded =
-            match at !pos with
-            | ('"' | '\\' | '/') as c -> c
-            | 'n' -> '\n'
-            | 't' -> '\t'
-            | 'r' -> '\r'
-            | 'b' -> '\b'
-            | 'f' -> '\012'
-            | 'u' ->
-              if !pos + 4 >= n then fail "truncated \\u escape";
-              pos := !pos + 4;
-              '?'
-            | _ -> fail "bad escape"
-          in
-          Buffer.add_char buf decoded;
+          (match at !pos with
+          | ('"' | '\\' | '/') as c -> Buffer.add_char buf c
+          | 'n' -> Buffer.add_char buf '\n'
+          | 't' -> Buffer.add_char buf '\t'
+          | 'r' -> Buffer.add_char buf '\r'
+          | 'b' -> Buffer.add_char buf '\b'
+          | 'f' -> Buffer.add_char buf '\012'
+          | 'u' ->
+            if !pos + 4 >= n then fail "truncated \\u escape";
+            let u = hex4 (!pos + 1) in
+            pos := !pos + 4;
+            (* a high surrogate pairs with a low one in the next escape *)
+            let paired =
+              u land 0xfc00 = 0xd800 && !pos + 6 < n
+              && String.sub s (!pos + 1) 2 = "\\u"
+            in
+            let lo = if paired then hex4 (!pos + 3) else -1 in
+            if lo land 0xfc00 = 0xdc00 then begin
+              pos := !pos + 6;
+              let c = 0x10000 + ((u land 0x3ff) lsl 10) + (lo land 0x3ff) in
+              Buffer.add_utf_8_uchar buf (Uchar.of_int c)
+            end
+            else if u < 0 || u land 0xf800 = 0xd800 then Buffer.add_char buf '?'
+            else Buffer.add_utf_8_uchar buf (Uchar.of_int u)
+          | _ -> fail "bad escape");
           go (!pos + 1)
         end
       in

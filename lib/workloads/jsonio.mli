@@ -30,11 +30,12 @@ val render : t -> string
     that {!parse} recovers the identical float. *)
 
 val parse : string -> (t, string) result
-(** Minimal recursive-descent parser. Every [\uXXXX] escape decodes to
-    ['?'], including the control-range escapes {!render} emits, so a
-    string with a control byte other than newline, tab and carriage
-    return does not survive a round trip. An error message ends with
-    the byte offset where parsing stopped. *)
+(** Minimal recursive-descent parser. A [\uXXXX] escape decodes to
+    the code point's UTF-8 bytes (one byte up to [\u007f], so every
+    string {!render} emits parses back to itself) and a surrogate pair
+    to its one code point; a lone surrogate or a non-hex digit decodes
+    to ['?']. An error message ends with the byte offset where parsing
+    stopped. *)
 
 val member : string -> t -> t option
 (** Field lookup on an [Obj]; [None] on any other constructor. *)

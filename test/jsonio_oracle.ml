@@ -92,6 +92,19 @@ let parse s =
     end
     else fail (Printf.sprintf "expected %s" word)
   in
+  (* the value of the four hex digits at [i], or -1 *)
+  let hex_at i =
+    let digit c =
+      match c with
+      | '0' .. '9' -> Char.code c - 48
+      | 'a' .. 'f' -> Char.code c - 87
+      | 'A' .. 'F' -> Char.code c - 55
+      | _ -> -1
+    in
+    let ds = List.init 4 (fun k -> digit s.[i + k]) in
+    if List.mem (-1) ds then -1
+    else List.fold_left (fun acc d -> (acc * 16) + d) 0 ds
+  in
   let parse_string () =
     expect '"';
     let buf = Buffer.create 16 in
@@ -113,8 +126,22 @@ let parse s =
         | Some 'f' -> Buffer.add_char buf '\012'; advance (); go ()
         | Some 'u' ->
           if !pos + 4 >= n then fail "truncated \\u escape";
+          let u = hex_at (!pos + 1) in
           for _ = 0 to 4 do advance () done;
-          Buffer.add_char buf '?';
+          let low =
+            if !pos + 5 < n && s.[!pos] = '\\' && s.[!pos + 1] = 'u' then
+              hex_at (!pos + 2)
+            else -1
+          in
+          let surrogate c = c >= 0xd800 && c <= 0xdfff in
+          if u >= 0xd800 && u <= 0xdbff && low >= 0xdc00 && low <= 0xdfff
+          then begin
+            for _ = 0 to 5 do advance () done;
+            Buffer.add_utf_8_uchar buf
+              (Uchar.of_int (0x10000 + ((u - 0xd800) * 0x400) + low - 0xdc00))
+          end
+          else if u < 0 || surrogate u then Buffer.add_char buf '?'
+          else Buffer.add_utf_8_uchar buf (Uchar.of_int u);
           go ()
         | _ -> fail "bad escape")
       | Some c ->

@@ -110,8 +110,7 @@ let test_classify () =
 let gen_json =
   let open QCheck.Gen in
   (* Strings exercise the quote/backslash/control escapes the artifacts
-     can contain; \uXXXX escapes are deliberately absent (parse decodes
-     them lossily and the emitters never produce them). *)
+     can contain; "render and parse keep every byte" covers the rest. *)
   let str_g =
     string_size
       ~gen:(oneofl [ 'a'; 'Z'; '0'; ' '; '"'; '\\'; '\n'; '\t'; '\r'; '{' ])
@@ -181,7 +180,8 @@ let gen_text =
       (list_size (int_range 0 12)
          (oneofl
             [ "{"; "}"; "["; "]"; ":"; ","; "\""; "\\"; "\\u"; "\\u00";
-              "\\u0041"; "\\n"; "\\/"; "\\x"; "u"; "00"; "1"; "-"; "+";
+              "\\u0041"; "\\u00e9"; "\\ud83d"; "\\ude00"; "\\u12g4"; "\\n";
+              "\\/"; "\\x"; "u"; "00"; "1"; "-"; "+";
               "."; "e"; "2.5E-3"; " "; "\n"; "\000"; "\xff"; "true"; "fals";
               "null"; "nul"; "\"k\""; "\"\\\"" ]))
   in
@@ -218,6 +218,15 @@ let json_oracle_render_test =
              | _ -> true)
            (match v with Jsonio.Arr l -> l | _ -> []))
 
+(* Every byte string survives render -> parse: the control bytes that
+   [render] writes as [\u00XX] decode back to the byte. *)
+let json_string_roundtrip_test =
+  QCheck.Test.make ~count:1000 ~name:"render and parse keep every byte"
+    (QCheck.make ~print:String.escaped
+       QCheck.Gen.(
+         oneof [ any_byte_str_g; string_size ~gen:char (int_range 0 32) ]))
+    (fun s -> Jsonio.parse (Jsonio.render (Jsonio.Str s)) = Ok (Jsonio.Str s))
+
 let json_oracle_parse_test =
   QCheck.Test.make ~count:2000 ~name:"parse matches the oracle"
     (QCheck.make ~print:String.escaped gen_text)
@@ -234,7 +243,11 @@ let test_json_parse_cases () =
       Alcotest.(check string) (String.escaped text) want (show (Jsonio.parse text));
       Alcotest.(check string) ("oracle " ^ String.escaped text) want
         (show (Jsonio_oracle.parse text)))
-    [ ("\"a\\u0041b\"", "Ok \"a?b\"");
+    [ ("\"a\\u0041b\"", "Ok \"aAb\"");
+      ("\"\\u0001\\u001F\\u007f\"", "Ok \"\\u0001\\u001f\127\"");
+      ("\"\\u00e9\\u20AC\"", "Ok \"\xc3\xa9\xe2\x82\xac\"");
+      ("\"\\ud83d\\ude00\"", "Ok \"\xf0\x9f\x98\x80\"");
+      ("\"\\ud83dx\\ude00\\u12g4\"", "Ok \"?x??\"");
       ("\"\\u00\"", "Error truncated \\u escape at byte 2");
       ("\"ab", "Error unterminated string at byte 3");
       ("\"a\\q\"", "Error bad escape at byte 3");
@@ -586,6 +599,7 @@ let () =
           Alcotest.test_case "parse + member" `Quick test_json_member;
           QCheck_alcotest.to_alcotest json_oracle_render_test;
           QCheck_alcotest.to_alcotest json_oracle_parse_test;
+          QCheck_alcotest.to_alcotest json_string_roundtrip_test;
           Alcotest.test_case "parse cases match the oracle" `Quick
             test_json_parse_cases;
         ] );

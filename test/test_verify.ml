@@ -139,6 +139,12 @@ let test_illegal_width () =
   check_flags "illegal width"
     (Rtlcheck.check_func ~machine:Machine.alpha ~pass:"test" f)
     "not legal on alpha";
+  check_flags "width scan alone"
+    (Rtlcheck.width_checks ~machine:Machine.alpha ~pass:"test" f)
+    "not legal on alpha";
+  Alcotest.(check int) "legal on the 68030" 0
+    (List.length
+       (Rtlcheck.width_checks ~machine:Machine.mc68030 ~pass:"test" f));
   Alcotest.(check bool) "legal without a machine" false
     (Diagnostic.has_errors (Rtlcheck.check_func ~pass:"test" f))
 
@@ -163,6 +169,31 @@ let test_pipeline_names_failing_pass () =
   | exception Pipeline.Verification_failed d ->
     Alcotest.(check string) "names the pass" "input" d.pass;
     Alcotest.(check (option string)) "names the function" (Some "bad") d.func
+
+(* A checkpoint that finds the body it checked last and only the machine
+   new runs the width scan alone, and a width the scan rejects is still
+   reported. The intercept hands the legalize checkpoint back the body
+   the cleanup checkpoint checked, the same list, whose 16-bit loads the
+   Alpha cannot issue. *)
+let test_checkpoint_new_machine_checks_widths () =
+  let last = ref [] in
+  Pipeline.test_intercept :=
+    Some
+      (fun pass f ->
+        if String.equal pass "legalize" then Func.set_body f !last
+        else last := f.Func.body);
+  Fun.protect
+    ~finally:(fun () -> Pipeline.test_intercept := None)
+    (fun () ->
+      let cfg =
+        Pipeline.config ~level:Pipeline.O1 ~verify:Pipeline.Vfull
+          Machine.alpha
+      in
+      match Pipeline.compile_source cfg W.dotproduct_src with
+      | _ -> Alcotest.fail "illegal width accepted"
+      | exception Pipeline.Verification_failed d ->
+        Alcotest.(check string) "names the pass" "legalize" d.pass;
+        check_flags "illegal width" [ d ] "not legal on alpha")
 
 (* One structural checker at every verify level: each ill-formed input
    fails the [input] checkpoint with a [Verification_failed] naming the
@@ -796,12 +827,14 @@ let captured_snapshots =
      let compile machine level (b : W.t) =
        Pipeline.test_observe :=
          Some
-           (fun ~pass ~fname:_ ~old_f ~new_f ->
-             if Tvalid.classify pass = Tvalid.Exact then
+           (fun ~pass ~proof ~fname:_ ~old_f ~new_f ->
+             match (proof : Pipeline.proof) with
+             | Exact | Composite ->
                snaps :=
                  (pass, machine, Tvalid.snapshot old_f,
                   Tvalid.snapshot new_f)
-                 :: !snaps);
+                 :: !snaps
+             | Regions _ | Renamer -> ());
        let o =
          W.run ~size:16 ~coalesce:forced ~assume_layout:true
            ~verify:Pipeline.Vfull ~machine ~level b
@@ -977,9 +1010,8 @@ let test_tvalid_mutation_adversary () =
 (* A verdict and its counters as one comparable line. *)
 let summarize_verdict = function
   | Ok (r : Tvalid.result) ->
-    Printf.sprintf "ok checked=%d skipped=%d regions=%d fallback=%s warnings=%d"
+    Printf.sprintf "ok checked=%d skipped=%d regions=%d warnings=%d"
       r.Tvalid.blocks_checked r.Tvalid.blocks_skipped r.Tvalid.regions_skipped
-      (Option.value r.Tvalid.fallback ~default:"-")
       (List.length r.Tvalid.warnings)
   | Error _ -> "rejected"
 
@@ -1055,7 +1087,7 @@ let test_tvalid_shared_branch_block () =
          ~old_f ~new_f ())
   in
   Alcotest.(check string) "shared branch block: live edge only"
-    "ok checked=0 skipped=2 regions=0 fallback=- warnings=0" (run shared);
+    "ok checked=0 skipped=2 regions=0 warnings=0" (run shared);
   Alcotest.(check string) "generic path agrees" (run fresh) (run shared);
   let corrupt =
     with_body
@@ -1088,6 +1120,8 @@ let () =
             test_unreachable_block;
           Alcotest.test_case "failing pass is named" `Quick
             test_pipeline_names_failing_pass;
+          Alcotest.test_case "new machine alone still checks widths" `Quick
+            test_checkpoint_new_machine_checks_widths;
           Alcotest.test_case "one structural checker at every level" `Quick
             test_single_checker_every_level;
           Alcotest.test_case "wrong preserves is caught" `Quick
