@@ -31,8 +31,10 @@ let jobs_arg =
   Arg.(value & opt (some int) None
        & info [ "j"; "jobs" ] ~docv:"N"
            ~doc:"Compile worker domains, beside the domain that accepts \
-                 and answers cache hits (default: one less than MAC_JOBS, \
-                 else than the recommended domain count, and at least 1).")
+                 and answers cache hits (default: MAC_JOBS, else the \
+                 recommended domain count: one per core). Workers run at \
+                 a lower priority than the accepting domain, so hits are \
+                 answered promptly while every core compiles.")
 
 let max_entries_arg =
   Arg.(value & opt int 4096
@@ -61,8 +63,10 @@ let main socket cache_dir jobs max_entries max_requests quiet =
   with
   | stats ->
     Fmt.pr
-      "mccd: served %d request(s): %d hit(s), %d miss(es), %d error(s)@."
-      stats.Serve.Server.requests stats.hits stats.misses stats.errors;
+      "mccd: served %d request(s): %d hit(s), %d miss(es), %d error(s), %d \
+       unpublished@."
+      stats.Serve.Server.requests stats.hits stats.misses stats.errors
+      stats.unpublished;
     0
   | exception Unix.Unix_error (e, fn, arg) ->
     Fmt.epr "mccd: %s(%s): %s@." fn arg (Unix.error_message e);

@@ -3,9 +3,11 @@
     A key is a digest over the {e canonicalized} request fields, so two
     requests that mean the same compile hash equal:
 
-    - the MiniC source is canonicalized first ({!canonical_source}):
-      comments are dropped and whitespace runs collapse to a single
-      separator, so reformatting a file does not defeat the cache;
+    - the MiniC source is canonicalized first: [//] and [/* */]
+      comments are dropped, every whitespace run collapses to one
+      space and the ends are trimmed — the lexer's token stream is
+      invariant under exactly these rewrites — so reformatting a file
+      does not defeat the cache;
     - a named built-in workload resolves to its source before hashing,
       so [--bench image_add] and a file holding the same program share
       one cache entry;
@@ -24,11 +26,6 @@
 type t = string
 (** Lowercase hex, fixed width — usable directly as a file name in
     {!Cache}. *)
-
-val canonical_source : string -> string
-(** Strip [//] and [/* */] comments, collapse every whitespace run to
-    one space, and trim the ends — the lexer's token stream is
-    invariant under exactly these rewrites. *)
 
 val source_digest : string -> string
 (** Digest of the canonicalized source alone (the "input digest" of

@@ -20,10 +20,6 @@ val proto : string
     reads the reply, so a daemon speaking another version is a
     "protocol mismatch" error, not a reply that fails to parse. *)
 
-val max_frame : int
-(** Upper bound on a frame payload (16 MiB); {!read_frame} rejects
-    anything larger rather than allocating it. *)
-
 (** {1 Messages} *)
 
 type source = [ `Source of string | `Bench of string ]
@@ -96,4 +92,4 @@ val write_frames : Unix.file_descr -> string list -> unit
 val read_frame : Unix.file_descr -> (string, string) result
 (** The next frame's payload; [Error] on EOF, a short read, a failed
     or timed-out read (a socket deadline expired), or a length above
-    {!max_frame}. *)
+    16 MiB, which is rejected rather than allocated. *)

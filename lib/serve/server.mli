@@ -32,6 +32,9 @@ type stats = {
           followers *)
   misses : int;  (** compiles actually executed *)
   errors : int;  (** [ok:false] replies *)
+  unpublished : int;
+      (** successful compiles the cache refused to store: answered,
+          not cached *)
 }
 
 val serve :
@@ -49,11 +52,19 @@ val serve :
     workers finish the queue, joins them and returns; without it the
     daemon serves forever and only returns on a fatal listener error.
     [jobs] is the number of compile workers (default
-    [max 1 (]{!Mac_parallel.Pool.jobs}[ () - 1)], so the front plus
-    the workers fill the recommended domain count). Each worker is
-    pool-owned, so a compile's own {!Mac_parallel.Pool.map} runs
-    serially on it and no domain is spawned per request. [log]
-    receives one line per compile.
+    {!Mac_parallel.Pool.jobs}[ ()], one per core, so a miss waits for
+    a core rather than for another client's compile). Each worker
+    lowers its own scheduling priority with [nice(2)] when it starts,
+    so the front, which answers hits, wins the CPU from the compiles:
+    on a 2-core host two workers at equal priority doubled the hits'
+    p90 latency. On Linux the nice value belongs to the calling thread
+    alone; elsewhere [nice(2)] lowers the whole process, which gives
+    the front no priority over the workers and does no harm. The
+    workers share one minor-heap budget, so more workers do not raise
+    peak RSS. Each worker is pool-owned, so a compile's own
+    {!Mac_parallel.Pool.map} runs serially on it and no domain is
+    spawned per request. [log] receives one line per compile, naming
+    the worker that ran it ([worker 2/2: compile ...]).
 
     Every request's canonical-source digest is computed once, at
     resolution, and threaded through cache lookup, single-flight

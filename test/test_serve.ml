@@ -421,13 +421,14 @@ let test_cache_find_touches () =
 
 (* --- end-to-end daemon runs -------------------------------------- *)
 
-(* Fork a daemon child serving exactly [max_requests] requests from a
-   fresh socket + cache, run [f], then reap the child. [in_child] runs
-   in the child before it serves (to arm a pipeline test seam there
-   only). The fork happens while the parent runs no other domain (the
-   workers live in the child), so its runtime is never forked
-   mid-domain. *)
-let with_daemon ?(in_child = ignore) ~max_requests f =
+(* Fork a daemon child with [jobs] workers serving exactly
+   [max_requests] requests from a fresh socket + cache, run [f] with
+   the child's pid, then reap the child. [in_child] runs in the child
+   before it serves (to arm a pipeline test seam there only). When
+   [serve] returns, the child writes its stats for {!daemon_stats}.
+   The fork happens while the parent runs no other domain (the workers
+   live in the child), so its runtime is never forked mid-domain. *)
+let spawn_daemon ?(in_child = ignore) ?(jobs = 2) ~max_requests f =
   let dir = temp_dir "mccd_e2e" in
   let socket = Filename.concat dir "mccd.sock" in
   let cache_dir = Filename.concat dir "cache" in
@@ -436,7 +437,12 @@ let with_daemon ?(in_child = ignore) ~max_requests f =
     (try
        in_child ();
        let cache = Cache.open_dir cache_dir in
-       ignore (Server.serve ~jobs:2 ~max_requests ~socket ~cache ())
+       let st = Server.serve ~jobs ~max_requests ~socket ~cache () in
+       let file = Filename.concat dir "stats" in
+       Out_channel.with_open_bin (file ^ ".tmp") (fun oc ->
+           Printf.fprintf oc "%d %d %d %d %d" st.Server.requests st.hits
+             st.misses st.errors st.unpublished);
+       Sys.rename (file ^ ".tmp") file
      with _ -> ());
     Unix._exit 0
   | pid ->
@@ -451,7 +457,26 @@ let with_daemon ?(in_child = ignore) ~max_requests f =
           else (Unix.sleepf 0.05; wait (n - 1))
         in
         wait 200;
-        f ~socket ~cache_dir)
+        f ~pid ~socket ~cache_dir)
+
+let with_daemon ?in_child ?jobs ~max_requests f =
+  spawn_daemon ?in_child ?jobs ~max_requests (fun ~pid:_ -> f)
+
+(* The stats the daemon of [cache_dir] returned, once it has served its
+   [max_requests]. *)
+let daemon_stats ~cache_dir =
+  let file = Filename.concat (Filename.dirname cache_dir) "stats" in
+  let rec wait n =
+    if Sys.file_exists file then
+      Scanf.sscanf
+        (In_channel.with_open_bin file In_channel.input_all)
+        "%d %d %d %d %d"
+        (fun requests hits misses errors unpublished ->
+          { Server.requests; hits; misses; errors; unpublished })
+    else if n = 0 then Alcotest.fail "daemon never returned its stats"
+    else (Unix.sleepf 0.05; wait (n - 1))
+  in
+  wait 200
 
 let send socket req =
   (* the socket file appears at bind, one step before listen — retry
@@ -743,6 +768,97 @@ let test_e2e_single_flight () =
             r.Protocol.r_body)
         replies)
 
+(* Two workers compile two misses at once: both replies come back in
+   about one compile, not two; a hit that arrives while both workers
+   sleep is answered at once; and a duplicate of a key in flight still
+   joins its compile instead of taking the other worker. *)
+let test_e2e_parallel_compiles () =
+  with_daemon ~in_child:slow_compiles ~jobs:2 ~max_requests:5
+    (fun ~socket ~cache_dir ->
+      let req machine =
+        Protocol.request ~level:Pipeline.O2 ~machine (`Bench "dotproduct")
+      in
+      let warm = req "alpha" in
+      let _, first = send socket warm in
+      Alcotest.(check bool) "warm-up compiles" false first.Protocol.r_cached;
+      let t0 = Unix.gettimeofday () in
+      let a = send_async socket (req "mc88100") in
+      let b = send_async socket (req "mc68030") in
+      let dup = send_async socket (req "mc88100") in
+      Unix.sleepf 0.05 (* both misses are queued and taken *);
+      let t_hit = Unix.gettimeofday () in
+      let _, hit = send socket warm in
+      let hit_s = Unix.gettimeofday () -. t_hit in
+      Alcotest.(check bool) "hit served from cache" true hit.Protocol.r_cached;
+      Alcotest.(check bool)
+        (Printf.sprintf "hit answered in %.3f s, under the %.1f s compile"
+           hit_s compile_sleep)
+        true (hit_s < compile_sleep);
+      let ra = receive a and rb = receive b in
+      let both_s = Unix.gettimeofday () -. t0 in
+      let rdup = receive dup in
+      List.iter
+        (fun r ->
+          Alcotest.(check bool) "miss ok" true r.Protocol.r_ok;
+          Alcotest.(check bool) "miss compiled" false r.Protocol.r_cached)
+        [ ra; rb ];
+      Alcotest.(check bool)
+        (Printf.sprintf "two misses done in %.3f s, under 1.6 x %.1f s"
+           both_s compile_sleep)
+        true
+        (both_s < 1.6 *. compile_sleep);
+      Alcotest.(check bool) "duplicate joined in flight" true
+        rdup.Protocol.r_cached;
+      Alcotest.(check string) "duplicate gets the miss's bytes"
+        ra.Protocol.r_body rdup.Protocol.r_body;
+      let st = daemon_stats ~cache_dir in
+      Alcotest.(check int) "three compiles: warm-up and two misses" 3
+        st.Server.misses;
+      Alcotest.(check int) "two hits: the warm key and the duplicate" 2
+        st.Server.hits)
+
+(* Field 19 of a [/proc/.../stat] line, the nice value. The command
+   name (field 2) is parenthesized and may hold spaces, so split after
+   its closing parenthesis, where field 3 starts. *)
+let stat_nice file =
+  let line = In_channel.with_open_bin file In_channel.input_all in
+  let from = String.rindex line ')' + 2 in
+  let fields =
+    String.split_on_char ' ' (String.sub line from (String.length line - from))
+  in
+  int_of_string (List.nth fields (19 - 3))
+
+(* Each worker lowers its own thread's priority, and only its own: the
+   thread that accepts keeps the nice value it forked with. One request
+   answered first means the front has served and a worker compiled. *)
+let test_e2e_worker_priority () =
+  if not (Sys.file_exists "/proc/self/task") then Alcotest.skip ();
+  let start = Unix.nice 0 in
+  let jobs = 2 in
+  spawn_daemon ~jobs ~max_requests:2 (fun ~pid ~socket ~cache_dir:_ ->
+      let _, r =
+        send socket
+          (Protocol.request ~level:Pipeline.O1 ~machine:"alpha"
+             (`Bench "dotproduct"))
+      in
+      Alcotest.(check bool) "served" true r.Protocol.r_ok;
+      let task = Printf.sprintf "/proc/%d/task" pid in
+      let niced () =
+        Array.fold_left
+          (fun n tid ->
+            match stat_nice (Filename.concat task (tid ^ "/stat")) with
+            | v -> if v = Stdlib.min 19 (start + 10) then n + 1 else n
+            | exception Sys_error _ -> n)
+          0 (Sys.readdir task)
+      in
+      let rec wait k =
+        let n = niced () in
+        if n >= jobs || k = 0 then n else (Unix.sleepf 0.05; wait (k - 1))
+      in
+      Alcotest.(check int) "one niced thread per worker" jobs (wait 100);
+      Alcotest.(check int) "the accepting thread keeps its priority" start
+        (stat_nice (Printf.sprintf "%s/%d/stat" task pid)))
+
 (* A client that connects and sends nothing costs the front one read
    deadline; the request behind it is still answered. *)
 let test_e2e_silent_client () =
@@ -793,6 +909,25 @@ let test_e2e_publish_error_served () =
       Alcotest.(check bool) "next request answered" true r2.Protocol.r_ok;
       Alcotest.(check bool) "nothing was published" false
         r2.Protocol.r_cached)
+
+(* The cache directory deleted right after the daemon opens it: every
+   compile is served and none is published, and the stats count each
+   refused publish. *)
+let test_e2e_publish_failures_counted () =
+  with_daemon ~max_requests:2 (fun ~socket ~cache_dir ->
+      rm_rf cache_dir;
+      let req =
+        Protocol.request ~level:Pipeline.O1 ~machine:"alpha"
+          (`Bench "dotproduct")
+      in
+      let _, r1 = send socket req in
+      let _, r2 = send socket req in
+      Alcotest.(check bool) "both served" true
+        (r1.Protocol.r_ok && r2.Protocol.r_ok);
+      let st = daemon_stats ~cache_dir in
+      Alcotest.(check int) "both compiled" 2 st.Server.misses;
+      Alcotest.(check int) "every miss unpublished" st.Server.misses
+        st.Server.unpublished)
 
 let test_local_fallback () =
   (* no daemon on the socket: request_or_local compiles in-process and
@@ -876,9 +1011,15 @@ let () =
           Alcotest.test_case "hit not queued behind a miss" `Quick
             test_e2e_hit_not_behind_miss;
           Alcotest.test_case "single-flight" `Quick test_e2e_single_flight;
+          Alcotest.test_case "compiles run in parallel" `Quick
+            test_e2e_parallel_compiles;
+          Alcotest.test_case "workers run niced" `Quick
+            test_e2e_worker_priority;
           Alcotest.test_case "silent client" `Quick test_e2e_silent_client;
           Alcotest.test_case "publish error still served" `Quick
             test_e2e_publish_error_served;
+          Alcotest.test_case "publish failures counted" `Quick
+            test_e2e_publish_failures_counted;
           Alcotest.test_case "local fallback" `Quick test_local_fallback;
         ] );
     ]
