@@ -123,20 +123,3 @@ let rpo t =
     if not seen.(i) then unreachable := i :: !unreachable
   done;
   Array.of_list (!post @ !unreachable)
-
-let pp ppf t =
-  Array.iter
-    (fun b ->
-      Format.fprintf ppf "@[<v 2>block %d%a -> [%a]:@,%a@]@,"
-        b.index
-        (fun ppf -> function
-          | Some l -> Format.fprintf ppf " (%s)" l
-          | None -> ())
-        b.label
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",")
-           Format.pp_print_int)
-        t.succ.(b.index)
-        (Format.pp_print_list Rtl.pp_inst)
-        b.insts)
-    t.blocks

@@ -37,5 +37,3 @@ val rpo : t -> int array
 (** A dense visiting order for dataflow solvers: the reachable blocks in
     reverse postorder (entry first), followed by the unreachable blocks in
     index order (so every block is present exactly once). *)
-
-val pp : Format.formatter -> t -> unit

@@ -31,19 +31,3 @@ let compute (cfg : Cfg.t) =
   { doms; reachable }
 
 let dominates t a b = IntSet.mem a t.doms.(b)
-
-let dominators t b = IntSet.elements t.doms.(b)
-
-let idom t b =
-  if b = 0 || not t.reachable.(b) then None
-  else
-    (* The immediate dominator is the strict dominator dominated by all
-       other strict dominators. *)
-    let strict = IntSet.remove b t.doms.(b) in
-    IntSet.fold
-      (fun cand acc ->
-        match acc with
-        | None -> Some cand
-        | Some best ->
-          if IntSet.mem best t.doms.(cand) then Some cand else Some best)
-      strict None

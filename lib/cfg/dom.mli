@@ -11,10 +11,3 @@ val dominates : t -> int -> int -> bool
 (** [dominates t a b] is true iff block [a] dominates block [b] (reflexive:
     every block dominates itself). Unreachable blocks are dominated by
     everything, matching the standard lattice. *)
-
-val idom : t -> int -> int option
-(** Immediate dominator; [None] for the entry block and unreachable
-    blocks. *)
-
-val dominators : t -> int -> int list
-(** All dominators of a block, entry first. *)

@@ -81,19 +81,3 @@ let simple_of (cfg : Cfg.t) l =
       in
       Some { loop = l; header_label; body; back_branch = br }
     | _ -> None
-
-let pp ppf l =
-  Format.fprintf ppf "loop header=%d latches=[%a] blocks={%a} preheader=%a"
-    l.header
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",")
-       Format.pp_print_int)
-    l.latches
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",")
-       Format.pp_print_int)
-    (IntSet.elements l.blocks)
-    (fun ppf -> function
-      | Some p -> Format.pp_print_int ppf p
-      | None -> Format.pp_print_string ppf "-")
-    l.preheader

@@ -23,10 +23,6 @@ val natural_loops : Cfg.t -> Dom.t -> t list
 (** All natural loops, deduplicated by header (back edges sharing a header
     are merged), outermost first in block order. *)
 
-val is_simple : t -> bool
-(** True iff the loop body is exactly its header block and it has a single
-    latch (itself). *)
-
 (** The decomposed form of a simple loop, ready for splicing
     transformations. *)
 type simple = {
@@ -40,5 +36,3 @@ type simple = {
 val simple_of : Cfg.t -> t -> simple option
 (** [None] if the loop is not simple or its block does not end in a
     conditional branch back to its own label. *)
-
-val pp : Format.formatter -> t -> unit

@@ -28,14 +28,6 @@ type memo
 
 val create_memo : unit -> memo
 
-val materialize_base :
-  ?memo:memo ->
-  Func.t ->
-  Linform.t ->
-  (Rtl.kind list * Rtl.operand) option
-(** Like {!materialize}, but consults and populates [memo] for the
-    symbolic (constant-free) part of the form. *)
-
 val alignment_check :
   ?memo:memo ->
   Func.t ->

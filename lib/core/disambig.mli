@@ -81,7 +81,6 @@ type elision = {
   cert : cert;
 }
 
-val pp_cert : Format.formatter -> cert -> unit
 val pp_elision : Format.formatter -> elision -> unit
 
 (** {1 The oracle (proving side)} *)

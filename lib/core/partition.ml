@@ -209,13 +209,3 @@ let select_store_groups ?residue p ~wide =
     List.filter (fun r -> match r.dir with Dstore _ -> true | _ -> false) p.refs
   in
   select_windows ?initial_residue:residue stores ~wide ~full_coverage:true p
-
-let pp ppf p =
-  Format.fprintf ppf "@[<v 2>partition %d (terms: %a):@," p.id Linform.pp
-    { Linform.const = 0L; terms = p.terms };
-  List.iter
-    (fun r ->
-      Format.fprintf ppf "[%d] %a @@ %a@," r.index Rtl.pp_inst r.inst
-        Linform.pp r.addr)
-    p.refs;
-  Format.fprintf ppf "@]"

@@ -67,5 +67,3 @@ val select_store_groups : ?residue:int64 -> t -> wide:Width.t -> group list
     partition's store windows on the same alignment class as its load
     windows, since only one class can pass the run-time alignment
     check). *)
-
-val pp : Format.formatter -> t -> unit

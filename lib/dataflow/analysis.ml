@@ -30,8 +30,6 @@ type t = {
   mutable live : Liveness.t option;
   mutable reach : Reaching.t option;
   mutable copies : Copies.t option;
-  mutable hits : int;
-  mutable misses : int;
 }
 
 let create func =
@@ -43,19 +41,12 @@ let create func =
     live = None;
     reach = None;
     copies = None;
-    hits = 0;
-    misses = 0;
   }
-
-let func t = t.func
 
 let memo t get set compute =
   match get t with
-  | Some v ->
-    t.hits <- t.hits + 1;
-    v
+  | Some v -> v
   | None ->
-    t.misses <- t.misses + 1;
     let v = compute () in
     set t (Some v);
     v
@@ -116,7 +107,6 @@ let invalidate t ~preserves =
   if not (cfg_kept && keep Copies) then t.copies <- None
 
 let invalidate_all t = invalidate t ~preserves:[]
-let stats t = (t.hits, t.misses)
 
 (* Cache-coherence probe for the verifier: the memoised CFG view must
    still describe [func]'s body — same instructions (by uid and kind) in

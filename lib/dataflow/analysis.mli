@@ -24,10 +24,7 @@ val create : Func.t -> t
 (** A fresh manager with nothing computed. {!liveness}, {!reaching} and
     {!copies} run the one packed-bitvector solver ({!Dataflow.solve_bits}). *)
 
-val func : t -> Func.t
-
 val cfg : t -> Mac_cfg.Cfg.t
-val dom : t -> Mac_cfg.Dom.t
 val loops : t -> Mac_cfg.Loop.t list
 val liveness : t -> Liveness.t
 val reaching : t -> Reaching.t
@@ -38,9 +35,6 @@ val invalidate : t -> preserves:fact list -> unit
     dependency closure above). Call after a pass changed the function. *)
 
 val invalidate_all : t -> unit
-
-val stats : t -> int * int
-(** [(hits, misses)] over every accessor since {!create}. *)
 
 val coherent : t -> (unit, string) result
 (** Check that the memoised CFG view still matches the function body

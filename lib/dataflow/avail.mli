@@ -18,10 +18,6 @@ type key =
 
 type t
 
-val fact_of_inst : Rtl.inst -> (Reg.t * key) option
-(** The fact an instruction establishes, if any: a move, binop, unop,
-    load or extract whose destination its own key does not read. *)
-
 val compute : Mac_cfg.Cfg.t -> t
 (** Facts die when their register or a register of their key is
     redefined; a store kills every load fact, a call every fact. The

@@ -44,7 +44,6 @@ let same_len a b =
   if a.nbits <> b.nbits then invalid_arg "Bitv: length mismatch"
 
 let equal a b = a.nbits = b.nbits && a.words = b.words
-let is_empty t = Array.for_all (fun w -> w = 0) t.words
 
 (* Each returns whether [into] changed. *)
 let union_into ~into src =
@@ -82,10 +81,6 @@ let diff_into ~into src =
     end
   done;
   !changed
-
-let blit ~into src =
-  same_len into src;
-  Array.blit src.words 0 into.words 0 (Array.length src.words)
 
 let iter_set f t =
   for w = 0 to Array.length t.words - 1 do

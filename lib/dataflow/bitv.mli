@@ -16,7 +16,6 @@ val set : t -> int -> unit
 val clear : t -> int -> unit
 val get : t -> int -> bool
 val equal : t -> t -> bool
-val is_empty : t -> bool
 
 val union_into : into:t -> t -> bool
 (** [union_into ~into src] sets [into := into ∪ src]; returns whether
@@ -25,12 +24,6 @@ val union_into : into:t -> t -> bool
 val inter_into : into:t -> t -> bool
 val diff_into : into:t -> t -> bool
 (** [diff_into ~into src] is [into := into − src]. *)
-
-val blit : into:t -> t -> unit
-(** Overwrite [into] with [src]'s contents. *)
-
-val iter_set : (int -> unit) -> t -> unit
-(** Iterate the set indices in ascending order. *)
 
 val for_all_set : (int -> bool) -> t -> bool
 (** Whether [p] holds for every set index, asked in ascending order and

@@ -217,8 +217,6 @@ let entry_state ?(consts = []) () =
   in
   { map = Reg.Map.empty; default }
 
-let state_bindings st = Reg.Map.bindings st.map
-
 let state_equal a b = a.map == b.map || Reg.Map.equal value_equal a.map b.map
 
 (* Both states come from one solve, so they share [default]. Joins are
@@ -242,10 +240,6 @@ let state_join a b =
         a.map b.map
     in
     { a with map }
-
-let eval_operand st = function
-  | Imm c -> const c
-  | Reg r -> value_of st r
 
 (* Bitwise ops act on determined low bits only; And against an exact
    constant that fits inside the determined window clears everything
@@ -304,18 +298,25 @@ let transfer_unop op v =
       | Lin { sym; stride; off; k } ->
         make ~sym ~stride ~off ~k:(min k (Width.bits w))))
 
-let step st kind =
+(* The register [kind] defines and its new value, reading each register
+   operand through [get]; [None] for an instruction that defines none. *)
+let transfer get kind =
+  let operand = function Imm c -> const c | Reg r -> get r in
   match kind with
-  | Move (d, op) -> state_set st d (eval_operand st op)
-  | Binop (op, d, l, r) ->
-    state_set st d (transfer_binop op (eval_operand st l) (eval_operand st r))
-  | Unop (op, d, o) -> state_set st d (transfer_unop op (eval_operand st o))
-  | Load { dst; _ } | Extract { dst; _ } | Insert { dst; _ } ->
-    state_set st dst Top
-  | Call { dst = Some d; _ } -> state_set st d Top
+  | Move (d, op) -> Some (d, operand op)
+  | Binop (op, d, l, r) -> Some (d, transfer_binop op (operand l) (operand r))
+  | Unop (op, d, o) -> Some (d, transfer_unop op (operand o))
+  | Load { dst; _ } | Extract { dst; _ } | Insert { dst; _ }
+  | Call { dst = Some dst; _ } ->
+    Some (dst, Top)
   | Call { dst = None; _ }
   | Store _ | Jump _ | Branch _ | Label _ | Ret _ | Nop ->
-    st
+    None
+
+let step st kind =
+  match transfer (value_of st) kind with
+  | Some (d, v) -> state_set st d v
+  | None -> st
 
 (* ------------------------------------------------------------------ *)
 (* The block-level fixpoint                                            *)

@@ -78,24 +78,12 @@ type state
     was never redefined on any path from entry, so it still holds its
     entry value: lookups default to {!entry} (or the seeded constant). *)
 
-val entry_state : ?consts:(Reg.t * int64) list -> unit -> state
-(** The state at function entry: every register holds its entry value,
-    or its seeded constant from [consts]. *)
-
 val value_of : state -> Reg.t -> value
 
-val state_bindings : state -> (Reg.t * value) list
-(** The registers whose value differs from their entry value, in
-    ascending register order. *)
-
-val state_equal : state -> state -> bool
-(** Same value for every register; the states must come from one
-    {!entry_state}. *)
-
-val state_set : state -> Reg.t -> value -> state
-val step : state -> Rtl.kind -> state
-(** One-instruction transfer function (exposed so the audit can replay a
-    straight-line region independently of the block solution). *)
+val transfer : (Reg.t -> value) -> Rtl.kind -> (Reg.t * value) option
+(** [transfer get kind] is the register [kind] defines and its value after
+    it, reading each register operand through [get]; [None] when [kind]
+    defines no register. *)
 
 type t
 (** A block-level fixpoint over a {!Mac_cfg.Cfg.t}. *)

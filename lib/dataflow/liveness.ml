@@ -39,7 +39,6 @@ let compute (cfg : Mac_cfg.Cfg.t) =
 
 let to_set bv = Bitv.fold_set (fun i acc -> Reg.Set.add (Reg.make i) acc) bv Reg.Set.empty
 let live_in t b = to_set t.sol.Dataflow.inb.(b)
-let live_out t b = to_set t.sol.Dataflow.outb.(b)
 let for_all_reg p bv = Bitv.for_all_set (fun i -> p (Reg.make i)) bv
 let for_all_in t b p = for_all_reg p t.sol.Dataflow.inb.(b)
 let for_all_out t b p = for_all_reg p t.sol.Dataflow.outb.(b)

@@ -10,9 +10,6 @@ val compute : Mac_cfg.Cfg.t -> t
 val live_in : t -> int -> Reg.Set.t
 (** Registers live on entry to a block. *)
 
-val live_out : t -> int -> Reg.Set.t
-(** Registers live on exit from a block. *)
-
 val for_all_in : t -> int -> (Reg.t -> bool) -> bool
 (** [for_all_in t b p]: whether [p] holds for every register live on
     entry to block [b], asked in ascending {!Reg.compare} order and

@@ -43,9 +43,6 @@ type access = {
 
 val classify : line:int -> access -> klass
 
-val extent : access -> int * int
-(** [(lo, hi)]: the byte interval touched over the whole sweep. *)
-
 val sweep_lines : line:int -> stride:int -> count:int -> (int * int) list -> int
 (** [sweep_lines ~line ~stride ~count windows] is the number of distinct
     cache lines in the union over iterations [i < count] of the byte

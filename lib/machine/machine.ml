@@ -145,21 +145,6 @@ module Costs = struct
     }
 end
 
-let pp ppf m =
-  let pp_widths ppf ws =
-    Format.pp_print_list
-      ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",")
-      Width.pp ppf ws
-  in
-  Format.fprintf ppf
-    "@[<v>%s: word=%a loads={%a} stores={%a} unaligned={%a} insert=%s@,\
-     icache=%dB dcache=%dB/%dB-lines miss=%dcyc load-latency=%d@]"
-    m.name Width.pp m.word pp_widths m.load_widths pp_widths m.store_widths
-    pp_widths m.unaligned_widths
-    (if m.has_native_insert then "native" else "sequence")
-    m.icache_bytes m.dcache.size_bytes m.dcache.line_bytes
-    m.dcache.miss_penalty m.load_latency
-
 (* DEC Alpha (21064-class). No byte/shortword loads or stores; LDQ_U/STQ_U
    unaligned quadword access; EXTxx is one instruction, inserting a field
    takes INSxx + MSKxx + OR (three single-cycle instructions). Integer

@@ -70,8 +70,6 @@ val latency : t -> Rtl.kind -> int
 (** Cycles before the instruction's results may be consumed; at least its
     issue cost. *)
 
-val pp : Format.formatter -> t -> unit
-
 (** {1 Precomputed cost tables}
 
     The cost fields of {!t} are closures; pricing an instruction means a
@@ -85,9 +83,6 @@ val binop_index : Rtl.binop -> int
 val width_index : Width.t -> int
 (** Dense index of a width, narrowest first (same order as
     {!Mac_rtl.Width.all}). *)
-
-val all_binops : Rtl.binop list
-(** Every binop in {!binop_index} order. *)
 
 module Costs : sig
   type machine := t
@@ -128,10 +123,6 @@ val mc68030 : t
 (** Motorola 68030: CISC; narrow memory operations cost the same as wide
     ones and bit-field extract/insert are multi-cycle, so coalescing always
     loses. *)
-
-val test32 : t
-(** A permissive 32-bit machine for unit tests: every width legal, unit
-    costs. *)
 
 val all : t list
 (** The three evaluation platforms of the paper, in paper order. *)

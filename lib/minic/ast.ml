@@ -87,15 +87,3 @@ and ty_equal a b =
   | Int (w1, s1), Int (w2, s2) -> w1 = w2 && s1 = s2
   | Ptr t1, Ptr t2 -> ty_equal t1 t2
   | (Void | Int _ | Ptr _), _ -> false
-
-let rec pp_ty ppf = function
-  | Void -> Format.pp_print_string ppf "void"
-  | Int (I8, Signed) -> Format.pp_print_string ppf "char"
-  | Int (I8, Unsigned) -> Format.pp_print_string ppf "unsigned char"
-  | Int (I16, Signed) -> Format.pp_print_string ppf "short"
-  | Int (I16, Unsigned) -> Format.pp_print_string ppf "unsigned short"
-  | Int (I32, Signed) -> Format.pp_print_string ppf "int"
-  | Int (I32, Unsigned) -> Format.pp_print_string ppf "unsigned int"
-  | Int (I64, Signed) -> Format.pp_print_string ppf "long"
-  | Int (I64, Unsigned) -> Format.pp_print_string ppf "unsigned long"
-  | Ptr t -> Format.fprintf ppf "%a*" pp_ty t

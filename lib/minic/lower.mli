@@ -14,10 +14,6 @@ open Mac_rtl
 
 exception Error of string
 
-val func : Ast.program -> Ast.func -> Func.t
-(** Lower one function ([program] supplies the signatures of callees).
-    Raises {!Error} or {!Typecheck.Error} on semantic errors. *)
-
 val program : Ast.program -> Func.t list
 (** Type-check and lower every function. *)
 

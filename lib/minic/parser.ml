@@ -407,7 +407,3 @@ let parse src =
     | _ -> go (parse_func st :: acc)
   in
   go []
-
-let parse_expr src =
-  let st = { toks = Lexer.tokenize src } in
-  parse_expression st

@@ -12,6 +12,3 @@ exception Error of string * int * int
 
 val parse : string -> Ast.program
 (** Raises {!Error} (or {!Lexer.Error}) on malformed input. *)
-
-val parse_expr : string -> Ast.expr
-(** Parse a single expression (for tests). *)

@@ -21,14 +21,6 @@ let basic_ivs (s : Loop.simple) =
          | Some step when not (Int64.equal step 0L) -> Some { reg = r; step }
          | _ -> None)
 
-let invariants (s : Loop.simple) =
-  let defs = Reg.Set.of_list (defs_in_body s) in
-  let all_insts = s.body @ [ s.back_branch ] in
-  let uses =
-    List.concat_map (fun (i : Rtl.inst) -> Rtl.uses i.kind) all_insts
-  in
-  Reg.Set.diff (Reg.Set.of_list uses) defs
-
 type trip = { iv : iv; offset : int64; bound : Rtl.operand; cmp : Rtl.cmp }
 
 let mirror = function

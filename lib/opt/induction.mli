@@ -16,11 +16,6 @@ type iv = { reg : Reg.t; step : int64 }
 val basic_ivs : Mac_cfg.Loop.simple -> iv list
 (** All registers with a constant non-zero per-iteration advance. *)
 
-val invariants : Mac_cfg.Loop.simple -> Reg.Set.t
-(** Registers used in the loop but never defined in it — partition
-    identifiers in the paper's sense (e.g. the start address of an array
-    parameter). *)
-
 (** Trip-count structure extracted from the loop's back branch: the loop
     continues while [(iv + offset) cmp bound], where the [iv + offset]
     value is what the branch operand holds at the bottom of the body,

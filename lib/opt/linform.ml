@@ -67,11 +67,6 @@ let same_terms a b =
 let equal a b = Int64.equal a.const b.const && same_terms a b
 let as_const a = if a.terms = [] then Some a.const else None
 
-let coeff_of a sym =
-  List.fold_left
-    (fun acc (s, c) -> if sym_equal s sym then c else acc)
-    0L a.terms
-
 let pp ppf a =
   Format.fprintf ppf "%Ld" a.const;
   List.iter

@@ -19,9 +19,6 @@ open Mac_rtl
 
 type sym = Entry of Reg.t | Opaque of int
 
-val sym_equal : sym -> sym -> bool
-val pp_sym : Format.formatter -> sym -> unit
-
 type t = { const : int64; terms : (sym * int64) list }
 (** Terms are sorted by symbol and never carry a zero coefficient, so
     structural equality of [terms] is semantic equality of the symbolic
@@ -31,13 +28,10 @@ val const : int64 -> t
 val entry : Reg.t -> t
 val add : t -> t -> t
 val sub : t -> t -> t
-val neg : t -> t
 val mul_const : t -> int64 -> t
-val shl_const : t -> int -> t
 val equal : t -> t -> bool
 val same_terms : t -> t -> bool
 val as_const : t -> int64 option
-val coeff_of : t -> sym -> int64
 val pp : Format.formatter -> t -> unit
 
 (** {1 Symbolic block execution} *)

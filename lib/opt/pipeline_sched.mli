@@ -92,5 +92,4 @@ val run :
     Invalidates [am] with an empty [preserves] set after each committed
     transformation. *)
 
-val pp_status : Format.formatter -> status -> unit
 val pp_report : Format.formatter -> report -> unit

@@ -22,10 +22,6 @@ val is_barrier : Rtl.kind -> bool
 (** Control transfers and labels: they order against everything on both
     sides of the DAG and disqualify a loop body from pipelining. *)
 
-val mem_disjoint : Rtl.mem -> Rtl.mem -> bool
-(** Definitely-disjoint test for two memory references sharing a base
-    register (displacement ranges do not overlap). *)
-
 val build_dag : Mac_machine.Machine.t -> Rtl.inst list -> node array
 (** The dependence DAG the schedulers (list and modulo) share: register
     RAW/WAR/WAW, conservative memory ordering with base+displacement

@@ -7,9 +7,6 @@
 
 open Mac_rtl
 
-val inst : Rtl.kind -> Rtl.kind
-(** Simplify one instruction. *)
-
 val run : Func.t -> bool
 (** Simplify every instruction in place; returns [true] if anything
     changed. *)

@@ -76,12 +76,6 @@ let set_body t body =
 let refresh_uids t insts =
   List.map (fun (i : Rtl.inst) -> inst t i.kind) insts
 
-let find_label t l =
-  List.exists
-    (fun (i : Rtl.inst) ->
-      match i.kind with Rtl.Label l' -> String.equal l l' | _ -> false)
-    t.body
-
 let pp ppf t =
   Format.fprintf ppf "@[<v>%s(%a):@," t.name
     (Format.pp_print_list

@@ -39,7 +39,5 @@ val refresh_uids : t -> Rtl.inst list -> Rtl.inst list
 (** Give every instruction in the list a fresh uid (used when duplicating
     loop bodies). *)
 
-val find_label : t -> Rtl.label -> bool
-
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

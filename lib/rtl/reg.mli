@@ -15,7 +15,6 @@ val make : int -> t
 val id : t -> int
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val hash : t -> int
 
 val pp : Format.formatter -> t -> unit
 (** Prints vpo style: [r\[7\]]. *)

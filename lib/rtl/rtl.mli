@@ -89,7 +89,6 @@ val uses : kind -> Reg.t list
 (** Registers read by the instruction (with duplicates removed). *)
 
 val is_load : kind -> bool
-val is_store : kind -> bool
 val is_memory : kind -> bool
 
 val mem_of : kind -> mem option
@@ -105,12 +104,6 @@ val has_side_effect : kind -> bool
 
 (** {1 Transformation} *)
 
-val map_uses : (Reg.t -> Reg.t) -> kind -> kind
-(** Rewrite every {e used} register (definitions are untouched; the [dst] of
-    [Insert] is rewritten as a use as well as a def, so callers renaming
-    disjointly must handle [Insert] with care). *)
-
-val map_defs : (Reg.t -> Reg.t) -> kind -> kind
 val map_regs : (Reg.t -> Reg.t) -> kind -> kind
 val map_labels : (label -> label) -> kind -> kind
 
@@ -134,8 +127,5 @@ val insert_bytes : int64 -> src:int64 -> pos:int -> width:Width.t -> int64
 
 (** {1 Printing} *)
 
-val pp_operand : Format.formatter -> operand -> unit
-val pp_mem : Format.formatter -> mem -> unit
-val pp_kind : Format.formatter -> kind -> unit
 val pp_inst : Format.formatter -> inst -> unit
 val to_string : kind -> string

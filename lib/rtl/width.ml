@@ -17,7 +17,6 @@ let of_bytes_exn n =
 
 let equal (a : t) (b : t) = a = b
 let compare a b = Stdlib.compare (bits a) (bits b)
-let max a b = if compare a b >= 0 then a else b
 let all = [ W8; W16; W32; W64 ]
 
 let mask = function

@@ -13,18 +13,14 @@ val bits : t -> int
 val bytes : t -> int
 (** [bytes w] is the size of [w] in bytes. *)
 
-val of_bytes : int -> t option
-(** [of_bytes n] is the width of [n] bytes, if [n] is 1, 2, 4 or 8. *)
-
 val of_bytes_exn : int -> t
-(** Like {!of_bytes} but raises [Invalid_argument] on other sizes. *)
+(** [of_bytes_exn n] is the width of [n] bytes; raises
+    [Invalid_argument] unless [n] is 1, 2, 4 or 8. *)
 
 val equal : t -> t -> bool
 
 val compare : t -> t -> int
 (** Orders widths by size. *)
-
-val max : t -> t -> t
 
 val all : t list
 (** All widths, narrowest first. *)

@@ -84,10 +84,6 @@ let verdict_of_digest ?fingerprint ~source_digest ~machine ~level () =
          source_digest;
        ])
 
-let of_fields ?fingerprint ~source ~machine ~level ~verify () =
-  artifact_of_digest ?fingerprint ~source_digest:(source_digest source)
-    ~machine ~level ~verify ()
-
 type resolved = {
   r_source : string;
   r_digest : string;

@@ -27,21 +27,9 @@ type t = string
 (** Lowercase hex, fixed width — usable directly as a file name in
     {!Cache}. *)
 
-val source_digest : string -> string
-(** Digest of the canonicalized source alone (the "input digest" of
-    the cache key). *)
-
-val of_fields :
-  ?fingerprint:string ->
-  source:string -> machine:string -> level:string -> verify:string ->
-  unit -> t
-(** The full cache key. [fingerprint] defaults to the running build's
-    {!Mac_vpo.Version.compiler_fingerprint}; tests override it to
-    check that two builds never share keys. *)
-
 type resolved = {
   r_source : string;  (** the request's source text, [`Bench] resolved *)
-  r_digest : string;  (** {!source_digest}, computed exactly once *)
+  r_digest : string;  (** digest of the canonicalized source alone, computed exactly once *)
   r_artifact_key : t;  (** key of the artifact-body cache entry *)
   r_verdict_key : t;
       (** key of the validation-verdict entry: same fields minus the

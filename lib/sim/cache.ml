@@ -63,10 +63,5 @@ let access t addr =
     `Miss
   end
 
-let reset t =
-  Array.fill t.lines 0 (Array.length t.lines) (-1);
-  t.hits <- 0;
-  t.misses <- 0
-
 let hits t = t.hits
 let misses t = t.misses

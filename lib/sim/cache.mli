@@ -29,6 +29,5 @@ val access : t -> int64 -> [ `Hit | `Miss ]
     reference spanning two lines counts as an access to its first line
     (references here are at most 8 bytes and lines at least 16). *)
 
-val reset : t -> unit
 val hits : t -> int
 val misses : t -> int

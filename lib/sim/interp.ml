@@ -80,8 +80,3 @@ let run ~machine ~memory (program : program) ~entry ~args
     phases =
       [ ("decode", decode_s); ("compile", compile_s); ("execute", execute_s) ];
   }
-
-let label_count m l =
-  Option.value
-    (List.assoc_opt l m.label_counts)
-    ~default:0

@@ -77,5 +77,3 @@ val run :
     cause the size of a loop to grow larger than the instruction cache" —
     see the ABL8 bench. The headline tables leave it off, matching the
     paper's evaluation framing. *)
-
-val label_count : metrics -> Rtl.label -> int

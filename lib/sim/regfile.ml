@@ -14,12 +14,9 @@
 
 type t = Bytes.t
 
-external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
 external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
 
 let create n = Bytes.make (n lsl 3) '\000'
-let size (t : t) = Bytes.length t lsr 3
-let get (t : t) i = get64 t (i lsl 3)
 let set (t : t) i v = set64 t (i lsl 3) v
 
 (* Byte-offset primitives re-exported for the jit; see the interface. *)

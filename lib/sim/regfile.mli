@@ -1,9 +1,8 @@
 (** Unboxed register file: one activation's register values, stored flat
     in a [Bytes] buffer (8 bytes per register, indexed by {!Mac_rtl.Reg}
-    id). The jit (and the test suite's oracle) go through this accessor
-    layer, so a register write costs an unboxed 64-bit store — no box
-    allocation, no [caml_modify] — where an [int64 array] would pay
-    both.
+    id). The jit goes through this accessor layer, so a register write
+    costs an unboxed 64-bit store — no box allocation, no [caml_modify]
+    — where an [int64 array] would pay both.
 
     Indices are bounds-checked by the underlying bytes primitives;
     callers size the file from the registers the function actually
@@ -14,8 +13,6 @@ type t
 val create : int -> t
 (** [create n] is an [n]-register file, all zero. *)
 
-val size : t -> int
-val get : t -> int -> int64
 val set : t -> int -> int64 -> unit
 
 external uget : t -> int -> int64 = "%caml_bytes_get64u"

@@ -13,7 +13,6 @@ let make severity ~pass ?func ?uid message =
 
 let error ~pass = make Error ~pass
 let warning ~pass = make Warning ~pass
-let info ~pass = make Info ~pass
 
 let errorf ~pass ?func ?uid fmt =
   Format.kasprintf (fun s -> error ~pass ?func ?uid s) fmt
@@ -40,5 +39,3 @@ let pp ppf d =
   Option.iter (fun f -> Format.fprintf ppf "(%s)" f) d.func;
   Format.fprintf ppf ": %s" d.message;
   Option.iter (fun uid -> Format.fprintf ppf " (uid %d)" uid) d.uid
-
-let to_string d = Format.asprintf "%a" pp d

@@ -22,8 +22,6 @@ type t = {
 }
 
 val error : pass:string -> ?func:string -> ?uid:int -> string -> t
-val warning : pass:string -> ?func:string -> ?uid:int -> string -> t
-val info : pass:string -> ?func:string -> ?uid:int -> string -> t
 
 val errorf :
   pass:string ->
@@ -49,4 +47,3 @@ val errors : t list -> t list
 val has_errors : t list -> bool
 
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string

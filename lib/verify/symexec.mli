@@ -83,20 +83,11 @@ val ctx : ?interner:interner ->
 val bin : ctx -> Rtl.binop -> term -> term -> term
 val un : ctx -> Rtl.unop -> term -> term
 val ext : ctx -> term -> term -> Width.t -> Rtl.signedness -> term
-val ins : ctx -> term -> term -> term -> Width.t -> term
 val read : ctx -> mem -> term -> Width.t -> Rtl.signedness -> term
-val write : ctx -> mem -> term -> Width.t -> term -> mem
 
 val negate_cond : ctx -> term -> term option
 (** [Some t'] when the term is a comparison and [t'] is its logical
     negation (used to match branch edges crossed by a polarity flip). *)
-
-val split_addr : term -> term * int64
-(** Peel a canonical [base + constant] address apart. *)
-
-val disjoint : ctx -> term -> int -> term -> int -> bool
-(** Are the byte ranges [a, a+wa) and [b, b+wb) provably disjoint —
-    same-base interval separation, else the context oracle. *)
 
 (** {1 Execution} *)
 
@@ -117,10 +108,6 @@ val lookup : env -> Reg.t -> term
     still holds its entry value. *)
 
 val operand : env -> Rtl.operand -> term
-
-val exec_inst : ctx -> env -> Rtl.inst -> env
-(** Labels, nops and terminators are identity; everything else updates
-    the environment (calls append an event and havoc memory). *)
 
 val exec_insts : ctx -> env -> Rtl.inst list -> env
 

@@ -8,17 +8,11 @@
     in, the serve protocol hello announces it, the BENCH artifact
     headers record it, and [mcc --version]/[mccd --version] print it. *)
 
-val version : string
-(** The human-facing semantic version of the compiler pipeline.
-    Bumped whenever a change alters what any (source, machine, level,
-    verify) compile produces — new passes, changed pass behavior,
-    changed artifact rendering. The CHANGES.md discipline: a PR that
-    changes compile output bumps this. *)
-
 val compiler_fingerprint : string
-(** [mcc/VERSION+HASH]: {!version} plus a short digest binding in the
-    toolchain parameters the emitted code could depend on (OCaml
-    compiler version, word size). Two processes report equal
-    fingerprints only when they agree on {!version} and were built by
-    the same toolchain generation — the property the compile cache,
-    the protocol hello and the bench headers all key on. *)
+(** [mcc/VERSION+HASH]: the compiler's semantic version (bumped by hand
+    whenever a change alters what a compile produces) plus a short
+    digest binding in the toolchain parameters the emitted code could
+    depend on (OCaml compiler version, word size). Two processes report
+    equal fingerprints only when they agree on the version and were
+    built by the same toolchain generation — the property the compile
+    cache, the protocol hello and the bench headers all key on. *)

@@ -1,31 +1,23 @@
-(* The estimation sweep: every paper-table cell predicted by the static
-   estimator, optionally pinned against the simulator, plus the triage
-   mode that uses the predictions to decide which cells are worth
+(* The triage mode: every paper-table cell predicted by the static
+   estimator, and the predictions used to decide which cells are worth
    simulating at all. *)
 
 module Machine = Mac_machine.Machine
 module Pipeline = Mac_vpo.Pipeline
 module Reuse = Mac_dataflow.Reuse
 
+(* One paper-table cell as the estimator predicts it. *)
 type ecell = {
   section : string;
   bench : string;
-  machine : string;
   level : string;
   pred_cycles : int;
-  pred_insts : int;
-  pred_loads : int;
-  pred_stores : int;
-  pred_misses : int;
-  pred_approx : bool;
   est_seconds : float;
-  sim_cycles : int option;
-  sim_misses : int option;
 }
 
 (* Acceptance grid: O0 (nothing moved), O2 (unrolled baseline) and O4
-   (loads+stores coalesced) on each paper machine. O2/O4 pairs also feed
-   the triage ranking. *)
+   (loads+stores coalesced) on each paper machine. O2/O4 pairs feed the
+   triage ranking. *)
 let levels = Pipeline.[ O0; O2; O4 ]
 
 let sections =
@@ -36,75 +28,28 @@ let sections =
    describe the code the tables simulate. *)
 let coalesce = Tables.coalesce_options ~respect_profitability:false
 
-let rel_err ~pred ~sim =
-  if sim = 0 then if pred = 0 then 0.0 else 1.0
-  else
-    Float.abs (float_of_int (pred - sim)) /. float_of_int sim
-
-let cycle_err c =
-  Option.map (fun sim -> rel_err ~pred:c.pred_cycles ~sim) c.sim_cycles
-
-let miss_err c =
-  Option.map (fun sim -> rel_err ~pred:c.pred_misses ~sim) c.sim_misses
-
 let predict ~section ~(machine : Machine.t) ~size (b : Workloads.t) level =
   let p =
     Workloads.estimate ~size ~coalesce ~assume_layout:true ~machine ~level b
   in
-  let s = p.Workloads.summary in
   {
     section;
     bench = b.Workloads.name;
-    machine = machine.Machine.name;
     level = Pipeline.level_to_string level;
-    pred_cycles = s.Reuse.s_cycles;
-    pred_insts = s.Reuse.s_insts;
-    pred_loads = s.Reuse.s_loads;
-    pred_stores = s.Reuse.s_stores;
-    pred_misses = s.Reuse.s_misses;
-    pred_approx = s.Reuse.s_approx;
+    pred_cycles = p.Workloads.summary.Reuse.s_cycles;
     est_seconds = p.Workloads.est_seconds;
-    sim_cycles = None;
-    sim_misses = None;
   }
 
-let grid =
+let predictions ~size () =
   List.concat_map
     (fun (section, machine) ->
       List.concat_map
         (fun (b : Workloads.t) ->
-          List.map (fun level -> (section, machine, b, level)) levels)
+          List.map
+            (fun level -> predict ~section ~machine ~size b level)
+            levels)
         Workloads.all)
     sections
-
-let simulate ~(machine : Machine.t) ~size (b : Workloads.t) level c =
-  let o =
-    Workloads.run ~size ~coalesce ~assume_layout:true ~machine ~level b
-  in
-  {
-    c with
-    sim_cycles = Some o.Workloads.metrics.Mac_sim.Interp.cycles;
-    sim_misses = Some o.Workloads.metrics.Mac_sim.Interp.dcache_misses;
-  }
-
-let predictions ~size () =
-  List.map
-    (fun (section, machine, b, level) ->
-      predict ~section ~machine ~size b level)
-    grid
-
-(* Every cell estimated AND simulated — what the accuracy contract is
-   checked on. The simulations fan over domains; the estimates are cheap
-   enough to run serially. *)
-let run ?jobs ~size () =
-  let preds = predictions ~size () in
-  let sims =
-    Mac_parallel.Pool.map ?jobs
-      (fun ((_, machine, b, level), c) ->
-        simulate ~machine ~size b level c)
-      (List.combine grid preds)
-  in
-  sims
 
 (* --- triage --------------------------------------------------------- *)
 
@@ -257,20 +202,3 @@ let run_triage ?jobs ~size () =
     t_est_seconds;
     t_sim_seconds;
   }
-
-(* --- accuracy contract ----------------------------------------------- *)
-
-(* Documented accuracy contract (DESIGN.md §13): median relative cycle
-   error of the estimate against the simulator, over all cells that were
-   simulated. The test suite fails a grid that exceeds it. *)
-let tolerance = 0.25
-
-let median xs =
-  match List.sort compare xs with
-  | [] -> 0.0
-  | sorted ->
-    let n = List.length sorted in
-    let a = List.nth sorted ((n - 1) / 2) and b = List.nth sorted (n / 2) in
-    (a +. b) /. 2.0
-
-let median_cycle_err cells = median (List.filter_map cycle_err cells)

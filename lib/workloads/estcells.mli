@@ -1,53 +1,13 @@
-(** The estimation sweep.
+(** The estimation triage.
 
     Every paper-table cell (TAB2/TAB3/TAB4 benchmarks at O0/O2/O4, the
     forced-coalescing configuration of {!Tables}) is predicted by the
-    static estimator ({!Workloads.estimate}); {!run} additionally
-    simulates each cell and records the per-cell relative error, which
-    the test suite holds against the documented {!tolerance}.
-    {!run_triage} is the payoff mode: rank the (section, benchmark)
-    pairs by {e predicted} coalescing savings, simulate only the
-    interesting top half, and report how well the predicted order agreed
-    with the simulated one. *)
-
-type ecell = {
-  section : string;
-  bench : string;
-  machine : string;
-  level : string;  (** O0 | O2 | O4 *)
-  pred_cycles : int;
-  pred_insts : int;
-  pred_loads : int;
-  pred_stores : int;
-  pred_misses : int;  (** predicted d-cache misses *)
-  pred_approx : bool;
-      (** some construct was approximated (unknown trip count,
-          unresolved call, non-affine stream) *)
-  est_seconds : float;
-  sim_cycles : int option;  (** simulator ground truth, when run *)
-  sim_misses : int option;
-}
-
-val levels : Mac_vpo.Pipeline.level list
-val sections : (string * Mac_machine.Machine.t) list
-
-val tolerance : float
-(** The documented accuracy contract: the median relative cycle error
-    over all simulated cells may not exceed this (DESIGN.md §13).
-    The test suite fails a sweep that does. *)
-
-val cycle_err : ecell -> float option
-(** [|pred - sim| / sim], when the cell was simulated. *)
-
-val miss_err : ecell -> float option
-
-val median_cycle_err : ecell list -> float
-
-val run : ?jobs:int -> size:int -> unit -> ecell list
-(** Estimate {e and} simulate every grid cell (simulations fan over
-    domains like the simulation sweep). *)
-
-(** {1 Triage} *)
+    static estimator ({!Workloads.estimate}). {!run_triage} ranks the
+    (section, benchmark) pairs by {e predicted} coalescing savings,
+    simulates only the interesting top half, and reports how well the
+    predicted order agreed with the simulated one. The estimator's
+    accuracy contract against the simulator is held by the test suite
+    (DESIGN.md §13). *)
 
 type ranked = {
   r_section : string;
@@ -74,4 +34,5 @@ type triage = {
 val run_triage : ?jobs:int -> size:int -> unit -> triage
 
 val concordance : (float * float) list -> float
-(** Exposed for the test suite. *)
+(** The concordant-pair fraction of (predicted, simulated) pairs, ties
+    counting half: {!run_triage}'s [agreement]. *)

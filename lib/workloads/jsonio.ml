@@ -47,11 +47,6 @@ let quoted buf s =
   escape_into buf s;
   Buffer.add_char buf '"'
 
-let str s =
-  let buf = Buffer.create (String.length s + 2) in
-  quoted buf s;
-  Buffer.contents buf
-
 (* Canonical compact emitter for {!t} values. Finite floats only; a
    whole number prints without a fraction part and anything else with
    enough digits ([%.17g]) that {!parse} recovers the same float — the

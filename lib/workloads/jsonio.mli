@@ -19,11 +19,6 @@ type t =
   | Arr of t list
   | Obj of (string * t) list
 
-val str : string -> string
-(** A complete string literal, with quote, backslash and control
-    characters escaped (["\n"], ["\t"], ["\r"] short forms, [\uXXXX]
-    for the rest). *)
-
 val render : t -> string
 (** Canonical compact emitter. Floats must be finite: whole numbers
     print without a fraction part, everything else with enough digits

@@ -1,22 +1,5 @@
-(** Reproduction of the paper's evaluation tables.
-
-    For each machine, every Table I benchmark is simulated at the paper's
-    four configurations:
-
-    - column 2 (["cc -O"]): our pipeline at O1 — classic optimizations,
-      loop left rolled (stands in for the native compiler baseline);
-    - column 3 (["vpcc/vpo -O"]): O2 — same plus unrolling by the widening
-      factor, no coalescing (the paper unrolled the baseline to isolate
-      coalescing);
-    - column 4 (coalesce loads): O3;
-    - column 5 (coalesce loads and stores): O4;
-    - column 6 (percent savings): [(col3 - col5) / col3 * 100], which
-      reproduces the printed Table II numbers (e.g. image add:
-      [(17.71 - 10.44) / 17.71 = 41.05%]).
-
-    The paper timed wall-clock seconds over ten runs, dropping the two
-    highest and two lowest; the simulator is deterministic, so a single
-    run yields the same statistic. *)
+(* The paper's evaluation tables: each Table I benchmark simulated at the
+   four configurations the interface lists, one row per benchmark. *)
 
 module Machine = Mac_machine.Machine
 
@@ -75,15 +58,6 @@ let row_of_outcomes bench outcomes =
     verified = List.for_all (fun (_, o) -> o.Workloads.correct) outcomes;
     outcomes;
   }
-
-let row ?(size = 100) ?(respect_profitability = false) ?assume_layout
-    ?profit_mode ?pipeline_sched ~machine bench =
-  row_of_outcomes bench
-    (List.map
-       (fun l ->
-         (l, cell ~size ~respect_profitability ?assume_layout
-              ?profit_mode ?pipeline_sched ~machine bench l))
-       levels)
 
 (* The table fans its benchmark x level cells over domains ([?jobs],
    default {!Mac_parallel.Pool.jobs}); results come back in canonical

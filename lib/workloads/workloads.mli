@@ -57,13 +57,6 @@ val image_binop_src : string -> string -> string
     op b\[i\]] kernel (used by tests to build deliberately wrong
     variants). *)
 
-val conv_w1 : int -> int
-(** The convolution inner-loop width for an image edge length (a multiple
-    of 8 so every widening factor divides the trip count). *)
-
-val translate_k : int
-(** The translation offset used by the [translate] benchmark. *)
-
 (** {1 Running} *)
 
 type outcome = {

@@ -51,7 +51,7 @@ let fingerprint (c : Pipeline.compiled) =
     (fun (fname, ds) ->
       Printf.bprintf b "diags %s\n" fname;
       List.iter
-        (fun d -> Printf.bprintf b "%s\n" (Diagnostic.to_string d))
+        (fun d -> Printf.bprintf b "%s\n" (Fmt.str "%a" Diagnostic.pp d))
         ds)
     c.diags;
   List.iter

@@ -328,34 +328,50 @@ module Avail = struct
 end
 
 (* Congruence: the round-robin solve, sweeping every block in reverse
-   postorder until a sweep changes nothing, with the join folded over the
-   union of both states' keys. *)
+   postorder until a sweep changes nothing, over its own states with the
+   production lattice join and transfer. A state maps each register
+   redefined on some path to its value; every other register holds
+   [default]: its entry value, or its seeded constant. *)
 module Congruence = struct
   module C = Mac_dataflow.Congruence
 
-  (* [initial] is the solve's entry state: no bindings, the defaults
-     every state of the solve shares *)
-  let state_join initial a b =
-    let keys =
-      List.fold_left
-        (fun acc (r, _) -> Reg.Set.add r acc)
-        Reg.Set.empty
-        (C.state_bindings a @ C.state_bindings b)
-    in
-    Reg.Set.fold
-      (fun r acc ->
-        C.state_set acc r (C.join (C.value_of a r) (C.value_of b r)))
-      keys initial
+  let value_of default st r =
+    match Reg.Map.find_opt r st with Some v -> v | None -> default r
 
-  let solve ?consts (cfg : Cfg.t) =
+  (* a binding equal to the default is dropped, so equal states are
+     equal maps *)
+  let bind default st r v =
+    if C.value_equal v (default r) then Reg.Map.remove r st
+    else Reg.Map.add r v st
+
+  let state_join default a b =
+    Reg.Map.fold
+      (fun r _ acc ->
+        bind default acc r
+          (C.join (value_of default a r) (value_of default b r)))
+      (Reg.Map.union (fun _ v _ -> Some v) a b)
+      Reg.Map.empty
+
+  (* The in- and out-state of every block, as lookups. *)
+  let solve ?(consts = []) (cfg : Cfg.t) =
+    let default r =
+      match List.find_opt (fun (s, _) -> Reg.equal s r) consts with
+      | Some (_, c) -> C.const c
+      | None -> C.entry r
+    in
     let n = Array.length cfg.blocks in
-    let initial = C.entry_state ?consts () in
+    let initial = Reg.Map.empty in
     let ins = Array.make n initial and outs = Array.make n initial in
     let reached = Array.make n false in
     let transfer_block b st =
-      List.fold_left (fun st (i : Rtl.inst) -> C.step st i.kind) st
-        cfg.blocks.(b).insts
+      List.fold_left
+        (fun st (i : Rtl.inst) ->
+          match C.transfer (value_of default st) i.kind with
+          | Some (d, v) -> bind default st d v
+          | None -> st)
+        st cfg.blocks.(b).insts
     in
+    let equal = Reg.Map.equal C.value_equal in
     let order = Cfg.rpo cfg in
     let entry_b = Cfg.entry cfg in
     let changed = ref true in
@@ -373,30 +389,30 @@ module Congruence = struct
                   else
                     match acc with
                     | None -> Some outs.(p)
-                    | Some st -> Some (state_join initial st outs.(p)))
+                    | Some st -> Some (state_join default st outs.(p)))
                 None cfg.pred.(b)
             in
             match joined with
             | None -> initial
             | Some st ->
-              if b = entry_b then state_join initial initial st else st
+              if b = entry_b then state_join default initial st else st
           in
           let out_st = transfer_block b in_st in
           if not reached.(b) then begin
             reached.(b) <- true;
             changed := true
           end;
-          if not (C.state_equal in_st ins.(b)) then begin
+          if not (equal in_st ins.(b)) then begin
             ins.(b) <- in_st;
             changed := true
           end;
-          if not (C.state_equal out_st outs.(b)) then begin
+          if not (equal out_st outs.(b)) then begin
             outs.(b) <- out_st;
             changed := true
           end)
         order
     done;
-    (ins, outs)
+    (Array.map (value_of default) ins, Array.map (value_of default) outs)
 end
 
 (* Dead-code elimination's faint-register sweep, with a per-register

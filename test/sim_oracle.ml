@@ -12,7 +12,6 @@ module Machine = Mac_machine.Machine
 module Cache = Mac_sim.Cache
 module Interp = Mac_sim.Interp
 module Memory = Mac_sim.Memory
-module Regfile = Mac_sim.Regfile
 
 let trap fmt = Format.kasprintf (fun s -> raise (Interp.Trap s)) fmt
 
@@ -33,9 +32,8 @@ type state = {
   mutable inext : int64;  (* next code address to hand out *)
 }
 
-(* One function activation: registers and their ready-cycles, in the
-   simulator's unboxed {!Regfile} (Bytes-backed). *)
-type frame = { regs : Regfile.t; ready : int array }
+(* One function activation: registers and their ready-cycles. *)
+type frame = { regs : int64 array; ready : int array }
 
 let frame_of (f : Func.t) =
   (* Size the frame from the registers actually mentioned, not just the
@@ -50,11 +48,11 @@ let frame_of (f : Func.t) =
       List.iter see (Rtl.uses i.kind))
     f.body;
   let n = Stdlib.max (!max_reg + 1) 1 in
-  { regs = Regfile.create n; ready = Array.make n 0 }
+  { regs = Array.make n 0L; ready = Array.make n 0 }
 
 let reg_value fr r =
   let i = Reg.id r in
-  if i < Regfile.size fr.regs then Regfile.get fr.regs i else 0L
+  if i < Array.length fr.regs then fr.regs.(i) else 0L
 
 let operand_value fr = function
   | Rtl.Reg r -> reg_value fr r
@@ -62,8 +60,8 @@ let operand_value fr = function
 
 let set_reg fr r v ~done_at =
   let i = Reg.id r in
-  if i >= Regfile.size fr.regs then trap "register r[%d] out of frame" i;
-  Regfile.set fr.regs i v;
+  if i >= Array.length fr.regs then trap "register r[%d] out of frame" i;
+  fr.regs.(i) <- v;
   fr.ready.(i) <- done_at
 
 let effective_addr fr (m : Rtl.mem) = Int64.add (reg_value fr m.base) m.disp
@@ -108,7 +106,7 @@ let rec call st fname args =
     List.iteri
       (fun i r ->
         match List.nth_opt args i with
-        | Some v -> Regfile.set fr.regs (Reg.id r) v
+        | Some v -> fr.regs.(Reg.id r) <- v
         | None -> trap "missing argument %d of %s" i fname)
       f.params;
     (* Stack frame for spill slots, when register allocation created one. *)

@@ -39,13 +39,19 @@ let test_linform_algebra () =
   Alcotest.(check (option int64)) "difference is constant" (Some 2L)
     (Linform.as_const diff);
   let scaled = Linform.mul_const a 3L in
-  Alcotest.(check int64) "coeff scales" 3L
-    (Linform.coeff_of scaled (Linform.Entry (reg 1)));
-  let zero = Linform.add a (Linform.neg a) in
+  Alcotest.(check bool) "coeff scales" true
+    (Linform.equal scaled
+       { Linform.const = 12L; terms = [ (Linform.Entry (reg 1), 3L) ] });
+  let zero = Linform.sub a a in
   Alcotest.(check (option int64)) "x - x = 0" (Some 0L)
     (Linform.as_const zero);
+  let env =
+    Linform.step (Linform.initial_env ())
+      (Rtl.Binop (Rtl.Shl, reg 4, Rtl.Reg (reg 1), Rtl.Imm 3L))
+  in
   Alcotest.(check bool) "shl is mul" true
-    (Linform.equal (Linform.shl_const a 3) (Linform.mul_const a 8L))
+    (Linform.equal (Linform.eval_reg env (reg 4))
+       (Linform.mul_const (lf_entry (reg 1)) 8L))
 
 let test_linform_step () =
   let env = Linform.initial_env () in
@@ -393,7 +399,7 @@ let test_materialize () =
     Func.append g (Rtl.Ret (Some (Rtl.Reg result)));
     let memory = Memory.create ~size:256 in
     let r =
-      Interp.run ~machine:Machine.test32 ~memory [ g ] ~entry:"t"
+      Interp.run ~machine:Test32.machine ~memory [ g ] ~entry:"t"
         ~args:[ 100L; 7L ] ()
     in
     Alcotest.(check int64) "materialized value" 138L r.value
@@ -422,7 +428,7 @@ let test_alignment_check_emission () =
       Func.append g (Rtl.Label "Lsafe");
       Func.append g (Rtl.Ret (Some (Rtl.Imm 0L)));
       let memory = Memory.create ~size:256 in
-      (Interp.run ~machine:Machine.test32 ~memory [ g ] ~entry:"t"
+      (Interp.run ~machine:Test32.machine ~memory [ g ] ~entry:"t"
          ~args:[ base ] ())
         .value
     in
@@ -438,7 +444,7 @@ let run_alias_check ~a_base ~b_base ~n f kinds =
   Func.append g (Rtl.Label "Lsafe");
   Func.append g (Rtl.Ret (Some (Rtl.Imm 0L)));
   let memory = Memory.create ~size:65536 in
-  (Interp.run ~machine:Machine.test32 ~memory [ g ] ~entry:"t"
+  (Interp.run ~machine:Test32.machine ~memory [ g ] ~entry:"t"
      ~args:[ a_base; b_base; n; 0L ] ())
     .value
 
@@ -509,7 +515,7 @@ let test_transform_loads_semantics () =
     Memory.store memory ~addr:256L ~width:Width.W16 0x1111L;
     Memory.store memory ~addr:258L ~width:Width.W16 0x2222L;
     ignore
-      (Interp.run ~machine:Machine.test32 ~memory [ g ] ~entry:"t"
+      (Interp.run ~machine:Test32.machine ~memory [ g ] ~entry:"t"
          ~args:[ 256L; 512L ] ());
     Memory.load memory ~addr:512L ~width:Width.W32 ~sign:Rtl.Unsigned
   in
@@ -524,7 +530,11 @@ let test_transform_stores_semantics () =
   Alcotest.(check int) "stores removed" 2 stats.stores_removed;
   Alcotest.(check int) "one wide store" 1 stats.wide_stores;
   let count_stores body =
-    List.length (List.filter (fun (i : Rtl.inst) -> Rtl.is_store i.kind) body)
+    List.length
+      (List.filter
+         (fun (i : Rtl.inst) ->
+           match i.kind with Rtl.Store _ -> true | _ -> false)
+         body)
   in
   Alcotest.(check int) "narrow stores replaced" 1 (count_stores body')
 
@@ -647,7 +657,7 @@ let prop_materialize_correct =
         Func.append f (Rtl.Ret (Some op));
         let memory = Memory.create ~size:256 in
         let r =
-          Interp.run ~machine:Machine.test32 ~memory [ f ] ~entry:"t"
+          Interp.run ~machine:Test32.machine ~memory [ f ] ~entry:"t"
             ~args:[ Int64.of_int v0; Int64.of_int v1; Int64.of_int v2 ]
             ()
         in
@@ -703,7 +713,7 @@ let test_alias_check_down_counting () =
       Func.append g (Rtl.Label "Lsafe");
       Func.append g (Rtl.Ret (Some (Rtl.Imm 0L)));
       let memory = Memory.create ~size:65536 in
-      (Interp.run ~machine:Machine.test32 ~memory [ g ] ~entry:"t"
+      (Interp.run ~machine:Test32.machine ~memory [ g ] ~entry:"t"
          ~args:[ a_base; b_base; 0L; n ] ())
         .value
     in

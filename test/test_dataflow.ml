@@ -18,6 +18,11 @@ let func_of ?(params = [ reg 0; reg 1 ]) kinds =
 
 let regs_of set = List.map Reg.id (Reg.Set.elements set)
 
+(* [r] is live out of block [b] unless every live-out register differs
+   from it: membership through the production query. *)
+let live_out_mem live b r =
+  not (Liveness.for_all_out live b (fun r' -> not (Reg.equal r r')))
+
 let test_liveness_straightline () =
   (* r2 = r0 + 1; r3 = r2 + r1; ret r3 *)
   let f =
@@ -32,8 +37,8 @@ let test_liveness_straightline () =
   let live = Liveness.compute cfg in
   Alcotest.(check (list int)) "live-in is params" [ 0; 1 ]
     (regs_of (Liveness.live_in live 0));
-  Alcotest.(check (list int)) "live-out empty at exit" []
-    (regs_of (Liveness.live_out live 0));
+  Alcotest.(check bool) "live-out empty at exit" true
+    (Liveness.for_all_out live 0 (fun _ -> false));
   match Liveness.live_after_each live 0 with
   | [ (_, after0); (_, after1); (_, after2) ] ->
     Alcotest.(check (list int)) "after first" [ 1; 2 ] (regs_of after0);
@@ -61,7 +66,7 @@ let test_liveness_through_loop () =
   Alcotest.(check bool) "accumulator live into loop" true
     (Reg.Set.mem (reg 2) (Liveness.live_in live loop_block));
   Alcotest.(check bool) "accumulator live out of loop" true
-    (Reg.Set.mem (reg 2) (Liveness.live_out live loop_block))
+    (live_out_mem live loop_block (reg 2))
 
 let test_dead_def_not_live () =
   let f =
@@ -413,11 +418,13 @@ let check_liveness_equal f cfg =
           (Reg.Set.equal (Liveness.live_in live b)
              (Oracle.Liveness.live_in oracle b))
       then QCheck.Test.fail_reportf "live_in differs at block %d" b;
-      if
-        not
-          (Reg.Set.equal (Liveness.live_out live b)
-             (Oracle.Liveness.live_out oracle b))
-      then QCheck.Test.fail_reportf "live_out differs at block %d" b;
+      List.iter
+        (fun r ->
+          if
+            live_out_mem live b r
+            <> Reg.Set.mem r (Oracle.Liveness.live_out oracle b)
+          then QCheck.Test.fail_reportf "live_out differs at block %d" b)
+        regs;
       let expect = Oracle.Liveness.live_after_each oracle b in
       check_each ~what:"live_after_each" ~b ~regs ~expect:(Fun.flip Reg.Set.mem)
         expect
@@ -494,18 +501,20 @@ let check_avail_equal _f cfg =
         QCheck.Test.fail_reportf "available facts differ at block %d" b)
     oracle
 
-let check_congruence_equal _f cfg =
+let check_congruence_equal f cfg =
+  let regs = all_regs f in
+  let agree st want = List.for_all (fun r ->
+      Congruence.value_equal (Congruence.value_of st r) (want r)) regs
+  in
   List.iter
     (fun consts ->
       let t = Congruence.solve ~consts cfg in
       let ins, outs = Oracle.Congruence.solve ~consts cfg in
       Array.iteri
         (fun b _ ->
-          if not (Congruence.state_equal (Congruence.block_in t b) ins.(b))
-          then
+          if not (agree (Congruence.block_in t b) ins.(b)) then
             QCheck.Test.fail_reportf "congruence in-state differs at block %d" b;
-          if not (Congruence.state_equal (Congruence.block_out t b) outs.(b))
-          then
+          if not (agree (Congruence.block_out t b) outs.(b)) then
             QCheck.Test.fail_reportf "congruence out-state differs at block %d"
               b)
         cfg.Cfg.blocks)
@@ -575,20 +584,18 @@ let test_manager_memoizes () =
     (Analysis.cfg am == Analysis.cfg am);
   Alcotest.(check bool) "liveness memoised" true
     (Analysis.liveness am == Analysis.liveness am);
-  Alcotest.(check bool) "dom memoised" true (Analysis.dom am == Analysis.dom am);
-  let hits, misses = Analysis.stats am in
-  Alcotest.(check bool) "hits recorded" true (hits >= 3);
-  Alcotest.(check bool) "misses recorded" true (misses >= 3)
+  Alcotest.(check bool) "loops memoised" true
+    (Analysis.loops am == Analysis.loops am)
 
 let test_manager_invalidate_drops_and_keeps () =
   let f = manager_func () in
   let am = Analysis.create f in
   let cfg0 = Analysis.cfg am in
-  let dom0 = Analysis.dom am in
+  let loops0 = Analysis.loops am in
   let live0 = Analysis.liveness am in
   (* an instruction-local rewrite: CFG facts die, Dom/Loops survive *)
   Analysis.invalidate am ~preserves:[ Analysis.Dom; Analysis.Loops ];
-  Alcotest.(check bool) "dom survives" true (dom0 == Analysis.dom am);
+  Alcotest.(check bool) "loops survive" true (loops0 == Analysis.loops am);
   Alcotest.(check bool) "cfg recomputed" true (cfg0 != Analysis.cfg am);
   Alcotest.(check bool) "liveness recomputed" true
     (live0 != Analysis.liveness am);

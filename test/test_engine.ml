@@ -27,7 +27,7 @@ module Pipeline = Mac_vpo.Pipeline
 module W = Mac_workloads.Workloads
 module Tables = Mac_workloads.Tables
 
-let machines = Machine.all @ [ Machine.test32 ]
+let machines = Machine.all @ [ Test32.machine ]
 let levels = Pipeline.[ O0; O1; O2; O3; O4 ]
 
 let pp_metrics (m : Interp.metrics) =
@@ -418,6 +418,10 @@ let test_every_op_and_shape () =
     [ f ]
   in
   let cmps = Rtl.[ Eq; Ne; Lt; Le; Gt; Ge; Ltu; Leu; Gtu; Geu ] in
+  let binops =
+    Rtl.[ Add; Sub; Mul; Div; Rem; And; Or; Xor; Shl; Lshr; Ashr ]
+    @ List.map (fun c -> Rtl.Cmp c) cmps
+  in
   List.iter
     (fun shape ->
       List.iter
@@ -427,7 +431,7 @@ let test_every_op_and_shape () =
               List.iter
                 (fun op ->
                   ignore (agree ~what:"binop" (binop_fn op shape a b) [ a; b ]))
-                Machine.all_binops;
+                binops;
               List.iter
                 (fun cmp ->
                   ignore (agree ~what:"branch" (branch_fn cmp shape a b) [ a; b ]))
@@ -487,10 +491,10 @@ let test_icache_penalty () =
      cold line, so the expected cycle count is directly computable *)
   let machine =
     {
-      Machine.test32 with
+      Test32.machine with
       name = "icp";
       icache_miss_penalty = 7;
-      dcache = { Machine.test32.dcache with miss_penalty = 100 };
+      dcache = { Test32.machine.dcache with miss_penalty = 100 };
     }
   in
   let f = Func.create ~name:"main" ~params:[] in

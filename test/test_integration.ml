@@ -10,7 +10,7 @@ module Interp = Mac_sim.Interp
 module Pipeline = Mac_vpo.Pipeline
 module Coalesce = Mac_core.Coalesce
 
-let machines = Machine.all @ [ Machine.test32 ]
+let machines = Machine.all @ [ Test32.machine ]
 let levels = Pipeline.[ O0; O1; O2; O3; O4 ]
 let size = 24 (* 24x24 images: quick but past all the unroll factors *)
 
@@ -140,9 +140,9 @@ let test_paper_shapes () =
     (fun r ->
       Alcotest.(check bool)
         (Printf.sprintf "alpha %s gains (%f)" r.Tables.bench.W.name
-           (Tables.savings_all r))
+           (Table_row.savings_all r))
         true
-        (Tables.savings_all r > 0.0))
+        (Table_row.savings_all r > 0.0))
     (rows Machine.alpha);
   (* 88100: loads-only beats loads+stores on every benchmark *)
   List.iter
@@ -158,7 +158,7 @@ let test_paper_shapes () =
       Alcotest.(check bool)
         (Printf.sprintf "68030 %s loses" r.Tables.bench.W.name)
         true
-        (Tables.savings_all r <= 0.0))
+        (Table_row.savings_all r <= 0.0))
     (rows Machine.mc68030);
   (* every row verified correct *)
   List.iter
@@ -175,9 +175,10 @@ let test_paper_shapes () =
 (* eqntott's gain must stay small (the paper: 3.86% on Alpha). *)
 let test_eqntott_small_gain () =
   let r =
-    Tables.row ~size:48 ~machine:Machine.alpha (Option.get (W.find "eqntott"))
+    Table_row.row ~size:48 ~machine:Machine.alpha
+      (Option.get (W.find "eqntott"))
   in
-  let s = Tables.savings_all r in
+  let s = Table_row.savings_all r in
   Alcotest.(check bool)
     (Printf.sprintf "eqntott savings small (%f)" s)
     true

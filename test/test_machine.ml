@@ -72,7 +72,7 @@ let test_cost_relations () =
     (Machine.mc68030.extract_cost Width.W8 > load_cost Machine.mc68030 Width.W8)
 
 let test_inst_cost () =
-  let m = Machine.test32 in
+  let m = Test32.machine in
   Alcotest.(check int) "label free" 0 (Machine.inst_cost m (Rtl.Label "L"));
   Alcotest.(check int) "nop free" 0 (Machine.inst_cost m Rtl.Nop);
   Alcotest.(check int) "move" 1
@@ -98,7 +98,7 @@ let test_by_name () =
       match Machine.by_name m.name with
       | Some m' -> Alcotest.(check string) "roundtrip" m.name m'.Machine.name
       | None -> Alcotest.failf "lookup of %s failed" m.name)
-    (Machine.all @ [ Machine.test32 ]);
+    (Machine.all @ [ Test32.machine ]);
   Alcotest.(check bool) "case insensitive" true
     (Machine.by_name "ALPHA" <> None);
   Alcotest.(check bool) "unknown" true (Machine.by_name "vax" = None)
@@ -127,7 +127,7 @@ let prop_latency_at_least_one =
       ]
   in
   QCheck.Test.make ~name:"latency is always at least 1" ~count:100
-    (QCheck.pair (QCheck.oneofl (Machine.all @ [ Machine.test32 ])) kinds)
+    (QCheck.pair (QCheck.oneofl (Machine.all @ [ Test32.machine ])) kinds)
     (fun (m, k) -> Machine.latency m k >= 1)
 
 let () =

@@ -59,45 +59,51 @@ let test_lexer_positions () =
 
 (* --- parser --- *)
 
+(* An expression as the parser reads it inside a return statement. *)
+let parse_expr src =
+  match Parser.parse ("int f() { return " ^ src ^ "; }") with
+  | [ { Ast.body = [ Ast.Return (Some e) ]; _ } ] -> e
+  | _ -> Alcotest.failf "%s: expected one return" src
+
 let test_parser_precedence () =
   (* 1 + 2 * 3 parses as 1 + (2 * 3) *)
-  (match Parser.parse_expr "1 + 2 * 3" with
+  (match parse_expr "1 + 2 * 3" with
   | Ast.Binop (Ast.Add, Ast.Const 1L, Ast.Binop (Ast.Mul, _, _)) -> ()
   | _ -> Alcotest.fail "mul binds tighter than add");
-  (match Parser.parse_expr "a < b == c" with
+  (match parse_expr "a < b == c" with
   | Ast.Binop (Ast.Eq, Ast.Binop (Ast.Lt, _, _), _) -> ()
   | _ -> Alcotest.fail "relational binds tighter than equality");
-  (match Parser.parse_expr "a || b && c" with
+  (match parse_expr "a || b && c" with
   | Ast.Binop (Ast.LOr, _, Ast.Binop (Ast.LAnd, _, _)) -> ()
   | _ -> Alcotest.fail "&& binds tighter than ||");
-  match Parser.parse_expr "a + b << 2" with
+  match parse_expr "a + b << 2" with
   | Ast.Binop (Ast.Shl, Ast.Binop (Ast.Add, _, _), _) -> ()
   | _ -> Alcotest.fail "shift binds looser than add"
 
 let test_parser_unary_postfix () =
-  (match Parser.parse_expr "-a[i]" with
+  (match parse_expr "-a[i]" with
   | Ast.Unop (Ast.Neg, Ast.Index (Ast.Var "a", Ast.Var "i")) -> ()
   | _ -> Alcotest.fail "unary over postfix");
-  (match Parser.parse_expr "*p + 1" with
+  (match parse_expr "*p + 1" with
   | Ast.Binop (Ast.Add, Ast.Deref (Ast.Var "p"), Ast.Const 1L) -> ()
   | _ -> Alcotest.fail "deref binds tight");
-  match Parser.parse_expr "f(x, y + 1)[2]" with
+  match parse_expr "f(x, y + 1)[2]" with
   | Ast.Index (Ast.Call ("f", [ _; _ ]), Ast.Const 2L) -> ()
   | _ -> Alcotest.fail "call then index"
 
 let test_parser_cast_vs_parens () =
-  (match Parser.parse_expr "(short)x" with
+  (match parse_expr "(short)x" with
   | Ast.Cast (Ast.Int (Ast.I16, Ast.Signed), Ast.Var "x") -> ()
   | _ -> Alcotest.fail "cast");
-  (match Parser.parse_expr "(x)" with
+  (match parse_expr "(x)" with
   | Ast.Var "x" -> ()
   | _ -> Alcotest.fail "parenthesised expr");
-  match Parser.parse_expr "(unsigned char)(x + 1)" with
+  match parse_expr "(unsigned char)(x + 1)" with
   | Ast.Cast (Ast.Int (Ast.I8, Ast.Unsigned), _) -> ()
   | _ -> Alcotest.fail "unsigned cast"
 
 let test_parser_ternary () =
-  match Parser.parse_expr "a ? b : c ? d : e" with
+  match parse_expr "a ? b : c ? d : e" with
   | Ast.Cond (Ast.Var "a", Ast.Var "b", Ast.Cond (_, _, _)) -> ()
   | _ -> Alcotest.fail "ternary right-associates"
 
@@ -181,7 +187,7 @@ long h(char* p, int n) {
 
 (* --- lowering, validated by execution --- *)
 
-let exec ?(machine = Machine.test32) ?(mem_size = 8192) ?(args = []) ~entry src
+let exec ?(machine = Test32.machine) ?(mem_size = 8192) ?(args = []) ~entry src
     =
   let funcs = Lower.compile src in
   List.iter
@@ -189,7 +195,7 @@ let exec ?(machine = Machine.test32) ?(mem_size = 8192) ?(args = []) ~entry src
       match Mac_verify.Rtlcheck.structural_checks ~pass:"lower" f with
       | [] -> ()
       | d :: _ ->
-        Alcotest.failf "invalid lowering: %s" (Mac_verify.Diagnostic.to_string d))
+        Alcotest.failf "invalid lowering: %a" Mac_verify.Diagnostic.pp d)
     funcs;
   let memory = Memory.create ~size:mem_size in
   (Interp.run ~machine ~memory funcs ~entry ~args ()).value
@@ -316,7 +322,7 @@ int matsum(int a[], int rows, int cols) {
       (Int64.of_int (i + 1))
   done;
   let r =
-    Interp.run ~machine:Machine.test32 ~memory funcs ~entry:"matsum"
+    Interp.run ~machine:Test32.machine ~memory funcs ~entry:"matsum"
       ~args:[ 64L; 3L; 4L ] ()
   in
   Alcotest.(check int64) "matrix sum" 78L r.value
@@ -352,7 +358,8 @@ let test_lower_loop_shape () =
   let dom = Mac_cfg.Dom.compute cfg in
   match Mac_cfg.Loop.natural_loops cfg dom with
   | [ l ] ->
-    Alcotest.(check bool) "simple" true (Mac_cfg.Loop.is_simple l);
+    Alcotest.(check bool) "simple" true
+      (Mac_cfg.Loop.simple_of cfg l <> None);
     (match Mac_cfg.Loop.simple_of cfg l with
     | Some s ->
       Alcotest.(check bool) "trip recognised" true
@@ -481,7 +488,7 @@ let test_param_attrs_ignored_semantically () =
         Memory.store mem ~addr:(Int64.of_int (1024 + (4 * a))) ~width:Width.W32
           (Int64.of_int (a * 3)))
       [ 0; 1; 2; 3 ];
-    (Interp.run ~machine:Machine.test32 ~memory:mem fs ~entry:"f"
+    (Interp.run ~machine:Test32.machine ~memory:mem fs ~entry:"f"
        ~args:[ 1024L; 4L ] ())
       .value
   in

@@ -23,7 +23,7 @@ let prop_levels_agree machine =
          machine.Machine.name)
     ~count:60 arbitrary_kernel
     (fun k ->
-      let reference = run_kernel k ~machine:Machine.test32 ~level:Pipeline.O0 in
+      let reference = run_kernel k ~machine:Test32.machine ~level:Pipeline.O0 in
       match reference with
       | Error _ -> QCheck.assume_fail () (* UB-ish input; skip *)
       | Ok expected ->
@@ -47,7 +47,7 @@ let prop_forced_coalescing_correct machine =
          machine.Machine.name)
     ~count:40 arbitrary_kernel
     (fun k ->
-      match run_kernel k ~machine:Machine.test32 ~level:Pipeline.O0 with
+      match run_kernel k ~machine:Test32.machine ~level:Pipeline.O0 with
       | Error _ -> QCheck.assume_fail ()
       | Ok expected -> (
         let cfg = Pipeline.config ~level:Pipeline.O4 ~coalesce machine in
@@ -67,7 +67,7 @@ let prop_strength_and_regalloc_correct machine =
          machine.Machine.name)
     ~count:40 arbitrary_kernel
     (fun k ->
-      match run_kernel k ~machine:Machine.test32 ~level:Pipeline.O0 with
+      match run_kernel k ~machine:Test32.machine ~level:Pipeline.O0 with
       | Error _ -> QCheck.assume_fail ()
       | Ok expected -> (
         let coalesce =
@@ -156,14 +156,14 @@ let () =
     [
       ( "equivalence",
         List.map QCheck_alcotest.to_alcotest
-          (List.map prop_levels_agree (Machine.all @ [ Machine.test32 ])) );
+          (List.map prop_levels_agree (Machine.all @ [ Test32.machine ])) );
       ( "forced",
         List.map QCheck_alcotest.to_alcotest
           (List.map prop_forced_coalescing_correct Machine.all) );
       ( "extensions",
         List.map QCheck_alcotest.to_alcotest
           (List.map prop_strength_and_regalloc_correct
-             [ Machine.alpha; Machine.test32 ]) );
+             [ Machine.alpha; Test32.machine ]) );
       ( "elision",
         List.map QCheck_alcotest.to_alcotest
           (List.map prop_elision_invisible Machine.all) );

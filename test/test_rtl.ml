@@ -20,10 +20,12 @@ let test_width_sizes () =
   List.iter
     (fun w ->
       Alcotest.(check bool)
-        "of_bytes inverts bytes" true
-        (Width.of_bytes (Width.bytes w) = Some w))
+        "of_bytes_exn inverts bytes" true
+        (Width.of_bytes_exn (Width.bytes w) = w))
     Width.all;
-  Alcotest.(check (option reject)) "of_bytes 3" None (Width.of_bytes 3)
+  Alcotest.check_raises "of_bytes_exn 3"
+    (Invalid_argument "Width.of_bytes_exn: 3") (fun () ->
+      ignore (Width.of_bytes_exn 3))
 
 let test_width_masks () =
   check_i64 "mask b" 0xFFL (Width.mask Width.W8);

@@ -16,10 +16,17 @@ module Service = Mac_serve.Service
 module W = Mac_workloads.Workloads
 module Pipeline = Mac_vpo.Pipeline
 
-let key_of_request req =
-  match Digest_key.of_request req with
+let key_of_request ?fingerprint req =
+  match Digest_key.of_request ?fingerprint req with
   | Ok k -> k
   | Error e -> Alcotest.failf "digest failed: %s" e
+
+(* The cache key of inline source, unvalidated at O4 on the alpha unless
+   told otherwise. *)
+let key_of_source ?fingerprint ?(machine = "alpha") ?(level = Pipeline.O4)
+    ?(verify = Pipeline.Vnone) source =
+  key_of_request ?fingerprint
+    (Protocol.request ~level ~verify ~machine (`Source source))
 
 (* --- digest properties ------------------------------------------- *)
 
@@ -57,10 +64,7 @@ let prop_respace_same_key =
         (list_of_size Gen.(int_range 1 8) (int_bound (Array.length separators - 1))))
     (fun (src, seps) ->
       let seps = if seps = [] then [ 0 ] else seps in
-      let key s =
-        Digest_key.of_fields ~source:s ~machine:"alpha" ~level:"O4"
-          ~verify:"none" ()
-      in
+      let key s = key_of_source s in
       key src = key (respace seps src))
 
 (* Optional request fields reordered, defaulted or spelled out must
@@ -95,7 +99,8 @@ let prop_field_order_same_key =
         ^ String.concat ","
             (List.map
                (fun (k, v) ->
-                 Printf.sprintf "\"%s\":%s" k (Mac_workloads.Jsonio.str v))
+                 Printf.sprintf "\"%s\":%s" k
+                   (Mac_workloads.Jsonio.render (Mac_workloads.Jsonio.Str v)))
                fs)
         ^ "}"
       in
@@ -114,10 +119,7 @@ let prop_distinct_sources_distinct_keys =
     (fun (a, b) ->
       QCheck.assume (a <> b);
       let src v = Printf.sprintf "int main() { return %d; }" v in
-      let key v =
-        Digest_key.of_fields ~source:(src v) ~machine:"alpha" ~level:"O4"
-          ~verify:"none" ()
-      in
+      let key v = key_of_source (src v) in
       key a <> key b)
 
 let test_corpus_collision_free () =
@@ -126,10 +128,7 @@ let test_corpus_collision_free () =
   let keys = Hashtbl.create 512 in
   for v = 0 to 511 do
     let src = Printf.sprintf "int f%d(int x) { return x + %d; }" v v in
-    let k =
-      Digest_key.of_fields ~source:src ~machine:"alpha" ~level:"O4"
-        ~verify:"none" ()
-    in
+    let k = key_of_source src in
     if Hashtbl.mem keys k then Alcotest.failf "collision at %d" v;
     Hashtbl.add keys k ()
   done;
@@ -139,15 +138,15 @@ let test_key_dimensions () =
   (* every non-source field participates in the key, including the
      compiler fingerprint — a rebuilt compiler can never serve stale
      artifacts out of a surviving cache directory *)
-  let base ?fingerprint ?(machine = "alpha") ?(level = "O4")
-      ?(verify = "none") () =
-    Digest_key.of_fields ?fingerprint ~source:"int main() { return 0; }"
-      ~machine ~level ~verify ()
+  let base ?fingerprint ?machine ?level ?verify () =
+    key_of_source ?fingerprint ?machine ?level ?verify
+      "int main() { return 0; }"
   in
   let k = base () in
   Alcotest.(check bool) "machine in key" true (k <> base ~machine:"mc88100" ());
-  Alcotest.(check bool) "level in key" true (k <> base ~level:"O1" ());
-  Alcotest.(check bool) "verify in key" true (k <> base ~verify:"full" ());
+  Alcotest.(check bool) "level in key" true (k <> base ~level:Pipeline.O1 ());
+  Alcotest.(check bool) "verify in key" true
+    (k <> base ~verify:Pipeline.Vfull ());
   Alcotest.(check bool) "fingerprint in key" true
     (k <> base ~fingerprint:"mcc/9.9.9+000000000000" ());
   Alcotest.(check string) "default fingerprint is the build's" k

@@ -16,7 +16,7 @@ module W = Mac_workloads.Workloads
 let classic_opts f =
   match Pipeline.classic_opts f with
   | [] -> ()
-  | d :: _ -> Alcotest.fail (Diagnostic.to_string d)
+  | d :: _ -> Alcotest.fail (Fmt.str "%a" Diagnostic.pp d)
 
 let reg = Reg.make
 
@@ -40,7 +40,7 @@ let has_warning ds sub =
 let check_flags name ds sub =
   Alcotest.(check bool)
     (Printf.sprintf "%s flagged (got: %s)" name
-       (String.concat "; " (List.map Diagnostic.to_string ds)))
+       (Fmt.str "%a" (Fmt.list ~sep:(Fmt.any "; ") Diagnostic.pp) ds))
     true (has_error ds sub)
 
 (* --- layer 1: hand-built invalid RTL -------------------------------- *)
@@ -292,7 +292,7 @@ let test_audit_accepts_real_output () =
           Alcotest.(check int)
             (Printf.sprintf "no diagnostics on %s (got: %s)"
                machine.Machine.name
-               (String.concat "; " (List.map Diagnostic.to_string ds)))
+               (Fmt.str "%a" (Fmt.list ~sep:(Fmt.any "; ") Diagnostic.pp) ds))
             0 (List.length ds))
         [ W.dotproduct_src; image_add_src ])
     Machine.all
@@ -474,7 +474,7 @@ let test_audit_accepts_certified_elision () =
   let ds = Audit.run ~facts f ~machine:Machine.alpha ~reports in
   Alcotest.(check int)
     (Printf.sprintf "audit accepts every certificate (got: %s)"
-       (String.concat "; " (List.map Diagnostic.to_string ds)))
+       (Fmt.str "%a" (Fmt.list ~sep:(Fmt.any "; ") Diagnostic.pp) ds))
     0 (List.length ds)
 
 let with_tampered_elisions (r : Coalesce.loop_report) tamper reports =
@@ -784,7 +784,7 @@ let test_tvalid_pass_seconds_bucket () =
   Alcotest.(check bool) "Vir: validator did not run" false stats
 
 let deep32 =
-  { Machine.test32 with name = "deep32"; load_latency = 6; mul_latency = 12 }
+  { Test32.machine with name = "deep32"; load_latency = 6; mul_latency = 12 }
 
 (* A genuinely software-pipelined loop (prologue / steady state /
    epilogue) is matched with region cut-points: the pipelined region is

@@ -46,10 +46,10 @@ let test_output_always_valid () =
                 Alcotest.failf "%s on %s: %s"
                   (Pipeline.level_to_string level)
                   machine.Machine.name
-                  (Mac_verify.Diagnostic.to_string d))
+                  (Fmt.str "%a" Mac_verify.Diagnostic.pp d))
             compiled.funcs)
         Pipeline.[ O0; O1; O2; O3; O4 ])
-    (Machine.all @ [ Machine.test32 ])
+    (Machine.all @ [ Test32.machine ])
 
 let count_insts (compiled : Pipeline.compiled) =
   List.fold_left
@@ -58,8 +58,8 @@ let count_insts (compiled : Pipeline.compiled) =
 
 let test_levels_monotone_effort () =
   (* O1 must shrink O0; legalization on Alpha always expands narrow refs *)
-  let o0 = count_insts (compile ~level:Pipeline.O0 Machine.test32) in
-  let o1 = count_insts (compile ~level:Pipeline.O1 Machine.test32) in
+  let o0 = count_insts (compile ~level:Pipeline.O0 Test32.machine) in
+  let o1 = count_insts (compile ~level:Pipeline.O1 Test32.machine) in
   Alcotest.(check bool) "O1 no larger than O0" true (o1 <= o0)
 
 let test_reports_per_level () =
